@@ -41,6 +41,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import (
     ConfigError,
+    DomainError,
     InvariantError,
     PreconditionError,
     SchemeError,
@@ -492,6 +493,10 @@ class ChainSolution:
     stop_idx: np.ndarray | None = None
 
     def value_at(self, t: float, state: int) -> float:
+        """Linear interpolation in time; ``t`` must lie in the grid range up to 1e-12."""
+        lo, hi = float(self.grid.nodes[0]), self.grid.t_end
+        if not math.isfinite(t) or t < lo - 1e-12 or t > hi + 1e-12:
+            raise DomainError(f"value_at({t}) outside solution grid range [{lo}, {hi}]")
         col = self.state_values[:, state]
         return float(np.interp(t, self.grid.nodes, col))
 
@@ -649,10 +654,19 @@ def _picard_solve(problem, grid, paths, seed, fp_tol):
             y = cond
             for _ in range(100):
                 y_new = cond + f(t, i, y, z) * dt[j]
-                if abs(y_new - y) <= fp_tol:
-                    y = y_new
-                    break
+                residual = abs(y_new - y)
                 y = y_new
+                if residual <= fp_tol:
+                    break
+            else:
+                # past |y| = 2**13 one rounding step exceeds the default
+                # absolute tolerance, so judge the cap relative to |y|; a NaN
+                # residual fails the comparison and raises
+                if not residual <= fp_tol * max(1.0, abs(y)):
+                    raise SchemeError(
+                        f"fixed point at step {j} (t={t}), state {i} did not converge "
+                        f"in 100 iterations: last residual {residual:.3g} at y={y:.6g}"
+                    )
             values[j, i] = y
             z_values[j, i] = z
         for i in sorted(problem.hitting_set):

@@ -113,9 +113,28 @@ class SampledPath:
         return self.values.ndim == 1
 
     def at(self, t) -> np.ndarray:
-        """Evaluate the path at time(s) ``t`` under the declared rule."""
-        t = np.asarray(t, dtype=float)
+        """Evaluate the path at time(s) ``t`` under the declared rule.
+
+        A scalar time (Python or NumPy float or int) returns a NumPy scalar,
+        or one node's row for a vector-valued path, with the same value and
+        the same errors as the array path; it skips the array checks because
+        transformed coefficients call this once per solver step.
+        """
         nodes = self.grid.nodes
+        if isinstance(t, (float, int, np.floating, np.integer)) and (
+            self.is_scalar or self.interpolation == PREVIOUS
+        ):
+            t = float(t)
+            lo, hi = float(nodes[0]), float(nodes[-1])
+            if not math.isfinite(t):
+                raise DomainError("evaluation at non-finite time")
+            if t < lo - 1e-12 or t > hi + 1e-12:
+                raise DomainError(f"evaluation outside grid range [{lo}, {hi}]")
+            tc = min(max(t, lo), hi)
+            if self.interpolation == PREVIOUS:
+                return self.values[int(np.searchsorted(nodes, tc, side="right")) - 1]
+            return np.interp(tc, nodes, self.values)
+        t = np.asarray(t, dtype=float)
         if np.any(~np.isfinite(t)):
             raise DomainError("evaluation at non-finite time")
         if np.any(t < nodes[0] - 1e-12) or np.any(t > nodes[-1] + 1e-12):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from tcbsde.errors import PreconditionError, UnsupportedError
+from tcbsde.errors import DomainError, PreconditionError, SchemeError, UnsupportedError
 from tcbsde.timechange import LINEAR, SampledPath, TimeGrid
 from tcbsde.chain import (
     ChainBSDEProblem,
@@ -99,6 +99,37 @@ def test_picard_matches_markov_ode_three_states():
     y0_ode = ode.state_values[0, 0]
     y0_pic = pic.state_values[0, 0]
     assert abs(y0_pic - y0_ode) <= 0.02 * max(abs(y0_ode), 1.0)
+
+
+def test_picard_fixed_point_cap():
+    # f = -L y with a declared c_path of 1 passes the contraction guard
+    # (dt * 1 = 0.1 < 1) whatever the true per-step slope -L * dt is
+    grid = TimeGrid.uniform(2.0, 21)
+
+    def solve(L, c):
+        prob = constant_terminal_problem(line_model(), grid, c=c)
+        prob.driver.f = lambda t, i, y, z: -L * y
+        prob.driver.c_path = SampledPath(grid, np.ones(grid.n_nodes), LINEAR)
+        return solve_chain_bsde(prob, "picard", grid, paths=200, seed=0)
+
+    # slope -5: the iteration diverges
+    with pytest.raises(SchemeError, match=r"step \d+ .*state 0.*last residual"):
+        solve(50.0, 2.5)
+    # slope -0.5 at Y near 1e5: converges to a one-ulp oscillation (1.5e-11),
+    # above the absolute tolerance 1e-12 but not a failure
+    sol = solve(5.0, 1e5)
+    assert np.all(np.isfinite(sol.state_values))
+
+
+def test_value_at_rejects_times_outside_grid():
+    grid = TimeGrid.uniform(20.0, 201)
+    sol = solve_chain_bsde(constant_terminal_problem(line_model(), grid), "markov-ode", grid)
+    assert sol.value_at(0.0, 0) == pytest.approx(2.5, abs=1e-6)
+    assert sol.value_at(20.0 + 1e-12, 0) == sol.value_at(20.0, 0)
+    assert sol.value_at(-1e-12, 0) == sol.value_at(0.0, 0)
+    for t in (-1e-6, 20.0 + 1e-6, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            sol.value_at(t, 0)
 
 
 def test_non_markovian_rejected_by_ode():

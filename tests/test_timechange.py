@@ -60,6 +60,43 @@ def test_path_evaluation_rules():
     assert step.at(1.0) == pytest.approx(2.0)
     with pytest.raises(DomainError):
         lin.at(2.5)
+    for path in (lin, step):
+        for t in (math.nan, math.inf, -math.inf, np.float64(math.nan), -2e-12, 2.0 + 2e-12, 3):
+            with pytest.raises(DomainError):
+                path.at(t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    steps=st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=20),
+    rule=st.sampled_from([LINEAR, PREVIOUS]),
+    width=st.sampled_from([None, 1, 3]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_scalar_time_matches_array_path(steps, rule, width, seed, data):
+    # the scalar branch of SampledPath.at against the array path as reference:
+    # same bits, same return type, for interior times, node hits, both
+    # 1e-12 edges, and float / int / np.float64 inputs
+    grid = TimeGrid(np.concatenate([[0.0], np.cumsum(steps)]))
+    shape = (grid.n_nodes,) if width is None else (grid.n_nodes, width)
+    path = SampledPath(grid, np.random.default_rng(seed).normal(size=shape), rule)
+    t_end = grid.t_end
+    t = data.draw(
+        st.one_of(
+            st.floats(0.0, t_end),
+            st.sampled_from([float(x) for x in grid.nodes]),
+            st.sampled_from([-1e-12, t_end + 1e-12]),
+            st.integers(0, int(t_end)),
+        )
+    )
+    casts = (int, np.int64, np.float64) if isinstance(t, int) else (float, np.float64)
+    for cast in casts:
+        got = path.at(cast(t))
+        ref = path.at(np.array([t], dtype=float))[0]
+        assert type(got) is type(ref)
+        assert np.shape(got) == np.shape(ref)
+        assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
 
 
 def test_increasing_process_floor():
