@@ -76,22 +76,32 @@ class MarkovChainModel:
     initial: int
     rate_bound: float
 
-    def rates(self, t: float) -> np.ndarray:
+    def rates(self, t) -> np.ndarray:
+        """Rate matrix at time ``t``; a 1-d array of m times gives a stack ``(m, N, N)``.
+
+        ``rate_fn`` takes one time; a stack calls it once per time.
+        """
+        if isinstance(t, np.ndarray) and t.ndim:
+            return self._rates_at_times(t)
         A = np.asarray(self.rate_fn(t), dtype=float)
         if A.shape != (self.n_states, self.n_states):
             raise StructuralError("rate matrix has a wrong shape")
         return A
 
+    def _rates_at_times(self, t: np.ndarray) -> np.ndarray:
+        N = self.n_states
+        try:
+            A = np.array([self.rate_fn(s) for s in t.tolist()], dtype=float)
+        except ValueError as exc:
+            raise StructuralError("rate matrix has a wrong shape") from exc
+        if A.shape != (t.size, N, N):
+            raise StructuralError("rate matrix has a wrong shape")
+        return A
+
     def validate(self, times) -> None:
-        for t in times:
-            A = self.rates(float(t))
-            off = A - np.diag(np.diag(A))
-            if np.any(off < -1e-12):
-                raise InvariantError(f"negative off-diagonal rate at t={t}")
-            if np.max(np.abs(A.sum(axis=0))) > 1e-9:
-                raise InvariantError(f"columns do not sum to zero at t={t}")
-            if np.max(-np.diag(A)) > self.rate_bound * (1.0 + 1e-9):
-                raise InvariantError(f"exit rate exceeds the declared bound at t={t}")
+        t = np.atleast_1d(np.asarray(times, dtype=float))
+        A = self.rates(t)
+        _check_rate_batch(A, t, np.max(-np.diagonal(A, axis1=1, axis2=2), axis=1), self.rate_bound)
 
 
 @dataclass(frozen=True)
@@ -109,9 +119,9 @@ class ChainPath:
         object.__setattr__(self, "states", st)
         if st.size != jt.size + 1:
             raise InvariantError("need one more state than jump times")
-        if jt.size and np.any(np.diff(jt) <= 0):
+        if (jt[1:] <= jt[:-1]).any():
             raise InvariantError("jump times must be strictly increasing")
-        if np.any(st[1:] == st[:-1]):
+        if (st[1:] == st[:-1]).any():
             raise InvariantError("consecutive states must differ")
 
     def state_at(self, t) -> np.ndarray:
@@ -120,57 +130,161 @@ class ChainPath:
         return self.states[k]
 
 
+@dataclass(frozen=True)
+class _JumpLog:
+    """Jumps of a batch of paths, sorted by path and, within a path, by time."""
+
+    initial: np.ndarray  # (paths,) starting state of each path
+    path: np.ndarray  # path index of each jump
+    time: np.ndarray
+    state: np.ndarray  # state entered at each jump
+
+
+def _check_rate_batch(A: np.ndarray, t: np.ndarray, total: np.ndarray, bound: float):
+    """Generator invariants on a stack of rate matrices and the thinning bound on ``total``."""
+    N = A.shape[1]
+    bad = np.flatnonzero(np.any(A[:, ~np.eye(N, dtype=bool)] < -1e-12, axis=1))
+    if bad.size:
+        raise InvariantError(f"negative off-diagonal rate at t={t[bad[0]]}")
+    bad = np.flatnonzero(np.max(np.abs(A.sum(axis=1)), axis=1) > 1e-9)
+    if bad.size:
+        raise InvariantError(f"columns do not sum to zero at t={t[bad[0]]}")
+    bad = np.flatnonzero(total > bound * (1.0 + 1e-9))
+    if bad.size:
+        k = bad[0]
+        raise InvariantError(
+            f"exit plus kill rate {total[k]} exceeds the thinning bound {bound} at t={t[k]}"
+        )
+
+
+def _thin(
+    model: MarkovChainModel,
+    horizon: float,
+    paths: int,
+    seed: int,
+    *,
+    loss_rate: Callable[[float, int], float] | None = None,
+    loss_bound: float = 0.0,
+    target: int | None = None,
+) -> tuple[_JumpLog, np.ndarray, np.ndarray]:
+    """Lewis-Shedler thinning of all paths at once against ``rate_bound + loss_bound``.
+
+    Each round draws one exponential candidate time per live path, evaluates
+    the rates of the whole batch in one call, and accepts a jump with
+    probability ``exit / bound`` and, given a loss rate, a kill with
+    probability ``kill / bound``.  The next state is the first index whose
+    cumulative off-diagonal rate out of the current state reaches a uniform
+    draw on ``(0, exit]``.  A path leaves the batch at the horizon, when it
+    is killed, or on entering ``target``.  Returns the jump log and the
+    masks of the paths that reached the target and that were killed.
+    """
+    if horizon <= 0:
+        raise PreconditionError("horizon must be positive")
+    bound = float(model.rate_bound + loss_bound)
+    if not (np.isfinite(bound) and bound > 0):
+        raise PreconditionError("rate bound must be positive and finite")
+    rng = np.random.default_rng(seed)
+    initial = np.full(paths, int(model.initial))
+    t = np.zeros(paths)
+    state = initial.copy()
+    reached = np.zeros(paths, dtype=bool) if target is None else state == target
+    killed = np.zeros(paths, dtype=bool)
+    live = np.flatnonzero(~reached)
+    log_path, log_time, log_state = [], [], []
+    while live.size:
+        t_live = t[live] + rng.exponential(1.0 / bound, live.size)
+        inside = t_live < horizon
+        live, t_live = live[inside], t_live[inside]
+        if not live.size:
+            break
+        t[live] = t_live
+        s = state[live]
+        rows = np.arange(live.size)
+        A = model.rates(t_live)
+        out_rates = A[rows, :, s]  # column s of each matrix: the rates out of the current state
+        exit_rate = -out_rates[rows, s]
+        if loss_rate is None:
+            kill = np.zeros(live.size)
+        else:
+            kill = np.array([loss_rate(a, b) for a, b in zip(t_live.tolist(), s.tolist())], dtype=float)
+        _check_rate_batch(A, t_live, exit_rate + kill, bound)
+        u = rng.uniform(size=live.size) * bound
+        jump = u < exit_rate
+        killed[live[~jump & (u < exit_rate + kill)]] = True
+        if np.any(jump):
+            out_rates = out_rates[jump]
+            out_rates[np.arange(out_rates.shape[0]), s[jump]] = 0.0
+            cdf = np.cumsum(out_rates, axis=1)
+            r = (1.0 - rng.uniform(size=cdf.shape[0])) * cdf[:, -1]
+            nxt = np.sum(cdf < r[:, None], axis=1)  # searchsorted(cdf, r, side="left") per row
+            who = live[jump]
+            state[who] = nxt
+            log_path.append(who)
+            log_time.append(t_live[jump])
+            log_state.append(nxt)
+            if target is not None:
+                reached[who[nxt == target]] = True
+        live = live[~(reached[live] | killed[live])]
+    if log_path:
+        path, time, st = (np.concatenate(x) for x in (log_path, log_time, log_state))
+        order = np.argsort(path, kind="stable")  # rounds run forward in time
+        path, time, st = path[order], time[order], st[order]
+    else:
+        path, time, st = np.zeros(0, dtype=int), np.zeros(0), np.zeros(0, dtype=int)
+    return _JumpLog(initial, path, time, st), reached, killed
+
+
+def _states_at(log: _JumpLog, times: np.ndarray) -> np.ndarray:
+    """State of every path at each of the increasing ``times``, shape ``(paths, len(times))``.
+
+    Each jump adds its state change at the first time at or after it, and one
+    in-place cumulative sum along the times fills the only array as large as
+    the output.
+    """
+    out = np.zeros((log.initial.size, times.size), dtype=int)
+    out[:, 0] = log.initial
+    first = np.ones(log.path.size, dtype=bool)
+    first[1:] = log.path[1:] != log.path[:-1]
+    prev = np.where(first, log.initial[log.path], np.roll(log.state, 1))
+    col = np.searchsorted(times, log.time, side="left")
+    seen = col < times.size
+    np.add.at(out, (log.path[seen], col[seen]), (log.state - prev)[seen])
+    np.cumsum(out, axis=1, out=out)
+    return out
+
+
+def _log_of(paths: list[ChainPath]) -> _JumpLog:
+    sizes = np.array([p.jump_times.size for p in paths], dtype=int)
+    none = np.zeros(0)
+    return _JumpLog(
+        initial=np.array([p.states[0] for p in paths], dtype=int),
+        path=np.repeat(np.arange(len(paths)), sizes),
+        time=np.concatenate([none] + [p.jump_times for p in paths]),
+        state=np.concatenate([none.astype(int)] + [p.states[1:] for p in paths]),
+    )
+
+
 def simulate_chain(
     model: MarkovChainModel, horizon: float, paths: int, seed: int
 ) -> list[ChainPath]:
     """Exact jump simulation with thinning against the declared rate bound."""
-    if horizon <= 0:
-        raise PreconditionError("horizon must be positive")
-    if not np.isfinite(model.rate_bound):
-        raise PreconditionError("rate bound must be finite")
-    rng = np.random.default_rng(seed)
-    bound = float(model.rate_bound)
-    out = []
-    for _ in range(paths):
-        t = 0.0
-        state = int(model.initial)
-        jumps: list[float] = []
-        states = [state]
-        while True:
-            t += rng.exponential(1.0 / bound)
-            if t >= horizon:
-                break
-            A = model.rates(t)
-            exit_rate = -A[state, state]
-            if exit_rate > bound * (1.0 + 1e-9):
-                raise InvariantError(
-                    f"exit rate {exit_rate} exceeds the declared bound {bound} at t={t}"
-                )
-            if rng.uniform() * bound < exit_rate:
-                p = A[:, state].copy()
-                p[state] = 0.0
-                cdf = np.cumsum(p)
-                nxt = int(np.searchsorted(cdf, rng.uniform() * exit_rate))
-                jumps.append(t)
-                state = nxt
-                states.append(state)
-        out.append(ChainPath(np.array(jumps), np.array(states), horizon))
-    return out
+    log, _, _ = _thin(model, horizon, paths, seed)
+    cuts = np.searchsorted(log.path, np.arange(paths + 1))
+    first = np.array([int(model.initial)])
+    return [
+        ChainPath(log.time[a:b], np.concatenate((first, log.state[a:b])), horizon)
+        for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist())
+    ]
 
 
 def occupancy(paths: list[ChainPath], t: float, n_states: int) -> np.ndarray:
     """Empirical state distribution at time t."""
-    counts = np.zeros(n_states)
-    for p in paths:
-        counts[int(p.state_at(t))] += 1.0
-    return counts / len(paths)
+    states = _states_at(_log_of(paths), np.array([float(t)]))[:, 0]
+    return np.bincount(states, minlength=n_states) / len(paths)
 
 
 def states_on_grid(paths: list[ChainPath], grid: TimeGrid) -> np.ndarray:
-    out = np.empty((len(paths), grid.n_nodes), dtype=int)
-    for i, p in enumerate(paths):
-        out[i] = p.state_at(grid.nodes)
-    return out
+    return _states_at(_log_of(paths), grid.nodes)
 
 
 def doob_meyer_martingale(
@@ -366,6 +480,18 @@ def _require_contracting_clock(clock: TimeChangeMap) -> None:
         )
 
 
+@dataclass(eq=False)
+class _ClockedChainModel(MarkovChainModel):
+    """A model read through a clock; a stack of times reads the clock once per stack."""
+
+    base: MarkovChainModel
+    clock: TimeChangeMap
+
+    def _rates_at_times(self, u: np.ndarray) -> np.ndarray:
+        s = np.asarray(self.clock.inverse_at(u), dtype=float)
+        return self.base.rates(s) * np.asarray(self.clock.derivative_at(u))[:, None, None]
+
+
 def transform_chain(model: MarkovChainModel, clock: TimeChangeMap) -> MarkovChainModel:
     """Rate matrix on the new time scale: ``A~(u) = A(inv(u)) inv'(u)``.
 
@@ -378,11 +504,13 @@ def transform_chain(model: MarkovChainModel, clock: TimeChangeMap) -> MarkovChai
         s = float(clock.inverse_at(u))
         return model.rates(s) * float(clock.derivative_at(u))
 
-    return MarkovChainModel(
+    return _ClockedChainModel(
         n_states=model.n_states,
         rate_fn=tilde_rates,
         initial=model.initial,
         rate_bound=model.rate_bound,
+        base=model,
+        clock=clock,
     )
 
 
@@ -591,8 +719,8 @@ def solve_chain_bsde(
             metadata={"tail_probability": tail},
         )
         if paths:
-            sim = simulate_chain(problem.model, grid.t_end, paths, seed)
-            sol.path_states = states_on_grid(sim, grid)
+            log, _, _ = _thin(problem.model, grid.t_end, paths, seed)
+            sol.path_states = _states_at(log, grid.nodes)
             sol.path_Y = values[np.arange(grid.n_nodes)[None, :], sol.path_states]
             sol.stop_idx = _stop_indices(sol.path_states, problem.hitting_set, grid)
         return sol
@@ -611,6 +739,24 @@ def _stop_indices(path_states: np.ndarray, hitting_set: frozenset, grid: TimeGri
     return idx
 
 
+# the fixed point runs at least this many iterations before judging non-convergence,
+# and no more than the ceiling however slowly the declared slope contracts
+_FIXED_POINT_MIN_ITERATIONS = 100
+_FIXED_POINT_MAX_ITERATIONS = 10_000
+
+
+def _fixed_point_cap(slope: float, first_residual: float, tol: float) -> int:
+    """Iterations after which a contraction of ``slope`` shrinks ``first_residual`` below ``tol``.
+
+    The residual of iteration ``k + 1`` is at most ``slope^k`` times the
+    first, so ``1 + log(tol / first_residual) / log(slope)`` iterations suffice.
+    """
+    if not (0.0 < slope < 1.0 and math.isfinite(first_residual) and first_residual > tol):
+        return _FIXED_POINT_MIN_ITERATIONS
+    need = 1 + math.ceil(math.log(tol / first_residual) / math.log(slope))
+    return min(max(need, _FIXED_POINT_MIN_ITERATIONS), _FIXED_POINT_MAX_ITERATIONS)
+
+
 def _picard_solve(problem, grid, paths, seed, fp_tol):
     model = problem.model
     N = model.n_states
@@ -619,8 +765,8 @@ def _picard_solve(problem, grid, paths, seed, fp_tol):
     c_max = float(np.max(problem.driver.c_path.values))
     if np.any(dt * max(c_max, 1e-12) >= 1.0):
         raise SchemeError("per-step contraction fails: dt * Lipschitz >= 1")
-    sim = simulate_chain(model, grid.t_end, paths, seed)
-    S = states_on_grid(sim, grid)
+    log, _, _ = _thin(model, grid.t_end, paths, seed)
+    S = _states_at(log, grid.nodes)
     stop = _stop_indices(S, problem.hitting_set, grid)
     truncated = float(np.mean(stop == n - 1))
     g = problem.terminal_fn
@@ -651,22 +797,26 @@ def _picard_solve(problem, grid, paths, seed, fp_tol):
             dM = dX - (A[:, i] * dt[j])[None, :]
             dY = y_next[sel] - cond
             z, *_ = np.linalg.lstsq(dM, dY, rcond=None)
-            y = cond
-            for _ in range(100):
+            y, cap = cond, _FIXED_POINT_MIN_ITERATIONS
+            for k in range(1, _FIXED_POINT_MAX_ITERATIONS + 1):
                 y_new = cond + f(t, i, y, z) * dt[j]
                 residual = abs(y_new - y)
                 y = y_new
                 if residual <= fp_tol:
                     break
-            else:
-                # past |y| = 2**13 one rounding step exceeds the default
-                # absolute tolerance, so judge the cap relative to |y|; a NaN
-                # residual fails the comparison and raises
-                if not residual <= fp_tol * max(1.0, abs(y)):
-                    raise SchemeError(
-                        f"fixed point at step {j} (t={t}), state {i} did not converge "
-                        f"in 100 iterations: last residual {residual:.3g} at y={y:.6g}"
-                    )
+                if k == 1:
+                    cap = _fixed_point_cap(dt[j] * c_max, residual, fp_tol)
+                if k >= _FIXED_POINT_MIN_ITERATIONS:
+                    # past |y| = 2**13 one rounding step exceeds the default
+                    # absolute tolerance, so from here on judge the residual
+                    # relative to |y|; a NaN residual fails the comparison
+                    if residual <= fp_tol * max(1.0, abs(y)):
+                        break
+                    if k >= cap:
+                        raise SchemeError(
+                            f"fixed point at step {j} (t={t}), state {i} did not converge "
+                            f"in {k} iterations: last residual {residual:.3g} at y={y:.6g}"
+                        )
             values[j, i] = y
             z_values[j, i] = z
         for i in sorted(problem.hitting_set):
@@ -886,36 +1036,12 @@ def simulate_killed_chain(
     loss_bound: float,
 ) -> tuple[float, float, float]:
     """Reach frequency with killing at the loss rate; (estimate, se, killed fraction)."""
-    rng = np.random.default_rng(seed)
-    bound = float(model.rate_bound + loss_bound)
-    reached = 0
-    killed = 0
-    for _ in range(paths):
-        t = 0.0
-        state = int(model.initial)
-        while True:
-            if state == target:
-                reached += 1
-                break
-            t += rng.exponential(1.0 / bound)
-            if t >= horizon:
-                break
-            A = model.rates(t)
-            exit_rate = -A[state, state]
-            kill_rate = loss_rate(t, state)
-            if exit_rate + kill_rate > bound * (1.0 + 1e-9):
-                raise InvariantError("total intensity exceeds the thinning bound")
-            u = rng.uniform() * bound
-            if u < exit_rate:
-                p = A[:, state].copy()
-                p[state] = 0.0
-                state = int(np.searchsorted(np.cumsum(p), rng.uniform() * exit_rate))
-            elif u < exit_rate + kill_rate:
-                killed += 1
-                break
-    est = reached / paths
+    _, reached, killed = _thin(
+        model, horizon, paths, seed, loss_rate=loss_rate, loss_bound=loss_bound, target=target
+    )
+    est = float(np.mean(reached))
     se = math.sqrt(max(est * (1.0 - est), 1e-12) / paths)
-    return est, se, killed / paths
+    return est, se, float(np.mean(killed))
 
 
 def message_transmission(

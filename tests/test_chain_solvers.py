@@ -121,6 +121,29 @@ def test_picard_fixed_point_cap():
     assert np.all(np.isfinite(sol.state_values))
 
 
+def test_picard_cap_follows_declared_slope():
+    # f = -9 y with c_path 9 and dt 0.1: the per-step slope 0.9 passes the
+    # guard but needs about 260 iterations to reach 1e-12, past the floor of 100
+    grid = TimeGrid.uniform(2.0, 21)
+
+    def solve(L):
+        prob = constant_terminal_problem(line_model(), grid)
+        prob.driver.f = lambda t, i, y, z: -L * y
+        prob.driver.c_path = SampledPath(grid, np.full(grid.n_nodes, 9.0), LINEAR)
+        return solve_chain_bsde(prob, "picard", grid, paths=200, seed=0)
+
+    sol = solve(9.0)
+    S, Y = sol.path_states, sol.path_Y
+    for j in range(grid.n_nodes - 1):
+        # the fixed point of y = cond - 0.9 y, with cond the state-0 mean of Y one step on
+        sel = (sol.stop_idx > j) & (S[:, j] == 0)
+        if np.any(sel):
+            assert sol.state_values[j, 0] == pytest.approx(np.mean(Y[sel, j + 1]) / 1.9, abs=1e-11)
+    # a c_path that understates the true slope (1.2) still ends in SchemeError
+    with pytest.raises(SchemeError, match=r"did not converge in \d+ iterations"):
+        solve(12.0)
+
+
 def test_value_at_rejects_times_outside_grid():
     grid = TimeGrid.uniform(20.0, 201)
     sol = solve_chain_bsde(constant_terminal_problem(line_model(), grid), "markov-ode", grid)

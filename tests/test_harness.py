@@ -70,13 +70,20 @@ def test_bundle_written_layout(tmp_path):
 
 
 def test_identical_seeds_identical_tables(tmp_path):
+    # every registered scenario, run twice in one process at its default size
     a = tmp_path / "a"
     b = tmp_path / "b"
-    for out in (a, b):
-        run_scenario(ExperimentConfig(scenario="brownian-variance", seed=11, paths=2000, out=str(out)))
-    fa = a / "brownian-variance" / "step_variance.csv"
-    fb = b / "brownian-variance" / "step_variance.csv"
-    assert fa.read_bytes() == fb.read_bytes()
+    differ = []
+    for spec in list_scenarios():
+        for out in (a, b):
+            bundle = run_scenario(ExperimentConfig(scenario=spec.name, seed=11, out=str(out)))
+        assert bundle.tables, spec.name
+        for name in bundle.tables:
+            fa = a / spec.name / f"{name}.csv"
+            fb = b / spec.name / f"{name}.csv"
+            if fa.read_bytes() != fb.read_bytes():
+                differ.append(f"{spec.name}/{name}.csv")
+    assert not differ, differ
 
 
 def test_sweep_identical_seeds_identical_bundles(tmp_path):

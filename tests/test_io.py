@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tcbsde.errors import ConfigError, StructuralError
+from tcbsde.errors import ConfigError, InvariantError, StructuralError
 from tcbsde.io import (
     format_float,
     load_chain_model,
@@ -151,4 +151,18 @@ def test_load_chain_model_rejects_bad_configs(tmp_path, mutation):
     p = tmp_path / "chain.ini"
     p.write_text(CHAIN_CONFIG.replace(old, new))
     with pytest.raises(ConfigError):
+        load_chain_model(p)
+
+
+@pytest.mark.parametrize(
+    "mutation, message",
+    [
+        (("rate_bound = 4.0", "rate_bound = 0.5"), "exceeds the thinning bound"),
+        (("idle->busy = constant 1.0", "idle->busy = constant -1.0"), "negative off-diagonal rate"),
+    ],
+)
+def test_load_chain_model_rejects_invalid_generators(tmp_path, mutation, message):
+    p = tmp_path / "chain.ini"
+    p.write_text(CHAIN_CONFIG.replace(*mutation))
+    with pytest.raises(InvariantError, match=message):
         load_chain_model(p)

@@ -1,0 +1,260 @@
+"""The batched thinning kernel behind ``simulate_chain`` and ``simulate_killed_chain``.
+
+Checked against exact laws, against the path-by-path loop kept in
+``thinning_reference``, and on injected generator defects.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
+from scipy.stats import kstest
+
+from tcbsde.chain import (
+    ChainPath,
+    MarkovChainModel,
+    build_message_problem,
+    chain_clock,
+    occupancy,
+    simulate_chain,
+    simulate_killed_chain,
+    solve_chain_bsde,
+    states_on_grid,
+    transform_chain,
+)
+from tcbsde.errors import InvariantError
+from tcbsde.timechange import LINEAR, SampledPath, TimeGrid
+
+from thinning_reference import reference_killed_chain, reference_simulate_chain
+
+
+def two_state(lam=1.0, mu=1.0):
+    A = np.array([[-lam, mu], [lam, -mu]])
+    return MarkovChainModel(2, lambda t: A, 0, rate_bound=max(lam, mu))
+
+
+def line(lam=1.0):
+    A = np.array([[-lam, 0.0], [lam, 0.0]])
+    return MarkovChainModel(2, lambda t: A, 0, rate_bound=lam)
+
+
+def three_state_varying():
+    # rates grow with t; the bound covers t <= 2
+    def rates(t):
+        a = 1.0 + 0.5 * t
+        return np.array([[-a, 0.5, 0.2], [0.6 * a, -1.0, 0.8], [0.4 * a, 0.5, -1.0]])
+
+    return MarkovChainModel(3, rates, 0, rate_bound=2.0)
+
+
+def within(p_hat, p, paths, sigmas=4.0):
+    return abs(p_hat - p) <= sigmas * math.sqrt(max(p * (1.0 - p), 1e-12) / paths)
+
+
+# ---------------------------------------------------------------------------
+# exact laws
+# ---------------------------------------------------------------------------
+
+
+def test_two_state_occupancy_exact_law():
+    # P(X_t = 0) = 1/2 + 1/2 exp(-2t) for unit rates from state 0
+    P = 20_000
+    paths = simulate_chain(two_state(), 3.0, P, seed=21)
+    for t in (0.1, 0.5, 1.0, 2.0, 2.9):
+        assert within(occupancy(paths, t, 2)[0], 0.5 + 0.5 * math.exp(-2.0 * t), P), t
+
+
+def test_transformed_two_state_occupancy_exact_law():
+    # clock density 1 + t on [0, 2]: phi(t) = t + t^2/2, so the transformed
+    # chain has run for C(u) = sqrt(1 + 2u) - 1 original time units at u
+    grid = TimeGrid.uniform(2.0, 201)
+    clock = chain_clock(SampledPath(grid, 1.0 + grid.nodes, LINEAR), c2=0.0)
+    tilde = transform_chain(two_state(), clock)
+    P = 20_000
+    paths = simulate_chain(tilde, clock.target_grid.t_end, P, seed=22)
+    for u in (0.5, 1.5, 3.0, 3.9):
+        c = math.sqrt(1.0 + 2.0 * u) - 1.0
+        assert within(occupancy(paths, u, 2)[0], 0.5 + 0.5 * math.exp(-2.0 * c), P), u
+
+
+def test_holding_times_exponential():
+    paths = simulate_chain(two_state(lam=2.0, mu=0.5), 20.0, 4000, seed=23)
+    holds = np.array([p.jump_times[0] for p in paths if p.jump_times.size])
+    assert holds.size == 4000  # P(no jump by 20) = exp(-40)
+    assert kstest(holds, "expon", args=(0.0, 0.5)).pvalue > 0.01
+
+
+def test_first_jump_time_varying_rate():
+    # exit rate 1 + t: P(T <= t) = 1 - exp(-t - t^2/2), conditioned on T < 4
+    def rates(t):
+        a = 1.0 + t
+        return np.array([[-a, 0.0], [a, 0.0]])
+
+    model = MarkovChainModel(2, rates, 0, rate_bound=5.0)
+    first = np.array([p.jump_times[0] for p in simulate_chain(model, 4.0, 4000, seed=24) if p.jump_times.size])
+    F4 = 1.0 - math.exp(-12.0)
+    assert kstest(first, lambda t: (1.0 - np.exp(-t - 0.5 * t * t)) / F4).pvalue > 0.01
+
+
+def test_killed_chain_reach_matches_markov_ode():
+    loss = lambda t, i: 1.0 + t  # noqa: E731
+    grid = TimeGrid.uniform(12.0, 241)
+    problem = build_message_problem(line(), loss, 1, grid)
+    y0 = solve_chain_bsde(problem, "markov-ode", grid).value_at(0.0, 0)
+    est, se, killed = simulate_killed_chain(line(), loss, 1, 12.0, 20_000, seed=25, loss_bound=13.0)
+    assert abs(est - y0) <= 3.0 * se
+    assert est + killed == pytest.approx(1.0, abs=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# kernel against the path-by-path loop
+# ---------------------------------------------------------------------------
+
+
+def test_kernel_agrees_with_reference_loop_in_law():
+    grid = TimeGrid.uniform(2.0, 101)
+    clock = chain_clock(SampledPath(grid, 1.0 + 0.5 * grid.nodes, LINEAR), c2=0.0)
+    model = transform_chain(three_state_varying(), clock)
+    T = clock.target_grid.t_end
+    P = 3000
+    fast = simulate_chain(model, T, P, seed=26)
+    slow = reference_simulate_chain(model, T, P, seed=27)
+    for t in (0.5, 1.0, 2.0, T - 0.01):
+        a, b = occupancy(fast, t, 3), occupancy(slow, t, 3)
+        se = np.sqrt((a * (1 - a) + b * (1 - b)) / P)
+        assert np.all(np.abs(a - b) <= 4.0 * se + 1e-12), (t, a, b)
+    na = np.array([p.jump_times.size for p in fast])
+    nb = np.array([p.jump_times.size for p in slow])
+    assert abs(na.mean() - nb.mean()) <= 4.0 * math.sqrt((na.var() + nb.var()) / P)
+
+
+def test_killed_kernel_agrees_with_reference_loop():
+    model = three_state_varying()
+    loss = lambda t, i: 0.3 * (1.0 + t) * (i == 0)  # noqa: E731
+    P = 4000
+    e1, s1, k1 = simulate_killed_chain(model, loss, 2, 2.0, P, seed=28, loss_bound=0.9)
+    e2, s2, k2 = reference_killed_chain(model, loss, 2, 2.0, P, seed=29, loss_bound=0.9)
+    assert abs(e1 - e2) <= 4.0 * math.hypot(s1, s2)
+    ks = math.sqrt((k1 * (1 - k1) + k2 * (1 - k2)) / P)
+    assert abs(k1 - k2) <= 4.0 * ks
+
+
+# ---------------------------------------------------------------------------
+# random generators
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def generators(draw):
+    N = draw(st.integers(2, 4))
+    rate = st.one_of(st.just(0.0), st.floats(0.05, 3.0))
+    A = np.array([[draw(rate) for _ in range(N)] for _ in range(N)])
+    np.fill_diagonal(A, 0.0)
+    np.fill_diagonal(A, -A.sum(axis=0))
+    slack = draw(st.floats(1.0, 2.0))
+    bound = max(float(np.max(-np.diag(A))), 0.1) * slack
+    return A, bound, draw(st.integers(0, N - 1))
+
+
+@settings(max_examples=20, deadline=None)
+@given(gen=generators(), horizon=st.floats(0.2, 1.5), seed=st.integers(0, 2**31))
+def test_random_generators(gen, horizon, seed):
+    A, bound, initial = gen
+    N = A.shape[0]
+    model = MarkovChainModel(N, lambda t: A, initial, rate_bound=bound)
+    P = 2000
+    paths = simulate_chain(model, horizon, P, seed)
+    for p in paths:
+        assert p.states[0] == initial
+        assert np.all((p.jump_times > 0.0) & (p.jump_times < horizon))
+        assert np.all(A[p.states[1:], p.states[:-1]] > 0.0)  # only along positive rates
+    law = expm(A * horizon)[:, initial]
+    occ = occupancy(paths, horizon, N)
+    se = np.sqrt(np.maximum(law * (1.0 - law), 1e-12) / P)
+    assert np.all(np.abs(occ - law) <= 5.0 * se + 1e-9), (occ, law)
+
+
+# ---------------------------------------------------------------------------
+# batched rates and grid states
+# ---------------------------------------------------------------------------
+
+
+def test_batched_transformed_rates_are_bit_identical():
+    grid = TimeGrid.uniform(2.0, 81)
+    base = three_state_varying()
+    clock = chain_clock(SampledPath(grid, 1.0 + grid.nodes**2, LINEAR), c2=0.0)
+    tilde = transform_chain(base, clock)
+    grid2 = TimeGrid.uniform(clock.target_grid.t_end, 51)
+    twice = transform_chain(tilde, chain_clock(SampledPath(grid2, 1.5 + np.sin(grid2.nodes), LINEAR), c2=0.0))
+    rng = np.random.default_rng(0)
+    for model in (tilde, twice):
+        T = model.clock.target_grid.t_end
+        u = np.concatenate([[0.0, T], rng.uniform(0.0, T, 200), model.clock.target_grid.nodes[:5]])
+        stack = model.rates(u)
+        assert stack.shape == (u.size, 3, 3)
+        for k in range(u.size):
+            one = model.rates(float(u[k]))
+            assert np.array_equal(stack[k], one), (k, u[k])
+
+
+def test_scalar_rate_fn_called_once_per_time():
+    calls = []
+
+    def rates(t):
+        calls.append(t)
+        return np.array([[-1.0, 1.0], [1.0, -1.0]])
+
+    model = MarkovChainModel(2, rates, 0, rate_bound=1.0)
+    out = model.rates(np.array([0.1, 0.2, 0.3]))
+    assert out.shape == (3, 2, 2)
+    assert calls == [0.1, 0.2, 0.3] and all(type(t) is float for t in calls)
+
+
+def test_states_on_grid_matches_state_at():
+    grid = TimeGrid.uniform(1.0, 11)
+    on_node = float(grid.nodes[3])
+    paths = [
+        ChainPath(np.array([]), np.array([1]), 1.0),
+        # a jump exactly on a node, two jumps inside one step, one past the grid
+        ChainPath(np.array([on_node, 0.52, 0.58, 1.5]), np.array([0, 2, 1, 0, 2]), 2.0),
+        ChainPath(np.array([0.05]), np.array([2, 0]), 1.0),
+    ]
+    S = states_on_grid(paths, grid)
+    for i, p in enumerate(paths):
+        assert np.array_equal(S[i], p.state_at(grid.nodes))
+    assert np.array_equal(occupancy(paths, on_node, 3), np.array([1.0, 1.0, 1.0]) / 3.0)
+
+
+# ---------------------------------------------------------------------------
+# generator invariants, checked on every batch
+# ---------------------------------------------------------------------------
+
+
+def test_kernel_rejects_negative_off_diagonal_rate():
+    # columns still sum to zero and exit rates stay inside the bound; the
+    # defect appears only after t = 1
+    def rates(t):
+        if t < 1.0:
+            return np.array([[-1.0, 0.5, 0.5], [0.5, -1.0, 0.5], [0.5, 0.5, -1.0]])
+        return np.array([[-0.5, 0.5, 0.5], [1.0, -1.0, 0.5], [-0.5, 0.5, -1.0]])
+
+    model = MarkovChainModel(3, rates, 0, rate_bound=1.0)
+    simulate_chain(model, 0.9, 100, seed=0)
+    with pytest.raises(InvariantError, match="negative off-diagonal rate at t="):
+        simulate_chain(model, 3.0, 100, seed=0)
+
+
+def test_kernel_rejects_nonzero_column_sum():
+    A = np.array([[-1.0, 1.0], [0.5, -1.0]])  # column 0 sums to -0.5
+    model = MarkovChainModel(2, lambda t: A, 0, rate_bound=1.0)
+    with pytest.raises(InvariantError, match="columns do not sum to zero"):
+        simulate_chain(model, 3.0, 100, seed=0)
+
+
+def test_killed_chain_rejects_intensity_above_bound():
+    # exit 1 plus kill 2 against a thinning bound of 1 + 1
+    with pytest.raises(InvariantError, match="exceeds the thinning bound"):
+        simulate_killed_chain(line(), lambda t, i: 2.0, 1, 5.0, 100, seed=0, loss_bound=1.0)
