@@ -630,11 +630,18 @@ class ChainSolution:
 
 
 def _ode_solve(problem: ChainBSDEProblem, grid: TimeGrid, rtol: float, atol: float):
+    """Value function on ``grid`` and the no-hit tail probability, in one integration.
+
+    The state is ``[u_free, q_free]``: ``u`` is the value off the hitting set,
+    ``q`` the probability of no hit by the horizon (terminal 1 off the set,
+    0 on it, no driver term).  Both share one rate evaluation per call.
+    """
     N = problem.model.n_states
     hit = sorted(problem.hitting_set)
     free = [i for i in range(N) if i not in problem.hitting_set]
     if not free:
         raise PreconditionError("every state is terminal; nothing to solve")
+    n_free = len(free)
     g = problem.terminal_fn
     f = problem.driver.f
     T = grid.t_end
@@ -646,43 +653,28 @@ def _ode_solve(problem: ChainBSDEProblem, grid: TimeGrid, rtol: float, atol: flo
             u[i] = g(t, i)
         return u
 
-    def rhs(s, u_free):
+    def rhs(s, x):
         t = T - s
-        u = assemble(t, u_free)
+        u = assemble(t, x[:n_free])
+        q = np.zeros(N)
+        q[free] = x[n_free:]
         A = problem.model.rates(t)
-        gen = (A.T @ u)[free]
+        gen = (A.T @ np.column_stack((u, q)))[free]
         drv = np.array([f(t, i, u[i], u) for i in free])
-        return gen + drv  # du/ds = -du/dt
+        return np.concatenate((gen[:, 0] + drv, gen[:, 1]))  # dx/ds = -dx/dt
 
-    u0 = np.array([g(T, i) for i in free])
+    x0 = np.concatenate(([g(T, i) for i in free], np.ones(n_free)))
     s_eval = T - grid.nodes[::-1]
-    sol = solve_ivp(rhs, (0.0, T), u0, t_eval=s_eval, rtol=rtol, atol=atol, method="RK45")
+    sol = solve_ivp(rhs, (0.0, T), x0, t_eval=s_eval, rtol=rtol, atol=atol, method="RK45")
     if not sol.success:
         raise SchemeError(f"backward ODE integration failed: {sol.message}")
-    u_free_path = sol.y.T[::-1]  # (n_nodes, len(free)) on the forward grid
+    u_free_path = sol.y[:n_free].T[::-1]  # (n_nodes, len(free)) on the forward grid
     values = np.empty((grid.n_nodes, N))
     for j, t in enumerate(grid.nodes):
         values[j] = assemble(t, u_free_path[j])
-    return values
-
-
-def _ode_tail_probability(problem: ChainBSDEProblem, grid: TimeGrid, rtol, atol) -> float:
-    """P(no hit by the horizon): backward system with terminal 1 off the set, 0 on it."""
-    N = problem.model.n_states
-    free = [i for i in range(N) if i not in problem.hitting_set]
-    T = grid.t_end
-
-    def rhs(s, u_free):
-        u = np.zeros(N)
-        u[free] = u_free
-        return (problem.model.rates(T - s).T @ u)[free]
-
-    sol = solve_ivp(rhs, (0.0, T), np.ones(len(free)), rtol=rtol, atol=atol, method="RK45")
-    if not sol.success:
-        raise SchemeError("tail-probability integration failed")
-    u = np.zeros(N)
-    u[free] = sol.y[:, -1]
-    return float(u[int(problem.model.initial)])
+    q = np.zeros(N)
+    q[free] = sol.y[n_free:, -1]
+    return values, float(q[int(problem.model.initial)])
 
 
 def solve_chain_bsde(
@@ -708,8 +700,7 @@ def solve_chain_bsde(
     if scheme == "markov-ode":
         if not problem.markovian:
             raise UnsupportedError("markov-ode needs a Markovian driver")
-        values = _ode_solve(problem, grid, rtol, atol)
-        tail = _ode_tail_probability(problem, grid, rtol, atol)
+        values, tail = _ode_solve(problem, grid, rtol, atol)
         z_values = np.repeat(values[:, None, :], problem.model.n_states, axis=1)
         sol = ChainSolution(
             grid=grid,

@@ -1,5 +1,8 @@
 """Command-line entry point: ``tcbsde run | list | sweep``.
 
+``tcbsde run --all`` runs every registered scenario at its defaults (only
+``--seed`` and ``--out`` apply) and prints one status line per scenario.
+
 Exit codes: 0 when every verdict passes, 1 when any fails, 2 for
 configuration or structural errors.  The default output directory comes from
 ``--out``, then the ``TCBSDE_OUT`` environment variable, then
@@ -10,8 +13,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
-from .errors import TcbsdeError
+from .errors import ConfigError, TcbsdeError
 from .harness import ExperimentConfig, list_scenarios, run_scenario, seed_sweep
 
 
@@ -21,6 +25,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     runp = sub.add_parser("run", help="run one scenario and write its report bundle")
     _common_flags(runp)
+    runp.add_argument("--all", action="store_true",
+                      help="run every registered scenario at its defaults")
 
     sub.add_parser("list", help="print the scenario catalog")
 
@@ -47,8 +53,6 @@ def _config_from_args(args) -> ExperimentConfig:
             cfg.scenario = args.scenario
     else:
         if not args.scenario:
-            from .errors import ConfigError
-
             raise ConfigError("name a scenario via --scenario or --config")
         cfg = ExperimentConfig(scenario=args.scenario)
     if args.seed is not None:
@@ -62,6 +66,27 @@ def _config_from_args(args) -> ExperimentConfig:
     return cfg
 
 
+def _run_all(args) -> int:
+    clash = [f"--{k}" for k in ("scenario", "config", "paths", "tol") if getattr(args, k) is not None]
+    if clash:
+        raise ConfigError(f"--all runs every scenario at its defaults; drop {', '.join(clash)}")
+    seed = {} if args.seed is None else {"seed": args.seed}
+    base = ExperimentConfig(scenario="", out=args.out, **seed)
+    specs = list_scenarios()
+    failures = 0
+    for spec in specs:
+        bundle = run_scenario(replace(base, scenario=spec.name))
+        status = "ok" if bundle.all_passed else "FAILED"
+        print(f"{spec.name:32s} {status:7s} ({bundle.metadata['runtime_seconds']}s)")
+        for v in bundle.verdicts:
+            if not v.passed:
+                print(f"    {v.line()}")
+        failures += 0 if bundle.all_passed else 1
+    print(f"\n{len(specs) - failures}/{len(specs)} scenarios passed; "
+          f"bundles under {base.resolved_out()}/")
+    return 0 if failures == 0 else 1
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -70,6 +95,8 @@ def main(argv=None) -> int:
                 print(f"{spec.name:32s} [{spec.module:10s}] {spec.description}")
                 print(f"{'':32s} anchor: {spec.anchor}")
             return 0
+        if args.command == "run" and args.all:
+            return _run_all(args)
         cfg = _config_from_args(args)
         if args.command == "run":
             bundle = run_scenario(cfg)

@@ -138,6 +138,7 @@ class ScenarioSpec:
     anchor: str  # the mathematical property the scenario exercises
     module: str  # timechange | wiener | chain
     fn: object
+    budget_s: float  # wall-clock limit of one run, gated as ``runtime_seconds``
 
 
 def _registry() -> dict:
@@ -153,7 +154,7 @@ def list_scenarios() -> list[ScenarioSpec]:
 
 
 def run_scenario(config: ExperimentConfig, write: bool = True) -> ReportBundle:
-    """Execute one scenario, stamp runtime metadata, optionally write the bundle."""
+    """Execute one scenario, gate and stamp its runtime, optionally write the bundle."""
     reg = _registry()
     if config.scenario not in reg:
         raise ConfigError(
@@ -163,6 +164,7 @@ def run_scenario(config: ExperimentConfig, write: bool = True) -> ReportBundle:
     t0 = time.perf_counter()
     bundle = spec.fn(config)
     elapsed = time.perf_counter() - t0
+    bundle.verdicts.append(Verdict.check("runtime_seconds", elapsed, spec.budget_s))
     bundle.metadata.setdefault("seed", str(config.seed))
     bundle.metadata["runtime_seconds"] = f"{elapsed:.3f}"
     bundle.metadata["module"] = spec.module

@@ -9,7 +9,6 @@ exercised, and the catalog spans all three numerical modules.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +28,7 @@ from .chain import (
     transform_chain,
     transform_chain_driver,
     transform_chain_problem,
+    verify_bound,
 )
 from .harness import ExperimentConfig, ReportBundle, ScenarioSpec, Verdict
 from .timechange import (
@@ -66,10 +66,11 @@ from .wiener import (
 REGISTRY: dict[str, ScenarioSpec] = {}
 
 
-def _scenario(name, description, anchor, module):
+def _scenario(name, description, anchor, module, budget_s):
     def wrap(fn):
         REGISTRY[name] = ScenarioSpec(
-            name=name, description=description, anchor=anchor, module=module, fn=fn
+            name=name, description=description, anchor=anchor, module=module, fn=fn,
+            budget_s=budget_s,
         )
         return fn
 
@@ -94,8 +95,9 @@ def _linear_problem(grid, r_values, u_values, payoff_coeffs, eps=0.05):
     )
 
 
-def _runtime_verdict(bundle, t0, limit):
-    bundle.verdicts.append(Verdict.check("runtime_seconds", time.perf_counter() - t0, limit))
+def _oracle_not_diverging(*solutions):
+    diverging = any(sol.metadata["diverging"] for sol in solutions)
+    return Verdict.check("oracle_not_diverging", float(diverging), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +110,9 @@ def _runtime_verdict(bundle, t0, limit):
     "identity clock leaves paths, drivers and solutions untouched",
     "round trip of the time change and its inverse",
     "timechange",
+    budget_s=5.0,
 )
 def identity_clock_roundtrip(cfg: ExperimentConfig) -> ReportBundle:
-    t0 = time.perf_counter()
     b = ReportBundle(scenario="identity-clock-roundtrip")
     grid = TimeGrid.uniform(1.0, int(cfg.param("nodes", 201)))
     clock = TimeChangeMap.identity(grid)
@@ -130,7 +132,6 @@ def identity_clock_roundtrip(cfg: ExperimentConfig) -> ReportBundle:
     )
     b.add_table("roundtrip", ["t", "original", "roundtrip"],
                 [[tt, x, y] for tt, x, y in zip(grid.nodes, X.values, back.values)])
-    _runtime_verdict(b, t0, 5.0)
     return b
 
 
@@ -139,9 +140,9 @@ def identity_clock_roundtrip(cfg: ExperimentConfig) -> ReportBundle:
     "clock density 1 + 2s against the quadratic-formula inverse",
     "generalized inverse of an accumulated clock",
     "timechange",
+    budget_s=1.0,
 )
 def quadratic_clock_inverse(cfg: ExperimentConfig) -> ReportBundle:
-    t0 = time.perf_counter()
     b = ReportBundle(scenario="quadratic-clock-inverse")
     step = float(cfg.param("step", 1e-3))
     t_end = float(cfg.param("t_end", 2.0))
@@ -157,7 +158,6 @@ def quadratic_clock_inverse(cfg: ExperimentConfig) -> ReportBundle:
     b.verdicts.append(Verdict.check("inverse_matches_quadratic_formula", err, 10.0 * step))
     b.add_table("probes", ["s", "computed", "exact"],
                 [[s, c, e] for s, c, e in zip(probes, computed, exact)])
-    _runtime_verdict(b, t0, 1.0)
     return b
 
 
@@ -166,9 +166,9 @@ def quadratic_clock_inverse(cfg: ExperimentConfig) -> ReportBundle:
     "integral substitution residual is pure quadrature error and refines away",
     "substitution identity for time-changed integrals",
     "timechange",
+    budget_s=30.0,
 )
 def substitution_refinement(cfg: ExperimentConfig) -> ReportBundle:
-    t0 = time.perf_counter()
     b = ReportBundle(scenario="substitution-refinement")
 
     def residual(n):
@@ -190,7 +190,6 @@ def substitution_refinement(cfg: ExperimentConfig) -> ReportBundle:
     b.verdicts.append(
         Verdict.check("telescoping_exact", substitution_check(ones, vpath, clock), 1e-12)
     )
-    _runtime_verdict(b, t0, 30.0)
     return b
 
 
@@ -199,9 +198,9 @@ def substitution_refinement(cfg: ExperimentConfig) -> ReportBundle:
     "finite horizons squashed strictly below 1 with the documented derivative",
     "horizon-squashing clock and its inverse derivative",
     "timechange",
+    budget_s=5.0,
 )
 def terminal_time_normalization(cfg: ExperimentConfig) -> ReportBundle:
-    t0 = time.perf_counter()
     b = ReportBundle(scenario="terminal-time-normalization")
     m1 = normalize_terminal_time(1.0)
     b.verdicts.append(Verdict.check("horizon_tau_1", abs(float(m1.forward.values[-1]) - 0.5), 1e-12))
@@ -219,7 +218,6 @@ def terminal_time_normalization(cfg: ExperimentConfig) -> ReportBundle:
     b.verdicts.append(Verdict.check("always_below_one", float(np.max(vals)), 1.0 - 1e-12))
     b.add_table("squash", ["tau", "horizon"],
                 [[tau, terminal_clock(tau, tau)] for tau in (0.0, 0.5, 1.0, 3.0, 10.0)])
-    _runtime_verdict(b, t0, 5.0)
     return b
 
 
@@ -233,9 +231,9 @@ def terminal_time_normalization(cfg: ExperimentConfig) -> ReportBundle:
     "randomized time-varying drivers probe at constant 1 after the transform",
     "uniform Lipschitz bound of the transformed driver",
     "wiener",
+    budget_s=10.0,
 )
 def transformed_driver_lipschitz(cfg: ExperimentConfig) -> ReportBundle:
-    t0 = time.perf_counter()
     b = ReportBundle(scenario="transformed-driver-lipschitz")
     rng = np.random.default_rng(cfg.seed)
     n_probes = int(cfg.param("probes", 10_000))
@@ -266,7 +264,6 @@ def transformed_driver_lipschitz(cfg: ExperimentConfig) -> ReportBundle:
     b.estimates["worst_transformed_ratio"] = worst_transformed
     b.verdicts.append(Verdict.check("transformed_ratio", worst_transformed, 1.0 + 1e-6))
     b.verdicts.append(Verdict.check("raw_ratio_exceeds", best_raw, 1.5, op=">="))
-    _runtime_verdict(b, t0, 10.0)
     return b
 
 
@@ -275,9 +272,9 @@ def transformed_driver_lipschitz(cfg: ExperimentConfig) -> ReportBundle:
     "rescaled time-changed noise has unit variance at the horizon",
     "martingale characterization of the transformed noise",
     "wiener",
+    budget_s=30.0,
 )
 def brownian_variance(cfg: ExperimentConfig) -> ReportBundle:
-    t0 = time.perf_counter()
     b = ReportBundle(scenario="brownian-variance")
     P = cfg.paths or 10_000
     src = TimeGrid.uniform(1.0, int(cfg.param("source_nodes", 1001)))
@@ -299,7 +296,6 @@ def brownian_variance(cfg: ExperimentConfig) -> ReportBundle:
     b.add_table("step_variance", ["t", "variance", "step"],
                 [[float(t), float(v), float(dt)] for t, v, dt in
                  zip(out.grid.nodes[:-1], step_var, out.grid.steps)])
-    _runtime_verdict(b, t0, 30.0)
     return b
 
 
@@ -308,9 +304,9 @@ def brownian_variance(cfg: ExperimentConfig) -> ReportBundle:
     "direct solve equals transform, solve, map back on a time-varying linear problem",
     "solution equivalence across the time change",
     "wiener",
+    budget_s=120.0,
 )
 def linear_equivalence(cfg: ExperimentConfig) -> ReportBundle:
-    t0 = time.perf_counter()
     b = ReportBundle(scenario="linear-equivalence")
     P = cfg.paths or 2000
     steps = int(cfg.param("steps", 50))
@@ -322,16 +318,17 @@ def linear_equivalence(cfg: ExperimentConfig) -> ReportBundle:
     direct = solve_picard_oracle(prob, W, iterations=8)
     clock = build_phi(prob.coeffs, IncreasingProcess.identity(g), target="image")
     tp = transform_driver(prob, clock, W=W_fine)
-    mapped = map_solution(solve_picard_oracle(tp, iterations=8), clock, "from_transformed")
+    stretched = solve_picard_oracle(tp, iterations=8)
+    mapped = map_solution(stretched, clock, "from_transformed")
     scale = float(np.max(np.abs(direct.Y)))
     gap = float(np.max(np.abs(direct.Y - mapped.Y)))
     b.estimates["sup_gap_relative"] = gap / scale
     b.verdicts.append(Verdict.check("sup_gap_relative", gap / scale, 0.03))
+    b.verdicts.append(_oracle_not_diverging(direct, stretched))
     means_a = direct.Y.mean(axis=0)
     means_b = mapped.Y.mean(axis=0)
     b.add_table("value_means", ["t", "direct", "mapped_back"],
                 [[float(t), float(x), float(y)] for t, x, y in zip(g.nodes, means_a, means_b)])
-    _runtime_verdict(b, t0, 120.0)
     return b
 
 
@@ -340,9 +337,9 @@ def linear_equivalence(cfg: ExperimentConfig) -> ReportBundle:
     "regression solver against the exact linear value (oracle-validated first)",
     "linear equation closed form under the added-martingale convention",
     "wiener",
+    budget_s=120.0,
 )
 def lsmc_vs_closed_form(cfg: ExperimentConfig) -> ReportBundle:
-    t0 = time.perf_counter()
     b = ReportBundle(scenario="lsmc-vs-closed-form")
     P = cfg.paths or 20_000
     steps = int(cfg.param("steps", 100))
@@ -354,6 +351,7 @@ def lsmc_vs_closed_form(cfg: ExperimentConfig) -> ReportBundle:
     b.verdicts.append(
         Verdict.check("closed_form_vs_fixed_point", abs(picard.y0() - exact) / abs(exact), 0.01)
     )
+    b.verdicts.append(_oracle_not_diverging(picard))
     sol = solve_lsmc(prob, simulate_brownian(g, P, 1, cfg.seed))
     rel = abs(sol.y0() - exact) / abs(exact)
     b.estimates["y0"] = sol.y0()
@@ -362,7 +360,6 @@ def lsmc_vs_closed_form(cfg: ExperimentConfig) -> ReportBundle:
     b.verdicts.append(Verdict.check("lsmc_relative_error", rel, 0.05))
     b.add_table("values", ["quantity", "value"],
                 [["lsmc_y0", sol.y0()], ["picard_y0", picard.y0()], ["exact", exact]])
-    _runtime_verdict(b, t0, 120.0)
     return b
 
 
@@ -371,9 +368,9 @@ def lsmc_vs_closed_form(cfg: ExperimentConfig) -> ReportBundle:
     "dominated terminal data keeps the solved values ordered at every node",
     "comparison of solutions under ordered data",
     "wiener",
+    budget_s=60.0,
 )
 def comparison_order(cfg: ExperimentConfig) -> ReportBundle:
-    t0 = time.perf_counter()
     b = ReportBundle(scenario="comparison-order")
     P = cfg.paths or 10_000
     g = TimeGrid.uniform(1.0, int(cfg.param("steps", 50)) + 1)
@@ -392,7 +389,6 @@ def comparison_order(cfg: ExperimentConfig) -> ReportBundle:
     b.add_table("node_gaps", ["t", "mean_gap", "se"],
                 [[float(t), float(m), float(s)] for t, m, s in
                  zip(g.nodes, rep.node_means, rep.node_ses)])
-    _runtime_verdict(b, t0, 60.0)
     return b
 
 
@@ -401,9 +397,9 @@ def comparison_order(cfg: ExperimentConfig) -> ReportBundle:
     "monotone cubic driver with unit terminal bound keeps the solution inside it",
     "a-priori bound through the z-coefficient clock",
     "wiener",
+    budget_s=120.0,
 )
 def bounded_solution(cfg: ExperimentConfig) -> ReportBundle:
-    t0 = time.perf_counter()
     b = ReportBundle(scenario="bounded-solution")
     P = cfg.paths or 20_000
     g = TimeGrid.uniform(1.0, int(cfg.param("steps", 100)) + 1)
@@ -424,7 +420,6 @@ def bounded_solution(cfg: ExperimentConfig) -> ReportBundle:
     )
     b.add_table("z_accumulation", ["t", "running_expected_z_sq"],
                 [[float(t), float(v)] for t, v in zip(g.nodes[1:], rep.z_accumulation)])
-    _runtime_verdict(b, t0, 120.0)
     return b
 
 
@@ -433,9 +428,9 @@ def bounded_solution(cfg: ExperimentConfig) -> ReportBundle:
     "both sides of the perturbation estimate on a terminal-shifted pair",
     "stability of solutions under data perturbations",
     "wiener",
+    budget_s=60.0,
 )
 def stability_gap_scenario(cfg: ExperimentConfig) -> ReportBundle:
-    t0 = time.perf_counter()
     b = ReportBundle(scenario="stability-gap")
     P = cfg.paths or 4000
     g = TimeGrid.uniform(1.0, int(cfg.param("steps", 40)) + 1)
@@ -449,7 +444,6 @@ def stability_gap_scenario(cfg: ExperimentConfig) -> ReportBundle:
     b.add_table("sides", ["component", "value"],
                 [["lhs", rep.lhs], ["rhs", rep.rhs]]
                 + [[k, v] for k, v in sorted(rep.components.items())])
-    _runtime_verdict(b, t0, 60.0)
     return b
 
 
@@ -463,9 +457,9 @@ def stability_gap_scenario(cfg: ExperimentConfig) -> ReportBundle:
     "bracket density symmetric PSD across random generators, hand case exact",
     "bracket density of the compensated chain indicator",
     "chain",
+    budget_s=5.0,
 )
 def psi_properties(cfg: ExperimentConfig) -> ReportBundle:
-    t0 = time.perf_counter()
     b = ReportBundle(scenario="psi-properties")
     rng = np.random.default_rng(cfg.seed)
     worst_asym = 0.0
@@ -491,7 +485,6 @@ def psi_properties(cfg: ExperimentConfig) -> ReportBundle:
     b.add_table("two_state", ["entry", "value"],
                 [["psi_00", psi2[0, 0]], ["psi_01", psi2[0, 1]],
                  ["psi_10", psi2[1, 0]], ["psi_11", psi2[1, 1]]])
-    _runtime_verdict(b, t0, 5.0)
     return b
 
 
@@ -500,9 +493,9 @@ def psi_properties(cfg: ExperimentConfig) -> ReportBundle:
     "occupancy of the rescaled chain matches the original read at the inverse time",
     "path-law equivalence of the transformed chain",
     "chain",
+    budget_s=60.0,
 )
 def chain_transform_law(cfg: ExperimentConfig) -> ReportBundle:
-    t0 = time.perf_counter()
     b = ReportBundle(scenario="chain-transform-law")
     P = cfg.paths or 10_000
     grid = TimeGrid.uniform(2.0, 101)
@@ -519,7 +512,6 @@ def chain_transform_law(cfg: ExperimentConfig) -> ReportBundle:
     b.verdicts.append(Verdict.check("occupancy_gap", gap, 3.0 / math.sqrt(P)))
     b.add_table("occupancy", ["state", "transformed_at_t", "original_at_inv_t"],
                 [[str(i), float(occ_t[i]), float(occ_o[i])] for i in range(2)])
-    _runtime_verdict(b, t0, 60.0)
     return b
 
 
@@ -528,9 +520,9 @@ def chain_transform_law(cfg: ExperimentConfig) -> ReportBundle:
     "reach probability: tamed backward equation vs killed-chain Monte Carlo",
     "hitting-time equation with unbounded loss rates",
     "chain",
+    budget_s=120.0,
 )
 def message_transmission_scenario(cfg: ExperimentConfig) -> ReportBundle:
-    t0 = time.perf_counter()
     b = ReportBundle(scenario="message-transmission")
     P = cfg.paths or 20_000
     A = np.array([[-1.0, 0.0], [1.0, 0.0]])
@@ -570,7 +562,6 @@ def message_transmission_scenario(cfg: ExperimentConfig) -> ReportBundle:
     b.add_table("estimates", ["case", "equation_value", "killed_mc", "mc_se"],
                 [["constant", rep_const.reach_probability, rep_const.mc_estimate, rep_const.mc_se],
                  ["time_varying", rep_tv.reach_probability, rep_tv.mc_estimate, rep_tv.mc_se]])
-    _runtime_verdict(b, t0, 120.0)
     return b
 
 
@@ -579,12 +570,10 @@ def message_transmission_scenario(cfg: ExperimentConfig) -> ReportBundle:
     "solved reach probabilities stay inside the a-priori bound profiles",
     "solution bounds for tamed hitting-time equations",
     "chain",
+    budget_s=60.0,
 )
 def chain_bound_verification(cfg: ExperimentConfig) -> ReportBundle:
-    t0 = time.perf_counter()
     b = ReportBundle(scenario="chain-bound-verification")
-    from .chain import verify_bound
-
     A = np.array([[-1.0, 0.0], [1.0, 0.0]])
     model = MarkovChainModel(2, lambda t: A, 0, rate_bound=1.0)
     grid = TimeGrid.uniform(float(cfg.param("horizon", 12.0)), 121)
@@ -601,7 +590,6 @@ def chain_bound_verification(cfg: ExperimentConfig) -> ReportBundle:
     b.verdicts.append(Verdict.check("tight_profile", r44, 1.0 + tol))
     b.add_table("ratios", ["variant", "sup_ratio"],
                 [["doubled", r42], ["tight", r44]])
-    _runtime_verdict(b, t0, 60.0)
     return b
 
 
@@ -610,9 +598,9 @@ def chain_bound_verification(cfg: ExperimentConfig) -> ReportBundle:
     "balance ratios survive the chain transform with the same gamma",
     "scale invariance of the compensator-perturbation structure",
     "chain",
+    budget_s=10.0,
 )
 def gamma_balance_preservation(cfg: ExperimentConfig) -> ReportBundle:
-    t0 = time.perf_counter()
     b = ReportBundle(scenario="gamma-balance-preservation")
     probes = int(cfg.param("probes", 1000))
     grid = TimeGrid.uniform(1.0, 101)
@@ -650,5 +638,4 @@ def gamma_balance_preservation(cfg: ExperimentConfig) -> ReportBundle:
     b.add_table("cases", ["driver", "gamma", "input_passes", "transformed_passes", "worst_ratio_dev"],
                 [[n, g, str(i), str(o), w] for n, g, i, o, w in rows])
     b.verdicts.append(Verdict.check("all_cases_balanced", 0.0 if all_pass else 1.0, 0.0))
-    _runtime_verdict(b, t0, 10.0)
     return b

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import expm
 
 from tcbsde.errors import DomainError, PreconditionError, SchemeError, UnsupportedError
 from tcbsde.timechange import LINEAR, SampledPath, TimeGrid
@@ -59,6 +60,54 @@ def test_constant_terminal_markov_ode():
     sol = solve_chain_bsde(constant_terminal_problem(model, grid), "markov-ode", grid)
     assert np.allclose(sol.state_values, 2.5, atol=1e-6)
     assert sol.metadata["tail_probability"] == pytest.approx(math.exp(-20.0), abs=1e-6)
+
+
+def test_tail_probability_line_model_exact():
+    # single exponential exit at rate 1: no hit by the horizon 2 with prob e^{-2}
+    grid = TimeGrid.uniform(2.0, 21)
+    model = line_model()
+    sol = solve_chain_bsde(constant_terminal_problem(model, grid), "markov-ode", grid)
+    assert sol.metadata["tail_probability"] == pytest.approx(math.exp(-2.0), rel=1e-6)
+
+
+def test_tail_probability_three_states_exact():
+    # survival off the absorbing state: column sums of the sub-generator's exponential
+    A = np.array([[-2.0, 1.0, 0.0], [1.5, -2.0, 0.0], [0.5, 1.0, 0.0]])
+    model = MarkovChainModel(3, lambda t: A, 0, rate_bound=2.0)
+    grid = TimeGrid.uniform(3.0, 61)
+    problem = ChainBSDEProblem(
+        model=model,
+        driver=GammaBalancedDriver(
+            f=lambda t, i, y, z: 0.0,
+            eta=lambda t, i, z, zp: A[:, i],
+            gamma=1.0,
+            c_path=SampledPath(grid, np.zeros(grid.n_nodes), LINEAR),
+            c1=0.0, c2=0.0, beta_hat=0.0, beta=1.0, beta_tilde=1.0,
+            k1=lambda t: 1.0, k2=lambda t: 1.0,
+        ),
+        hitting_set=frozenset({2}),
+        terminal_fn=lambda t, i: 1.0 if i == 2 else 0.0,
+        markovian=True,
+    )
+    sol = solve_chain_bsde(problem, "markov-ode", grid)
+    exact = expm(A[:2, :2] * 3.0)[:, 0].sum()
+    assert sol.metadata["tail_probability"] == pytest.approx(exact, rel=1e-6)
+
+
+def test_markov_ode_integrates_once(monkeypatch):
+    from tcbsde import chain
+
+    calls = []
+    real = chain.solve_ivp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(chain, "solve_ivp", counting)
+    grid = TimeGrid.uniform(2.0, 21)
+    solve_chain_bsde(constant_terminal_problem(line_model(), grid), "markov-ode", grid)
+    assert len(calls) == 1
 
 
 def test_constant_terminal_picard():

@@ -1,7 +1,9 @@
-import filecmp
-from pathlib import Path
+import math
+from dataclasses import replace
 
 import pytest
+
+from tcbsde import scenarios
 
 from tcbsde.errors import ConfigError
 from tcbsde.harness import (
@@ -78,6 +80,7 @@ def test_identical_seeds_identical_tables(tmp_path):
         for out in (a, b):
             bundle = run_scenario(ExperimentConfig(scenario=spec.name, seed=11, out=str(out)))
         assert bundle.tables, spec.name
+        assert bundle.all_passed, [v.line() for v in bundle.verdicts if not v.passed]
         for name in bundle.tables:
             fa = a / spec.name / f"{name}.csv"
             fb = b / spec.name / f"{name}.csv"
@@ -134,3 +137,83 @@ def test_out_dir_env_fallback(tmp_path, monkeypatch):
     cfg = ExperimentConfig(scenario="identity-clock-roundtrip")
     run_scenario(cfg)
     assert (tmp_path / "envout" / "identity-clock-roundtrip" / "report.txt").exists()
+
+
+# ---------------------------------------------------------------------------
+# runtime budgets and run --all
+# ---------------------------------------------------------------------------
+
+
+def _two_entry_registry(monkeypatch, budget_s=None):
+    reg = {name: scenarios.REGISTRY[name]
+           for name in ("identity-clock-roundtrip", "quadratic-clock-inverse")}
+    if budget_s is not None:
+        reg["quadratic-clock-inverse"] = replace(reg["quadratic-clock-inverse"], budget_s=budget_s)
+    monkeypatch.setattr(scenarios, "REGISTRY", reg)
+    return reg
+
+
+def test_every_scenario_has_a_positive_budget():
+    for spec in list_scenarios():
+        assert math.isfinite(spec.budget_s) and spec.budget_s > 0, spec.name
+
+
+def test_runtime_verdict_is_last_and_reads_the_budget():
+    spec = scenarios.REGISTRY["quadratic-clock-inverse"]
+    bundle = run_scenario(ExperimentConfig(scenario=spec.name), write=False)
+    last = bundle.verdicts[-1]
+    assert last.name == "runtime_seconds"
+    assert last.threshold == spec.budget_s
+    assert [v.name for v in bundle.verdicts].count("runtime_seconds") == 1
+    assert bundle.metadata["runtime_seconds"] == f"{last.measured:.3f}"
+
+
+def test_zero_budget_fails_the_runtime_verdict(monkeypatch):
+    _two_entry_registry(monkeypatch, budget_s=0.0)
+    bundle = run_scenario(ExperimentConfig(scenario="quadratic-clock-inverse"), write=False)
+    assert not bundle.verdicts[-1].passed
+    assert not bundle.all_passed
+    assert bundle.verdicts[-1].line().startswith("FAIL runtime_seconds")
+
+
+def test_cli_run_all_passes(tmp_path, monkeypatch, capsys):
+    from tcbsde.cli import main
+
+    reg = _two_entry_registry(monkeypatch)
+    assert main(["run", "--all", "--seed", "3", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "2/2 scenarios passed" in out
+    for name in reg:
+        assert "seed = 3" in (tmp_path / name / "report.txt").read_text()
+
+
+def test_cli_run_all_reports_failures(tmp_path, monkeypatch, capsys):
+    from tcbsde.cli import main
+
+    _two_entry_registry(monkeypatch, budget_s=0.0)
+    assert main(["run", "--all", "--out", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "1/2 scenarios passed" in out
+    assert "    FAIL runtime_seconds" in out
+
+
+@pytest.mark.parametrize(
+    "flag", [["--scenario", "psi-properties"], ["--config", "exp.ini"], ["--paths", "10"],
+             ["--tol", "0.1"]],
+)
+def test_cli_run_all_rejects_single_scenario_flags(tmp_path, monkeypatch, flag):
+    from tcbsde.cli import main
+
+    _two_entry_registry(monkeypatch)
+    assert main(["run", "--all", *flag, "--out", str(tmp_path)]) == 2
+    assert not any(tmp_path.iterdir())
+
+
+def test_oracle_divergence_verdict():
+    from types import SimpleNamespace
+
+    calm = SimpleNamespace(metadata={"diverging": False})
+    growing = SimpleNamespace(metadata={"diverging": True})
+    assert scenarios._oracle_not_diverging(calm, calm).passed
+    v = scenarios._oracle_not_diverging(calm, growing)
+    assert (v.name, v.measured, v.threshold, v.passed) == ("oracle_not_diverging", 1.0, 0.0, False)

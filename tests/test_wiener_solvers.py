@@ -121,6 +121,19 @@ def test_picard_contraction_rate():
     assert sol.y0() == pytest.approx(math.exp(-0.1), abs=2e-3)
 
 
+def test_picard_flags_growing_iterate_distances():
+    # f = 10 y on 51 nodes passes the guard (dt * r = 0.2), but the sweeps
+    # add one more power of 10 (T - t) each time, so the distances grow
+    g = grid_uniform(1.0, 51)
+    prob = linear_problem(g, 10.0, 0.0, (1.0,), eps=0.05)
+    W = simulate_brownian(g, 50, 1, seed=0)
+    sol = solve_picard_oracle(prob, W, iterations=8)
+    d = sol.metadata["iterate_distances"]
+    assert all(b > a for a, b in zip(d, d[1:]))
+    assert d[:3] == pytest.approx([1.0, 10.0, 51.0])
+    assert sol.metadata["diverging"]
+
+
 def test_picard_matches_lsmc_on_linear_problem():
     g = grid_uniform(1.0, 41)
     prob = linear_problem(g, 0.2, 0.3, (1.0, 1.0), eps=0.05)
