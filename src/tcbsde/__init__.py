@@ -59,6 +59,7 @@ from .wiener import (
 from .chain import (
     ChainBSDEProblem,
     ChainPath,
+    ChainPaths,
     ChainSolution,
     GammaBalancedDriver,
     MarkovChainModel,

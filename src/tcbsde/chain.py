@@ -110,7 +110,6 @@ class ChainPath:
 
     jump_times: np.ndarray
     states: np.ndarray  # len(jump_times) + 1 entries
-    horizon: float
 
     def __post_init__(self):
         jt = np.asarray(self.jump_times, dtype=float)
@@ -130,14 +129,68 @@ class ChainPath:
         return self.states[k]
 
 
-@dataclass(frozen=True)
-class _JumpLog:
-    """Jumps of a batch of paths, sorted by path and, within a path, by time."""
+@dataclass(frozen=True, eq=False)
+class ChainPaths:
+    """Jumps of a batch of simulated paths, sorted by path and, within a path, by time.
+
+    ``len(paths)`` is the number of paths; ``paths[k]`` and iteration give
+    one path as a :class:`ChainPath`.
+    """
 
     initial: np.ndarray  # (paths,) starting state of each path
     path: np.ndarray  # path index of each jump
     time: np.ndarray
     state: np.ndarray  # state entered at each jump
+
+    def __post_init__(self):
+        for name, dtype in (("initial", int), ("path", int), ("time", float), ("state", int)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        path, time = self.path, self.time
+        if self.initial.ndim != 1 or path.ndim != 1 or not path.shape == time.shape == self.state.shape:
+            raise InvariantError("need one start state per path and one index, time and state per jump")
+        if path.size and (path[0] < 0 or path[-1] >= self.initial.size):
+            raise InvariantError("jump path index out of range")
+        if (path[1:] < path[:-1]).any():
+            raise InvariantError("jumps must be sorted by path index")
+        if ((time[1:] <= time[:-1]) & (path[1:] == path[:-1])).any():
+            raise InvariantError("jump times must be strictly increasing within a path")
+        if (self.state == self._state_before()).any():
+            raise InvariantError("a jump must enter a state other than the one it leaves")
+
+    def _state_before(self) -> np.ndarray:
+        """The state each jump leaves."""
+        first = np.ones(self.path.size, dtype=bool)
+        first[1:] = self.path[1:] != self.path[:-1]
+        return np.where(first, self.initial[self.path], np.roll(self.state, 1))
+
+    def __len__(self) -> int:
+        return self.initial.size
+
+    def __getitem__(self, k: int) -> ChainPath:
+        k = range(len(self))[k]
+        a, b = np.searchsorted(self.path, [k, k + 1])
+        return ChainPath(self.time[a:b], np.concatenate(([self.initial[k]], self.state[a:b])))
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+    def states_at(self, times) -> np.ndarray:
+        """State of every path at each of the non-decreasing ``times``, shape ``(paths, len(times))``.
+
+        Each jump adds its state change at the first time at or after it, and
+        one in-place cumulative sum along the times fills the only array as
+        large as the output.
+        """
+        times = np.asarray(times, dtype=float)
+        if times.ndim != 1 or (times[1:] < times[:-1]).any():
+            raise PreconditionError("times must be a 1-d non-decreasing array")
+        out = np.zeros((len(self), times.size), dtype=int)
+        out[:, :1] = self.initial[:, None]
+        col = np.searchsorted(times, self.time, side="left")
+        seen = col < times.size
+        np.add.at(out, (self.path[seen], col[seen]), (self.state - self._state_before())[seen])
+        np.cumsum(out, axis=1, out=out)
+        return out
 
 
 def _check_rate_batch(A: np.ndarray, t: np.ndarray, total: np.ndarray, bound: float):
@@ -166,7 +219,7 @@ def _thin(
     loss_rate: Callable[[float, int], float] | None = None,
     loss_bound: float = 0.0,
     target: int | None = None,
-) -> tuple[_JumpLog, np.ndarray, np.ndarray]:
+) -> tuple[ChainPaths, np.ndarray, np.ndarray]:
     """Lewis-Shedler thinning of all paths at once against ``rate_bound + loss_bound``.
 
     Each round draws one exponential candidate time per live path, evaluates
@@ -231,60 +284,22 @@ def _thin(
         path, time, st = path[order], time[order], st[order]
     else:
         path, time, st = np.zeros(0, dtype=int), np.zeros(0), np.zeros(0, dtype=int)
-    return _JumpLog(initial, path, time, st), reached, killed
+    return ChainPaths(initial, path, time, st), reached, killed
 
 
-def _states_at(log: _JumpLog, times: np.ndarray) -> np.ndarray:
-    """State of every path at each of the increasing ``times``, shape ``(paths, len(times))``.
-
-    Each jump adds its state change at the first time at or after it, and one
-    in-place cumulative sum along the times fills the only array as large as
-    the output.
-    """
-    out = np.zeros((log.initial.size, times.size), dtype=int)
-    out[:, 0] = log.initial
-    first = np.ones(log.path.size, dtype=bool)
-    first[1:] = log.path[1:] != log.path[:-1]
-    prev = np.where(first, log.initial[log.path], np.roll(log.state, 1))
-    col = np.searchsorted(times, log.time, side="left")
-    seen = col < times.size
-    np.add.at(out, (log.path[seen], col[seen]), (log.state - prev)[seen])
-    np.cumsum(out, axis=1, out=out)
-    return out
-
-
-def _log_of(paths: list[ChainPath]) -> _JumpLog:
-    sizes = np.array([p.jump_times.size for p in paths], dtype=int)
-    none = np.zeros(0)
-    return _JumpLog(
-        initial=np.array([p.states[0] for p in paths], dtype=int),
-        path=np.repeat(np.arange(len(paths)), sizes),
-        time=np.concatenate([none] + [p.jump_times for p in paths]),
-        state=np.concatenate([none.astype(int)] + [p.states[1:] for p in paths]),
-    )
-
-
-def simulate_chain(
-    model: MarkovChainModel, horizon: float, paths: int, seed: int
-) -> list[ChainPath]:
+def simulate_chain(model: MarkovChainModel, horizon: float, paths: int, seed: int) -> ChainPaths:
     """Exact jump simulation with thinning against the declared rate bound."""
-    log, _, _ = _thin(model, horizon, paths, seed)
-    cuts = np.searchsorted(log.path, np.arange(paths + 1))
-    first = np.array([int(model.initial)])
-    return [
-        ChainPath(log.time[a:b], np.concatenate((first, log.state[a:b])), horizon)
-        for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist())
-    ]
+    return _thin(model, horizon, paths, seed)[0]
 
 
-def occupancy(paths: list[ChainPath], t: float, n_states: int) -> np.ndarray:
+def occupancy(paths: ChainPaths, t: float, n_states: int) -> np.ndarray:
     """Empirical state distribution at time t."""
-    states = _states_at(_log_of(paths), np.array([float(t)]))[:, 0]
+    states = paths.states_at([float(t)])[:, 0]
     return np.bincount(states, minlength=n_states) / len(paths)
 
 
-def states_on_grid(paths: list[ChainPath], grid: TimeGrid) -> np.ndarray:
-    return _states_at(_log_of(paths), grid.nodes)
+def states_on_grid(paths: ChainPaths, grid: TimeGrid) -> np.ndarray:
+    return paths.states_at(grid.nodes)
 
 
 def doob_meyer_martingale(
@@ -711,7 +726,7 @@ def solve_chain_bsde(
         )
         if paths:
             log, _, _ = _thin(problem.model, grid.t_end, paths, seed)
-            sol.path_states = _states_at(log, grid.nodes)
+            sol.path_states = log.states_at(grid.nodes)
             sol.path_Y = values[np.arange(grid.n_nodes)[None, :], sol.path_states]
             sol.stop_idx = _stop_indices(sol.path_states, problem.hitting_set, grid)
         return sol
@@ -757,7 +772,7 @@ def _picard_solve(problem, grid, paths, seed, fp_tol):
     if np.any(dt * max(c_max, 1e-12) >= 1.0):
         raise SchemeError("per-step contraction fails: dt * Lipschitz >= 1")
     log, _, _ = _thin(model, grid.t_end, paths, seed)
-    S = _states_at(log, grid.nodes)
+    S = log.states_at(grid.nodes)
     stop = _stop_indices(S, problem.hitting_set, grid)
     truncated = float(np.mean(stop == n - 1))
     g = problem.terminal_fn
@@ -889,6 +904,8 @@ def validate_k_functions(
     if rate_factors is None:
         rate_factors = (d.gamma, 1.0, 1.0 / d.gamma)
     out = {"candidates": [], "passed": True}
+    hit = sorted(problem.hitting_set)
+    g = problem.terminal_fn
     for c in rate_factors:
         scaled = MarkovChainModel(
             n_states=problem.model.n_states,
@@ -897,20 +914,16 @@ def validate_k_functions(
             rate_bound=problem.model.rate_bound * max(c, 1.0),
         )
         sim = simulate_chain(scaled, horizon, paths, seed)
-        g = problem.terminal_fn
-        taus, xis = [], []
-        for p in sim:
-            tgrid = np.concatenate([[0.0], p.jump_times, [horizon]])
-            hit_t = None
-            for t in tgrid:
-                if int(p.state_at(t)) in problem.hitting_set:
-                    hit_t = float(t)
-                    break
-            tau = hit_t if hit_t is not None else horizon
-            taus.append(tau)
-            xis.append(g(tau, int(p.state_at(tau))))
-        taus = np.array(taus)
-        xis = np.array(xis)
+        # tau: 0 when the chain starts in the set, else its first jump into
+        # the set, else the horizon, where it sits in its last state
+        taus = np.full(paths, float(horizon))
+        at_tau = sim.states_at([float(horizon)])[:, 0]
+        into = np.flatnonzero(np.isin(sim.state, hit))
+        who, first = np.unique(sim.path[into], return_index=True)
+        taus[who], at_tau[who] = sim.time[into[first]], sim.state[into[first]]
+        start = np.isin(sim.initial, hit)
+        taus[start], at_tau[start] = 0.0, sim.initial[start]
+        xis = np.array([g(float(t), int(s)) for t, s in zip(taus, at_tau)])
         e_xi = float(np.mean(np.abs(xis)))
         e_tau = float(np.mean((1.0 + taus) ** (1.0 + d.beta)))
         e_k1 = float(np.mean(np.array([abs(d.k1(t)) for t in taus]) ** (1.0 + d.beta_tilde)))

@@ -49,21 +49,12 @@ def _common_flags(p) -> None:
 def _config_from_args(args) -> ExperimentConfig:
     if args.config:
         cfg = ExperimentConfig.from_file(args.config)
-        if args.scenario:
-            cfg.scenario = args.scenario
-    else:
-        if not args.scenario:
-            raise ConfigError("name a scenario via --scenario or --config")
+    elif args.scenario:
         cfg = ExperimentConfig(scenario=args.scenario)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.paths is not None:
-        cfg.paths = args.paths
-    if args.out is not None:
-        cfg.out = args.out
-    if args.tol is not None:
-        cfg.tol = args.tol
-    return cfg
+    else:
+        raise ConfigError("name a scenario via --scenario or --config")
+    flags = {k: getattr(args, k) for k in ("scenario", "seed", "paths", "out", "tol")}
+    return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _run_all(args) -> int:

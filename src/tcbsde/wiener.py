@@ -375,16 +375,24 @@ def check_uniform_lipschitz(
 # ---------------------------------------------------------------------------
 
 
-def _unpack(problem_or_transformed, ensemble, state, state_var):
-    if isinstance(problem_or_transformed, TransformedProblem):
-        tp = problem_or_transformed
+def _unpack(problem_or_transformed, ensemble):
+    """Problem, noise, Markov state, its step variances and whether the problem was transformed.
+
+    A plain problem's state is its noise, with the grid steps as variances.
+    """
+    tp = problem_or_transformed
+    transformed = isinstance(tp, TransformedProblem)
+    state = state_var = None
+    if transformed:
         ensemble = ensemble if ensemble is not None else tp.noise
-        state = state if state is not None else tp.state
-        state_var = state_var if state_var is not None else tp.state_var
-        if ensemble is None:
-            raise StructuralError("transformed problem carries no noise ensemble")
-        return tp.problem, ensemble, state, state_var, True
-    return problem_or_transformed, ensemble, state, state_var, False
+        state, state_var, tp = tp.state, tp.state_var, tp.problem
+    if ensemble is None:
+        raise StructuralError("no noise ensemble given, and the problem carries none")
+    if state is None:
+        state = ensemble.values
+    if state_var is None:
+        state_var = ensemble.grid.steps.copy()
+    return tp, ensemble, state, state_var, transformed
 
 
 def _contraction_guard(problem: WienerBSDEProblem, grid: TimeGrid, transformed: bool):
@@ -450,8 +458,6 @@ def solve_lsmc(
     basis: str = "poly",
     degree: int = 3,
     n_bins: int = 50,
-    state: np.ndarray | None = None,
-    state_var: np.ndarray | None = None,
 ) -> SolutionEnsemble:
     """Backward induction with regressed conditional expectations.
 
@@ -460,15 +466,11 @@ def solve_lsmc(
     basis).  Rank-deficient designs fall back to the ensemble mean and set
     ``metadata["rank_deficient"]``.
     """
-    problem, ensemble, state, _, transformed = _unpack(
-        problem_or_transformed, ensemble, state, state_var
-    )
+    problem, ensemble, state, _, transformed = _unpack(problem_or_transformed, ensemble)
     if problem.k != 1:
         raise UnsupportedError("solvers cover scalar solutions (k = 1)")
     grid = ensemble.grid
     _contraction_guard(problem, grid, transformed)
-    if state is None:
-        state = ensemble.values
     P, n, d = state.shape
     dt = grid.steps
 
@@ -532,8 +534,6 @@ def solve_picard_oracle(
     n_space: int = 201,
     n_quad: int = 21,
     span_sigmas: float = 6.0,
-    state: np.ndarray | None = None,
-    state_var: np.ndarray | None = None,
 ) -> SolutionEnsemble:
     """Fixed-point oracle: iterate the frozen-driver equation on a state grid.
 
@@ -543,17 +543,11 @@ def solve_picard_oracle(
     deliberately independent of the regression machinery it is used to check.
     Scalar problems with one noise only; small instances intended.
     """
-    problem, ensemble, state, state_var, transformed = _unpack(
-        problem_or_transformed, ensemble, state, state_var
-    )
+    problem, ensemble, state, state_var, transformed = _unpack(problem_or_transformed, ensemble)
     if problem.k != 1 or problem.d != 1:
         raise UnsupportedError("the fixed-point oracle covers k = d = 1 problems")
     grid = ensemble.grid
     _contraction_guard(problem, grid, transformed)
-    if state is None:
-        state = ensemble.values
-    if state_var is None:
-        state_var = grid.steps.copy()
     P, n, _ = state.shape
     dt = grid.steps
 

@@ -114,7 +114,7 @@ def test_martingale_forced_jump_formula():
     # direct formula: drift -A e_old t before the jump at 0.5, then the unit
     # jump e_new - e_old plus drift -A e_new (t - 0.5)
     model = two_state_model(1.0, 2.0)
-    path = ChainPath(np.array([0.5]), np.array([0, 1]), horizon=1.0)
+    path = ChainPath(np.array([0.5]), np.array([0, 1]))
     grid = TimeGrid.uniform(1.0, 5)
     A = model.rates(0.0)
     M = doob_meyer_martingale(path, model, grid).values
@@ -128,7 +128,7 @@ def test_martingale_forced_jump_formula():
 def test_martingale_absorbing_constant():
     A = np.array([[0.0, 1.0], [0.0, -1.0]])  # state 0 absorbing
     model = MarkovChainModel(2, lambda t: A, 0, rate_bound=1.0)
-    path = ChainPath(np.array([]), np.array([0]), horizon=1.0)
+    path = ChainPath(np.array([]), np.array([0]))
     grid = TimeGrid.uniform(1.0, 11)
     M = doob_meyer_martingale(path, model, grid).values
     assert np.allclose(M, 0.0)

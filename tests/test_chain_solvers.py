@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from tcbsde.chain import (
     validate_k_functions,
     verify_bound,
 )
+
+from thinning_reference import reference_validate_k_functions
 
 
 def line_model(lam=1.0, initial=0):
@@ -320,6 +323,31 @@ def test_k_function_probe_on_message_example():
     problem = build_message_problem(model, lambda t, i: 1.0, target=1, horizon_grid=grid)
     out = validate_k_functions(problem, horizon=40.0, paths=3000, seed=8)
     assert out["passed"], out
+
+
+def _flip_problem():
+    # the chain leaves the hitting set again, and the terminal value depends
+    # on time and state, so tau and the state at tau both show in the moments
+    A = np.array([[-1.0, 2.0], [1.0, -2.0]])
+    model = MarkovChainModel(2, lambda t: A, 0, rate_bound=2.0)
+    grid = TimeGrid.uniform(3.0, 31)
+    problem = build_message_problem(model, lambda t, i: 0.5, target=1, horizon_grid=grid)
+    return replace(problem, terminal_fn=lambda t, i: (1.0 + t) * (i + 1.0))
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: (build_message_problem(line_model(1.0), lambda t, i: 1.0, 1, TimeGrid.uniform(12.0, 61)), 40.0, 8),
+        lambda: (_flip_problem(), 3.0, 9),
+        lambda: (replace(_flip_problem(), hitting_set=frozenset({0})), 3.0, 10),
+    ],
+    ids=["message-example", "leaves-the-set", "starts-in-the-set"],
+)
+def test_k_function_probe_matches_path_loop(case):
+    problem, horizon, seed = case()
+    got = validate_k_functions(problem, horizon=horizon, paths=3000, seed=seed)
+    assert got == reference_validate_k_functions(problem, horizon=horizon, paths=3000, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,30 @@ def test_cli_config_file(tmp_path):
     assert (tmp_path / "psi-properties" / "report.txt").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("flag", [["--seed", "-1"], ["--paths", "0"], ["--paths", "-3"]])
+def test_cli_flags_pass_the_config_checks(tmp_path, capsys, command, flag):
+    from tcbsde.cli import main
+
+    argv = [command, "--scenario", "chain-transform-law", *flag, "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_flags_override_the_config_file(tmp_path):
+    from tcbsde.cli import _build_parser, _config_from_args
+
+    p = tmp_path / "exp.ini"
+    p.write_text("[experiment]\nscenario = psi-properties\nseed = 2\npaths = 50\n[params]\nn = 4\n")
+    args = _build_parser().parse_args(
+        ["run", "--config", str(p), "--scenario", "chain-transform-law", "--seed", "5", "--tol", "0.5"]
+    )
+    cfg = _config_from_args(args)
+    assert (cfg.scenario, cfg.seed, cfg.paths, cfg.out, cfg.tol) == ("chain-transform-law", 5, 50, None, 0.5)
+    assert cfg.params == {"n": 4}
+
+
 def test_out_dir_env_fallback(tmp_path, monkeypatch):
     from tcbsde.harness import OUT_DIR_ENV
 

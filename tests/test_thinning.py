@@ -15,6 +15,7 @@ from scipy.stats import kstest
 
 from tcbsde.chain import (
     ChainPath,
+    ChainPaths,
     MarkovChainModel,
     build_message_problem,
     chain_clock,
@@ -25,7 +26,7 @@ from tcbsde.chain import (
     states_on_grid,
     transform_chain,
 )
-from tcbsde.errors import InvariantError
+from tcbsde.errors import InvariantError, PreconditionError
 from tcbsde.timechange import LINEAR, SampledPath, TimeGrid
 
 from thinning_reference import reference_killed_chain, reference_simulate_chain
@@ -213,19 +214,87 @@ def test_scalar_rate_fn_called_once_per_time():
     assert calls == [0.1, 0.2, 0.3] and all(type(t) is float for t in calls)
 
 
-def test_states_on_grid_matches_state_at():
+def hand_batch():
+    # path 0 never jumps; path 1 jumps exactly on a node, twice inside one
+    # step and once past the grid; path 2 jumps once
     grid = TimeGrid.uniform(1.0, 11)
     on_node = float(grid.nodes[3])
-    paths = [
-        ChainPath(np.array([]), np.array([1]), 1.0),
-        # a jump exactly on a node, two jumps inside one step, one past the grid
-        ChainPath(np.array([on_node, 0.52, 0.58, 1.5]), np.array([0, 2, 1, 0, 2]), 2.0),
-        ChainPath(np.array([0.05]), np.array([2, 0]), 1.0),
-    ]
+    paths = ChainPaths(
+        initial=[1, 0, 2],
+        path=[1, 1, 1, 1, 2],
+        time=[on_node, 0.52, 0.58, 1.5, 0.05],
+        state=[2, 1, 0, 2, 0],
+    )
+    return grid, on_node, paths
+
+
+def test_states_on_grid_matches_state_at():
+    grid, on_node, paths = hand_batch()
     S = states_on_grid(paths, grid)
-    for i, p in enumerate(paths):
-        assert np.array_equal(S[i], p.state_at(grid.nodes))
+    for k in range(len(paths)):
+        assert np.array_equal(S[k], paths[k].state_at(grid.nodes))
     assert np.array_equal(occupancy(paths, on_node, 3), np.array([1.0, 1.0, 1.0]) / 3.0)
+
+
+def test_chain_paths_batch_contract():
+    # what callers of simulate_chain rely on: len, iteration yielding one
+    # ChainPath per path, indexing, and states_at agreeing with state_at
+    grid, on_node, paths = hand_batch()
+    assert len(paths) == 3
+    views = list(paths)
+    assert all(type(p) is ChainPath for p in views)
+    assert [p.jump_times.size for p in views] == [0, 4, 1]
+    assert np.array_equal(views[1].jump_times, [on_node, 0.52, 0.58, 1.5])
+    assert np.array_equal(views[1].states, [0, 2, 1, 0, 2])
+    for k, p in enumerate(views):
+        assert np.array_equal(paths[k].jump_times, p.jump_times)
+        assert np.array_equal(paths[k].states, p.states)
+    assert np.array_equal(paths[-1].states, [2, 0])
+    with pytest.raises(IndexError):
+        paths[3]
+    nodes = grid.nodes
+    S = paths.states_at(nodes)
+    assert S.shape == (3, nodes.size)
+    for k in range(len(paths)):
+        assert np.array_equal(S[k], paths[k].state_at(nodes))
+    assert S[1, 3] == 2 and S[1, 2] == 0  # the jump on node 3 counts from that node on
+    assert paths.states_at([]).shape == (3, 0)
+    with pytest.raises(PreconditionError):
+        paths.states_at([0.5, 0.2])
+
+
+def test_simulated_batch_feeds_the_per_path_view():
+    sim = simulate_chain(three_state_varying(), 2.0, 300, seed=31)
+    assert isinstance(sim, ChainPaths) and len(sim) == 300
+    assert sum(p.jump_times.size for p in sim) == sim.time.size > 0
+    nodes = np.linspace(0.0, 2.0, 9)
+    S = sim.states_at(nodes)
+    for k, p in enumerate(sim):
+        assert np.array_equal(S[k], p.state_at(nodes))
+
+
+# a valid batch: path 0 goes 0 -> 1 -> 0, path 1 goes 1 -> 0; times may fall
+# back across a path boundary
+_VALID = {"initial": [0, 1], "path": [0, 0, 1], "time": [0.2, 0.4, 0.1], "state": [1, 0, 0]}
+
+
+@pytest.mark.parametrize(
+    "defect, message",
+    [
+        ({"path": [0, 1, 0]}, "sorted by path index"),
+        ({"time": [0.4, 0.4, 0.1]}, "strictly increasing within a path"),
+        ({"time": [0.4, 0.2, 0.1]}, "strictly increasing within a path"),
+        ({"state": [1, 1, 0]}, "other than the one it leaves"),
+        ({"state": [1, 0, 1]}, "other than the one it leaves"),
+        ({"path": [0, 0, 2]}, "out of range"),
+        ({"path": [-1, 0, 1]}, "out of range"),
+        ({"state": [1, 0]}, "one index, time and state per jump"),
+    ],
+)
+def test_chain_paths_rejects_injected_defect(defect, message):
+    ChainPaths(**_VALID)
+    with pytest.raises(InvariantError, match=message):
+        ChainPaths(**{**_VALID, **defect})
 
 
 # ---------------------------------------------------------------------------
