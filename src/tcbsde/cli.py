@@ -97,7 +97,12 @@ def main(argv=None) -> int:
             return 0 if bundle.all_passed else 1
         if args.command == "sweep":
             if args.seeds:
-                seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+                try:
+                    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+                except ValueError:
+                    raise ConfigError(
+                        f"--seeds takes comma-separated integers, got {args.seeds!r}"
+                    ) from None
             else:
                 base = cfg.seed
                 seeds = list(range(base, base + 10))

@@ -9,6 +9,7 @@ any fails, 2 for configuration or structural errors (the CLI maps these).
 from __future__ import annotations
 
 import configparser
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -34,6 +35,8 @@ class ExperimentConfig:
             raise ConfigError("seed must be non-negative")
         if self.paths is not None and self.paths < 1:
             raise ConfigError("path count must be positive")
+        if self.tol is not None and not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ConfigError("tolerance must be finite and non-negative")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":

@@ -29,6 +29,10 @@ def write_csv(path, header, rows) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(c if isinstance(c, str) else format_float(c) for c in row))
+    _write_lines(path, lines)
+
+
+def _write_lines(path, lines) -> None:
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
@@ -44,15 +48,16 @@ def write_solution_csv(sol: SolutionEnsemble, path) -> None:
     """Flat per-path snapshot of a Wiener solution ensemble."""
     d = sol.Z.shape[2]
     header = ["path_id", "node_time", "Y_1"] + [f"Z_1{a + 1}" for a in range(d)] + ["stopped_flag"]
-    rows = []
+    # Python floats format exactly like the NumPy scalars they come from, faster
+    times = [format_float(t) for t in sol.grid.nodes.tolist()]
+    Y, Z, stops = sol.Y.tolist(), sol.Z.tolist(), sol.stop_idx.tolist()
+    lines = [",".join(header)]
     for p in range(sol.paths):
-        for j, t in enumerate(sol.grid.nodes):
-            rows.append(
-                [str(p), format_float(t), format_float(sol.Y[p, j])]
-                + [format_float(sol.Z[p, j, a]) for a in range(d)]
-                + [str(int(j >= sol.stop_idx[p]))]
-            )
-    write_csv(path, header, rows)
+        pid, y_p, z_p, stop = str(p), Y[p], Z[p], stops[p]
+        for j, t in enumerate(times):
+            flag = "1" if j >= stop else "0"
+            lines.append(",".join([pid, t, format_float(y_p[j]), *map(format_float, z_p[j]), flag]))
+    _write_lines(path, lines)
 
 
 def read_solution_csv(path) -> dict:

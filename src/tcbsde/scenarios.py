@@ -412,9 +412,10 @@ def bounded_solution(cfg: ExperimentConfig) -> ReportBundle:
         mode="monotone",
     )
     W = simulate_brownian(g, P, 1, cfg.seed)
-    rep = bounded_solution_check(prob, 1.0, W, tol=float(cfg.tol or 0.02), seed=cfg.seed)
+    tol = 0.02 if cfg.tol is None else cfg.tol
+    rep = bounded_solution_check(prob, 1.0, W, tol=tol, seed=cfg.seed)
     b.estimates["sup_abs_y"] = rep.sup_abs_y
-    b.verdicts.append(Verdict.check("sup_abs_y", rep.sup_abs_y, 1.0 + (cfg.tol or 0.02)))
+    b.verdicts.append(Verdict.check("sup_abs_y", rep.sup_abs_y, 1.0 + tol))
     b.verdicts.append(
         Verdict.check("z_accumulation_finite", float(rep.z_accumulation[-1]), 10.0)
     )
@@ -581,7 +582,7 @@ def chain_bound_verification(cfg: ExperimentConfig) -> ReportBundle:
     clock = chain_clock(problem.driver.c_path, problem.driver.c2, target="image")
     tilde = transform_chain_problem(problem, clock)
     sol = map_chain_solution(solve_chain_bsde(tilde, "markov-ode", clock.target_grid), clock)
-    tol = float(cfg.tol or 0.02)
+    tol = 0.02 if cfg.tol is None else cfg.tol
     r42, _ = verify_bound(sol, problem.driver, "doubled", tol)
     r44, _ = verify_bound(sol, problem.driver, "tight", tol)
     b.estimates["ratio_doubled_profile"] = r42

@@ -410,45 +410,43 @@ def _contraction_guard(problem: WienerBSDEProblem, grid: TimeGrid, transformed: 
 
 
 def _poly_features(x: np.ndarray, degree: int) -> np.ndarray:
-    cols = [np.ones(x.shape[0])]
-    for j in range(x.shape[1]):
-        for p in range(1, degree + 1):
-            cols.append(x[:, j] ** p)
-    return np.column_stack(cols)
+    """Columns ``1, x_1, ..., x_1^degree, x_2, ...``, powers by running products."""
+    m, d = x.shape
+    A = np.empty((m, 1 + d * degree))
+    A[:, 0] = 1.0
+    for j in range(d):
+        col = 1 + j * degree
+        A[:, col] = x[:, j]
+        for p in range(1, degree):
+            np.multiply(A[:, col + p - 1], x[:, j], out=A[:, col + p])
+    return A
 
 
-class _Regressor:
-    """Least-squares conditional expectation on a fixed design, reused per step."""
+def _regress(x: np.ndarray, B: np.ndarray, basis: str, degree: int, n_bins: int):
+    """Least-squares fits of every column of ``B`` on one design built from ``x``.
 
-    def __init__(self, x, basis, degree, n_bins):
-        self.kind = basis
-        self.rank_deficient = False
-        if basis == "poly":
-            self.A = _poly_features(x, degree)
-        elif basis == "bins":
-            # Equal-count bins on the first coordinate: local averaging keeps
-            # estimates inside the data range, which global polynomials do not.
-            order = np.argsort(x[:, 0], kind="stable")
-            self.order = order
-            edges = np.linspace(0, x.shape[0], n_bins + 1).astype(int)
-            self.slices = [
-                (edges[i], edges[i + 1]) for i in range(n_bins) if edges[i + 1] > edges[i]
-            ]
-        else:
-            raise PreconditionError(f"unknown basis {basis!r}")
-
-    def fit_predict(self, y: np.ndarray) -> np.ndarray:
-        if self.kind == "poly":
-            coef, _, rank, _ = np.linalg.lstsq(self.A, y, rcond=None)
-            if rank < self.A.shape[1]:
-                self.rank_deficient = True
-                return np.full(y.shape[0], float(np.mean(y)))
-            return self.A @ coef
-        out = np.empty(y.shape[0])
-        ys = y[self.order]
-        for lo, hi in self.slices:
-            out[self.order[lo:hi]] = np.mean(ys[lo:hi])
-        return out
+    Returns the fitted block and whether the design was rank deficient, in
+    which case every column is replaced by its own mean.  The ``bins`` basis
+    averages over equal-count bins of the first coordinate: local averaging
+    keeps estimates inside the data range, which global polynomials do not.
+    Values tied across a bin edge may fall in either bin.
+    """
+    if basis == "poly":
+        A = _poly_features(x, degree)
+        coef, _, rank, _ = np.linalg.lstsq(A, B, rcond=None)
+        if rank < A.shape[1]:
+            return np.full(B.shape, np.mean(B, axis=0)), True
+        return A @ coef, False
+    if basis != "bins":
+        raise PreconditionError(f"unknown basis {basis!r}")
+    m = x.shape[0]
+    order = np.argsort(x[:, 0])
+    edges = np.unique(np.linspace(0, m, n_bins + 1).astype(int))
+    counts = np.diff(edges)
+    means = np.add.reduceat(B[order], edges[:-1], axis=0) / counts[:, None]
+    out = np.empty_like(B)
+    out[order] = np.repeat(means, counts, axis=0)
+    return out, False
 
 
 def solve_lsmc(
@@ -463,7 +461,9 @@ def solve_lsmc(
 
     Stopped paths are frozen at their payoff; regression runs on the still
     active subset (the not-yet-stopped indicator interacting with the whole
-    basis).  Rank-deficient designs fall back to the ensemble mean and set
+    basis).  Each step fits ``Y_{j+1}`` and the ``d`` products
+    ``Y_{j+1} dW_j`` as one block of right-hand sides on one design.
+    Rank-deficient designs fall back to the ensemble mean and set
     ``metadata["rank_deficient"]``.
     """
     problem, ensemble, state, _, transformed = _unpack(problem_or_transformed, ensemble)
@@ -489,28 +489,30 @@ def solve_lsmc(
     drv_acc = np.zeros(P)  # running sum of driver * dt along each path
     for j in range(n - 2, -1, -1):
         active = stop_idx > j
-        y_next = Y[:, j + 1]
         if not np.any(active):
             continue
+        # a boolean selection copies; with every path live a slice does not
+        live = slice(None) if active.all() else active
+        y_act = Y[live, j + 1]
+        x = state[live, j, :]
+        dw = ensemble.increments[live, j, :]
         if j == 0:
-            pred = np.full(int(np.sum(active)), float(np.mean(y_next[active])))
-            zj = -np.mean(y_next[active, None] * ensemble.increments[active, 0, :], axis=0) / dt[0]
+            pred = np.full(y_act.size, float(np.mean(y_act)))
+            zj = -np.mean(y_act[:, None] * dw, axis=0) / dt[0]
             zj = np.broadcast_to(zj, (pred.size, d))
         else:
-            reg = _Regressor(state[active, j, :], basis, degree, n_bins)
-            pred = reg.fit_predict(y_next[active])
-            zj = np.empty((pred.size, d))
-            for a in range(d):
-                zj[:, a] = -reg.fit_predict(
-                    y_next[active] * ensemble.increments[active, j, a]
-                ) / dt[j]
-            rank_flag = rank_flag or reg.rank_deficient
-        drv = np.asarray(
-            problem.driver(float(grid.nodes[j]), state[active, j, :], pred, zj), dtype=float
-        )
-        Y[active, j] = pred + drv * dt[j]
-        Z[active, j, :] = zj
-        drv_acc[active] += drv * dt[j]
+            # column-major, so each right-hand side is contiguous for lstsq
+            rhs = np.empty((y_act.size, 1 + d), order="F")
+            rhs[:, 0] = y_act
+            np.multiply(y_act[:, None], dw, out=rhs[:, 1:])
+            fit, deficient = _regress(x, rhs, basis, degree, n_bins)
+            pred = fit[:, 0]
+            zj = -fit[:, 1:] / dt[j]
+            rank_flag = rank_flag or deficient
+        drv = np.asarray(problem.driver(float(grid.nodes[j]), x, pred, zj), dtype=float)
+        Y[live, j] = pred + drv * dt[j]
+        Z[live, j, :] = zj
+        drv_acc[live] += drv * dt[j]
 
     # Regression preserves cross-path means step by step, so Y_0 is the mean
     # of the per-path discounted target; its spread gives the honest SE.
@@ -542,6 +544,15 @@ def solve_picard_oracle(
     Gauss-Hermite quadrature for the one-step conditional expectations --
     deliberately independent of the regression machinery it is used to check.
     Scalar problems with one noise only; small instances intended.
+
+    The one-step expectation ``E[y(x + sqrt(v) G)]`` of the cubic spline
+    through a field is linear in the field and depends only on the step
+    variance ``v``.  Each solve builds one spline of the identity and, for
+    each distinct ``v`` among the steps, the ``(n_space, n_space)`` matrix of
+    that map; every sweep step is then one matrix-vector product.  The
+    matrices are kept for the solve, keyed by the exact variance, so a grid
+    whose step variances all differ builds one per step (``8 n_space^2``
+    bytes each).
     """
     problem, ensemble, state, state_var, transformed = _unpack(problem_or_transformed, ensemble)
     if problem.k != 1 or problem.d != 1:
@@ -569,6 +580,26 @@ def solve_picard_oracle(
     def payoff_on(tnode, x):
         return np.asarray(problem.payoff(np.full(x.shape, tnode), x[:, None]), dtype=float)
 
+    # cubic evaluation: linear interpolation systematically inflates convex
+    # fields and the bias accumulates linearly in the step count
+    spline = CubicSpline(xs, np.eye(n_space), axis=0)
+
+    def expectation_operator(var):
+        shift = xs[:, None] + math.sqrt(var) * gh_x[None, :]
+        np.clip(shift, xs[0], xs[-1], out=shift)
+        # one quadrature node at a time: no (n_space, n_quad, n_space) block
+        op = np.zeros((n_space, n_space))
+        for q in range(n_quad):
+            op += gh_w[q] * spline(shift[:, q])
+        return op
+
+    expect_ops = {var: expectation_operator(var) for var in set(state_var.tolist())}
+    # E[y(x + dX) dX] = var * d/dx E[y(x + dX)] (Gaussian integration by
+    # parts); the convolved field is smooth, so its grid gradient is far more
+    # accurate than the raw odd quadrature moment.  np.gradient is linear.
+    grad = np.gradient(np.eye(n_space), xs, axis=0)
+    mask = absorbed(xs)
+
     y_field = np.zeros((n, n_space))
     z_field = np.zeros((n, n_space))
     distances = []
@@ -579,24 +610,15 @@ def solve_picard_oracle(
         z_new = np.zeros_like(z_field)
         y_new[n - 1] = payoff_on(grid.nodes[-1], xs)
         for j in range(n - 2, -1, -1):
-            sd = math.sqrt(state_var[j])
-            shift = xs[:, None] + sd * gh_x[None, :]
-            np.clip(shift, xs[0], xs[-1], out=shift)
-            # cubic evaluation: linear interpolation systematically inflates
-            # convex fields and the bias accumulates linearly in the step count
-            nxt = CubicSpline(xs, y_new[j + 1])(shift)
-            cond = nxt @ gh_w
-            # E[y(x + dX) dX] = var * d/dx E[y(x + dX)] (Gaussian integration
-            # by parts); the convolved field is smooth, so its grid gradient
-            # is far more accurate than the raw odd quadrature moment.
-            z_new[j] = -np.gradient(cond, xs) * math.sqrt(state_var[j] / dt[j])
+            var = float(state_var[j])
+            cond = expect_ops[var] @ y_new[j + 1]
+            z_new[j] = -(grad @ cond) * math.sqrt(var / dt[j])
             drv = np.asarray(
                 problem.driver(float(grid.nodes[j]), xs[:, None], y_field[j], z_field[j][:, None]),
                 dtype=float,
             )
             y_new[j] = cond + drv * dt[j]
-            mask = absorbed(xs)
-            if np.any(mask):
+            if mask.any():
                 y_new[j][mask] = payoff_on(grid.nodes[j], xs[mask])
                 z_new[j][mask] = 0.0
         dist = float(np.max(np.abs(y_new - y_field)) + np.max(np.abs(z_new - z_field)))
@@ -616,9 +638,9 @@ def solve_picard_oracle(
     tau = grid.nodes[stop_idx]
     w_tau = state[np.arange(P), stop_idx, :]
     xi = np.asarray(problem.payoff(tau, w_tau), dtype=float)
-    for p in range(P):
-        Y[p, stop_idx[p] :] = xi[p]
-        Z[p, stop_idx[p] :, :] = 0.0
+    after_stop = np.arange(n)[None, :] >= stop_idx[:, None]
+    Y = np.where(after_stop, xi[:, None], Y)
+    Z[after_stop] = 0.0
 
     meta = {
         "iterate_distances": distances,

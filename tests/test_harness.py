@@ -49,6 +49,9 @@ def test_config_rejects_bad_values(tmp_path):
         ExperimentConfig(scenario="x", seed=-1)
     with pytest.raises(ConfigError):
         ExperimentConfig(scenario="x", paths=0)
+    for tol in (-1e-9, math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(scenario="x", tol=tol)
     p = tmp_path / "bad.ini"
     p.write_text("[experiment]\nseed = 1\n")
     with pytest.raises(ConfigError):
@@ -131,7 +134,10 @@ def test_cli_config_file(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
-@pytest.mark.parametrize("flag", [["--seed", "-1"], ["--paths", "0"], ["--paths", "-3"]])
+@pytest.mark.parametrize(
+    "flag",
+    [["--seed", "-1"], ["--paths", "0"], ["--paths", "-3"], ["--tol", "-1"], ["--tol", "nan"]],
+)
 def test_cli_flags_pass_the_config_checks(tmp_path, capsys, command, flag):
     from tcbsde.cli import main
 
@@ -139,6 +145,32 @@ def test_cli_flags_pass_the_config_checks(tmp_path, capsys, command, flag):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not any(tmp_path.iterdir())
+
+
+def test_cli_sweep_rejects_non_integer_seeds(tmp_path, capsys):
+    from tcbsde.cli import main
+
+    argv = ["sweep", "--scenario", "psi-properties", "--seeds", "a,b", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: --seeds")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "scenario, extra, verdicts",
+    [
+        ("bounded-solution", ["--paths", "2000"], ["sup_abs_y"]),
+        ("chain-bound-verification", [], ["doubled_profile", "tight_profile"]),
+    ],
+)
+def test_cli_zero_tolerance_is_not_the_default(tmp_path, capsys, scenario, extra, verdicts):
+    from tcbsde.cli import main
+
+    main(["run", "--scenario", scenario, "--tol", "0", *extra, "--out", str(tmp_path)])
+    lines = capsys.readouterr().out.splitlines()
+    for name in verdicts:
+        line = next(ln for ln in lines if f" {name} " in ln)
+        assert line.endswith("threshold=1 (<=)")
 
 
 def test_cli_flags_override_the_config_file(tmp_path):

@@ -57,6 +57,39 @@ def test_solution_roundtrip(tmp_path):
     assert back["stopped"][1, 2] == 1 and back["stopped"][1, 1] == 0
 
 
+def reference_write_solution_csv(sol, path):
+    # cell by cell through NumPy scalars, as the writer used to
+    d = sol.Z.shape[2]
+    header = ["path_id", "node_time", "Y_1"] + [f"Z_1{a + 1}" for a in range(d)] + ["stopped_flag"]
+    rows = []
+    for p in range(sol.paths):
+        for j, t in enumerate(sol.grid.nodes):
+            rows.append(
+                [str(p), format_float(t), format_float(sol.Y[p, j])]
+                + [format_float(sol.Z[p, j, a]) for a in range(d)]
+                + [str(int(j >= sol.stop_idx[p]))]
+            )
+    write_csv(path, header, rows)
+
+
+def test_solution_csv_bytes_match_reference_writer(tmp_path):
+    g = TimeGrid.uniform(3.0, 7)
+    rng = np.random.default_rng(4)
+    Y = rng.normal(size=(4, 7)) * 10.0 ** rng.integers(-8, 9, size=(4, 7))
+    Z = rng.normal(size=(4, 7, 2))
+    Y[0, :3] = [-0.0, 1e-300, 123456789012345.0]
+    Z[1, 2] = [-0.0, -1e-300]
+    Z[2, 5] = [123456789012345.0, -123456789012345.0]
+    sol = SolutionEnsemble(
+        grid=g, Y=Y, Z=Z, stop_idx=np.array([6, 0, 3, 7]), scheme="lsmc", seed=0
+    )
+    write_solution_csv(sol, tmp_path / "fast.csv")
+    reference_write_solution_csv(sol, tmp_path / "ref.csv")
+    fast = (tmp_path / "fast.csv").read_bytes()
+    assert b",-0," in fast and b",1e-300," in fast and b",1.23456789012e+14," in fast
+    assert fast == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_chain_solution_csv(tmp_path):
     g = TimeGrid.uniform(1.0, 3)
     sol = ChainSolution(
