@@ -501,7 +501,8 @@ def solve_lsmc(
             zj = -np.mean(y_act[:, None] * dw, axis=0) / dt[0]
             zj = np.broadcast_to(zj, (pred.size, d))
         else:
-            # column-major, so each right-hand side is contiguous for lstsq
+            # column-major: a rank-deficient fallback then sums each column
+            # in the same order as the mean of a 1-d array
             rhs = np.empty((y_act.size, 1 + d), order="F")
             rhs[:, 0] = y_act
             np.multiply(y_act[:, None], dw, out=rhs[:, 1:])
