@@ -33,7 +33,7 @@ expectations and Z regressed from Y-jumps against M-jumps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -488,8 +488,7 @@ def chain_clock(
 
 
 def _require_contracting_clock(clock: TimeChangeMap) -> None:
-    d = clock.derivative.values
-    if np.any(d[np.isfinite(d)] > 1.0 + 1e-9):
+    if np.any(clock.density.values < 1.0 / (1.0 + 1e-9)):
         raise InvariantError(
             "clock density falls below 1 somewhere; chain transforms need alpha^2 >= 1"
         )
@@ -497,31 +496,38 @@ def _require_contracting_clock(clock: TimeChangeMap) -> None:
 
 @dataclass(eq=False)
 class _ClockedChainModel(MarkovChainModel):
-    """A model read through a clock; a stack of times reads the clock once per stack."""
+    """A model read through a clock: ``A~(u) = A(s) / alpha^2(s)`` with ``s = inv(u)``.
+
+    ``rates`` reads the clock once per call, for one time or a stack of them;
+    ``rate_fn`` is ``rates`` itself, so a copy made by ``dataclasses.replace``
+    keeps the clock.
+    """
 
     base: MarkovChainModel
     clock: TimeChangeMap
+    rate_fn: RateFn = field(init=False, repr=False)
 
-    def _rates_at_times(self, u: np.ndarray) -> np.ndarray:
-        s = np.asarray(self.clock.inverse_at(u), dtype=float)
-        return self.base.rates(s) * np.asarray(self.clock.derivative_at(u))[:, None, None]
+    def __post_init__(self):
+        self.rate_fn = self.rates
+
+    def rates(self, u) -> np.ndarray:
+        if isinstance(u, np.ndarray) and u.ndim:
+            s = np.asarray(self.clock.inverse_at(u), dtype=float)
+            return self.base.rates(s) * (1.0 / np.asarray(self.clock.density_at(s)))[:, None, None]
+        s = float(self.clock.inverse_at(u))
+        return self.base.rates(s) * float(1.0 / self.clock.density_at(s))
 
 
 def transform_chain(model: MarkovChainModel, clock: TimeChangeMap) -> MarkovChainModel:
     """Rate matrix on the new time scale: ``A~(u) = A(inv(u)) inv'(u)``.
 
-    The derivative never exceeds 1 here, so the transformed chain is never
-    faster than the original and the declared bound carries over.
+    The derivative ``inv'(u) = 1 / alpha^2(inv(u))`` never exceeds 1 here, so
+    the transformed chain is never faster than the original and the declared
+    bound carries over.
     """
     _require_contracting_clock(clock)
-
-    def tilde_rates(u: float) -> np.ndarray:
-        s = float(clock.inverse_at(u))
-        return model.rates(s) * float(clock.derivative_at(u))
-
     return _ClockedChainModel(
         n_states=model.n_states,
-        rate_fn=tilde_rates,
         initial=model.initial,
         rate_bound=model.rate_bound,
         base=model,
@@ -541,21 +547,20 @@ def transform_chain_driver(
     """
     _require_contracting_clock(clock)
     inv = clock.inverse_at
-    der = clock.derivative_at
+    dens = clock.density_at
     base_f, base_eta = driver.f, driver.eta
 
     def tilde_f(u, x, y, z):
         s = float(inv(u))
-        return base_f(s, x, y, z) * float(der(u))
+        return base_f(s, x, y, z) * float(1.0 / dens(s))
 
     def tilde_eta(u, x, z, zp):
         s = float(inv(u))
-        return np.asarray(base_eta(s, x, z, zp), dtype=float) * float(der(u))
+        return np.asarray(base_eta(s, x, z, zp), dtype=float) * float(1.0 / dens(s))
 
     tgt = clock.target_grid
-    c_vals = np.asarray(driver.c_path.at(np.asarray(clock.inverse.values))) * np.asarray(
-        clock.derivative_at(tgt.nodes)
-    )
+    s_nodes = clock.inverse.values
+    c_vals = np.asarray(driver.c_path.at(s_nodes)) * (1.0 / np.asarray(dens(s_nodes)))
     base_k1, base_k2 = driver.k1, driver.k2
     return GammaBalancedDriver(
         f=tilde_f,
@@ -1067,7 +1072,7 @@ def message_transmission(
     the loss rate and counts arrivals.
     """
     if model.initial != source:
-        model = MarkovChainModel(model.n_states, model.rate_fn, source, model.rate_bound)
+        model = replace(model, initial=source)
     grid = TimeGrid.uniform(horizon, n_nodes)
     problem = build_message_problem(model, loss_rate, target, grid)
     clock = chain_clock(problem.driver.c_path, problem.driver.c2, target="image")

@@ -41,26 +41,25 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         cp = configparser.ConfigParser()
-        if not cp.read(path):
-            raise ConfigError(f"cannot read config file {path!r}")
-        if not cp.has_section("experiment"):
-            raise ConfigError("config needs an [experiment] section")
-        exp = cp["experiment"]
-        name = exp.get("scenario")
-        if not name:
-            raise ConfigError("config names no scenario")
-        params = {}
-        if cp.has_section("params"):
-            for k, v in cp.items("params"):
-                params[k] = _coerce(v)
-        return cls(
-            scenario=name,
-            seed=exp.getint("seed", fallback=7),
-            paths=exp.getint("paths", fallback=None),
-            out=exp.get("out", fallback=None),
-            tol=exp.getfloat("tol", fallback=None),
-            params=params,
-        )
+        try:
+            if not cp.read(path):
+                raise ConfigError(f"cannot read config file {path!r}")
+            if not cp.has_section("experiment"):
+                raise ConfigError("config needs an [experiment] section")
+            exp = cp["experiment"]
+            name = exp.get("scenario")
+            if not name:
+                raise ConfigError("config names no scenario")
+            params = {k: _coerce(v) for k, v in cp.items("params")} if cp.has_section("params") else {}
+            fields = dict(
+                seed=exp.getint("seed", fallback=7),
+                paths=exp.getint("paths", fallback=None),
+                out=exp.get("out", fallback=None),
+                tol=exp.getfloat("tol", fallback=None),
+            )
+        except (configparser.Error, ValueError) as e:
+            raise ConfigError(f"bad config file {path!r}: {e}") from e
+        return cls(scenario=name, params=params, **fields)
 
     def resolved_out(self) -> Path:
         base = self.out or os.environ.get(OUT_DIR_ENV, "./tcbsde-out")

@@ -36,14 +36,6 @@ def _write_lines(path, lines) -> None:
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
-def read_csv(path):
-    text = Path(path).read_text()
-    lines = [ln for ln in text.split("\n") if ln]
-    header = lines[0].split(",")
-    rows = [ln.split(",") for ln in lines[1:]]
-    return header, rows
-
-
 def write_solution_csv(sol: SolutionEnsemble, path) -> None:
     """Flat per-path snapshot of a Wiener solution ensemble."""
     d = sol.Z.shape[2]
@@ -61,22 +53,32 @@ def write_solution_csv(sol: SolutionEnsemble, path) -> None:
 
 
 def read_solution_csv(path) -> dict:
-    header, rows = read_csv(path)
-    n_z = sum(1 for h in header if h.startswith("Z_"))
-    path_ids = sorted({int(r[0]) for r in rows})
-    times = sorted({float(r[1]) for r in rows})
-    P, n = len(path_ids), len(times)
-    Y = np.empty((P, n))
-    Z = np.empty((P, n, n_z))
-    stopped = np.zeros((P, n), dtype=int)
-    t_index = {format_float(t): i for i, t in enumerate(times)}
-    for r in rows:
-        p, j = int(r[0]), t_index[format_float(float(r[1]))]
-        Y[p, j] = float(r[2])
-        for a in range(n_z):
-            Z[p, j, a] = float(r[3 + a])
-        stopped[p, j] = int(r[3 + n_z])
-    return {"times": np.array(times), "Y": Y, "Z": Z, "stopped": stopped}
+    """Wiener solution snapshot back as arrays indexed by path rank and node rank.
+
+    The file must hold exactly one row per (path, node) pair.
+    """
+    header, _, body = Path(path).read_text().partition("\n")
+    names = header.split(",")
+    width, n_z = len(names), sum(1 for h in names if h.startswith("Z_"))
+    lines = body.split()
+    try:
+        data = np.array(",".join(lines).split(",") if lines else [], dtype=float)
+    except ValueError as e:
+        raise StructuralError(f"non-numeric cell in {path}") from e
+    if data.size != len(lines) * width:
+        raise StructuralError(f"rows of {path} do not all have {width} cells")
+    data = data.reshape(len(lines), width)
+    pids, p_rank = np.unique(data[:, 0], return_inverse=True)
+    times, t_rank = np.unique(data[:, 1], return_inverse=True)
+    P, n = pids.size, times.size
+    cell = p_rank * n + t_rank
+    if np.any(np.bincount(cell, minlength=P * n) != 1):
+        raise StructuralError(f"{path} does not hold exactly one row per (path, node)")
+    out = np.empty((P * n, width))
+    out[cell] = data
+    out = out.reshape(P, n, width)
+    return {"times": times, "Y": out[:, :, 2], "Z": out[:, :, 3 : 3 + n_z],
+            "stopped": out[:, :, 3 + n_z].astype(int)}
 
 
 def write_chain_solution_csv(sol: ChainSolution, path) -> None:
@@ -119,7 +121,13 @@ _PROFILES = ("constant", "linear", "polynomial")
 
 def _parse_profile(spec: str):
     parts = spec.split()
-    kind, args = parts[0], [float(x) for x in parts[1:]]
+    if not parts:
+        raise ConfigError("empty rate profile")
+    kind = parts[0]
+    try:
+        args = [float(x) for x in parts[1:]]
+    except ValueError as e:
+        raise ConfigError(f"non-numeric value in rate profile {spec!r}") from e
     if kind == "constant":
         if len(args) != 1:
             raise ConfigError(f"constant profile takes one value, got {spec!r}")
@@ -172,7 +180,10 @@ def load_chain_model(path) -> ChainModelConfig:
         busy = polynomial 1.0 1.0
     """
     cp = configparser.ConfigParser()
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+    except configparser.Error as e:
+        raise ConfigError(f"bad chain config {path!r}: {e}") from e
     if not read:
         raise ConfigError(f"cannot read chain config {path!r}")
     try:

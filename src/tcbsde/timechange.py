@@ -48,7 +48,6 @@ class TimeGrid:
     """Strictly increasing time nodes starting at 0."""
 
     nodes: np.ndarray
-    policy: str = "explicit"  # "uniform" or "explicit"
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", _readonly(self.nodes))
@@ -61,7 +60,7 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, t_end: float, n_nodes: int) -> "TimeGrid":
-        return cls(np.linspace(0.0, float(t_end), int(n_nodes)), policy="uniform")
+        return cls(np.linspace(0.0, float(t_end), int(n_nodes)))
 
     @property
     def n_nodes(self) -> int:
@@ -205,20 +204,17 @@ class IncreasingProcess:
 
 @dataclass(frozen=True)
 class TimeChangeMap:
-    """A clock, its generalized inverse on a target grid, and the derivative samples.
+    """A clock, its generalized inverse on a target grid, and the clock density.
 
-    ``derivative`` holds the density of the time-changed integrator,
-    ``1 / alpha_sq(inverse(t))`` where the clock is absolutely continuous.
-    When the construction kept the clock density (``density`` field),
-    ``derivative_at`` composes it exactly instead of re-interpolating the
-    sampled derivative, which keeps products like
+    ``density`` is ``alpha_sq`` against the integrator on the source grid, and
+    it is the only source of the time-change derivative: ``derivative_at``
+    composes ``1 / density(inverse(t))``, which keeps products like
     ``derivative(t) * alpha_sq(inverse(t))`` at 1 to rounding.
     """
 
     forward: IncreasingProcess
     inverse: SampledPath
-    derivative: SampledPath
-    density: SampledPath | None = None  # alpha_sq against v, on the source grid
+    density: SampledPath  # alpha_sq against v, on the source grid
 
     @property
     def source_grid(self) -> TimeGrid:
@@ -235,23 +231,17 @@ class TimeChangeMap:
         return self.inverse.at(s)
 
     def derivative_at(self, s):
-        if self.density is not None:
-            return 1.0 / self.density.at(self.inverse.at(s))
-        return self.derivative.at(s)
+        return 1.0 / self.density.at(self.inverse.at(s))
 
     def density_at(self, t):
-        if self.density is None:
-            raise StructuralError("this map carries no density samples")
         return self.density.at(t)
 
     @classmethod
     def identity(cls, grid: TimeGrid) -> "TimeChangeMap":
-        ones = np.ones(grid.n_nodes)
         return cls(
             forward=IncreasingProcess.identity(grid),
             inverse=SampledPath(grid, grid.nodes.copy(), LINEAR),
-            derivative=SampledPath(grid, ones, LINEAR),
-            density=SampledPath(grid, ones, LINEAR),
+            density=SampledPath(grid, np.ones(grid.n_nodes), LINEAR),
         )
 
 
@@ -383,20 +373,17 @@ def build_phi(
     v: IncreasingProcess,
     target: TimeGrid | str | None = None,
 ) -> TimeChangeMap:
-    """Clock ``phi(t) = integral alpha_sq dv`` with inverse and derivative samples.
+    """Clock ``phi(t) = integral alpha_sq dv`` with its inverse and density.
 
     The inverse is populated on ``target``: a grid, the string ``"image"`` for
     the exact image ``phi(nodes)`` of the source grid (so mapped solutions land
     on nodes), or None for a uniform grid spanning ``[0, phi(end)]`` with as
-    many nodes as ``v``'s grid.  The derivative samples are
-    ``1 / alpha_sq(inverse(t))``, the density of the time-changed integrator.
+    many nodes as ``v``'s grid.  The map keeps ``alpha_sq`` as its density,
+    whose floor ``CoefficientProcesses`` already checked.
     """
     if not coeffs.grid.same_as(v.grid):
         raise StructuralError("coefficients and integrator live on different grids")
-    a2 = coeffs.alpha_sq
-    if np.any(a2.values < coeffs.eps * (1.0 - 1e-12)):
-        raise InvariantError("alpha_sq below the declared eps floor")
-    return build_clock_from_density(a2, v, eps=coeffs.eps, target=target)
+    return build_clock_from_density(coeffs.alpha_sq, v, eps=coeffs.eps, target=target)
 
 
 def build_clock_from_density(
@@ -405,7 +392,11 @@ def build_clock_from_density(
     eps: float,
     target: TimeGrid | str | None = None,
 ) -> TimeChangeMap:
-    """Clock from an explicit density path; shared by the Wiener and chain builds."""
+    """Clock from an explicit density path; shared by the Wiener and chain builds.
+
+    The map keeps ``alpha_sq`` as its density; the derivative of the inverse,
+    ``1 / alpha_sq(inverse(t))``, is composed from it on demand.
+    """
     if not alpha_sq.grid.same_as(v.grid):
         raise StructuralError("density and integrator live on different grids")
     phi_path = integrate_stieltjes(alpha_sq, v)
@@ -425,16 +416,8 @@ def build_clock_from_density(
     sup = float(phi_path.values[-1])
     at_top = ~np.isfinite(inv_vals) & (target.nodes <= sup * (1.0 + 1e-12) + 1e-300)
     inv_vals[at_top] = v.grid.t_end
-    inverse = SampledPath(target, inv_vals, LINEAR)
-    finite = np.isfinite(inv_vals)
-    deriv = np.full(target.n_nodes, np.nan)
-    if np.any(finite):
-        deriv[finite] = 1.0 / alpha_sq.at(inv_vals[finite])
     return TimeChangeMap(
-        forward=forward,
-        inverse=inverse,
-        derivative=SampledPath(target, deriv, LINEAR),
-        density=alpha_sq,
+        forward=forward, inverse=SampledPath(target, inv_vals, LINEAR), density=alpha_sq
     )
 
 
@@ -521,9 +504,11 @@ def normalize_terminal_time(tau: float, n_nodes: int = 101) -> TimeChangeMap:
 
     The forward clock ``t / (1 + min(tau, t))`` squashes ``[0, tau]`` into
     ``[0, tau/(1+tau)]`` which stays strictly below 1; the inverse
-    ``t / (1 - t)`` and its derivative ``(1 - t)**-2`` are sampled on the
-    squashed range.  A degenerate ``tau = 0`` yields a zero transformed
-    horizon; the map is still returned on a token positive range.
+    ``t / (1 - t)`` is sampled on the squashed range, and the density
+    ``(1 + t)**-2`` of ``t / (1 + t)`` on the source grid gives its derivative
+    ``(1 - t)**-2``, exact at both ends of the range (the density is linear
+    between source nodes).  A degenerate ``tau = 0`` yields a zero transformed horizon; the
+    map is still returned on a token positive range.
     """
     if not np.isfinite(tau) or tau < 0:
         raise PreconditionError("tau must be finite and non-negative")
@@ -535,10 +520,8 @@ def normalize_terminal_time(tau: float, n_nodes: int = 101) -> TimeChangeMap:
     tgt_end = horizon if horizon > 0 else 0.5
     tgt = TimeGrid.uniform(tgt_end, n_nodes)
     inv_vals = np.array([terminal_clock_inverse(s) for s in tgt.nodes])
-    der_vals = np.array([terminal_clock_derivative(s) for s in tgt.nodes])
     return TimeChangeMap(
         forward=forward,
         inverse=SampledPath(tgt, inv_vals, LINEAR),
-        derivative=SampledPath(tgt, der_vals, LINEAR),
-        density=None,
+        density=SampledPath(src, (1.0 + src.nodes) ** -2, LINEAR),
     )

@@ -276,10 +276,11 @@ def transform_driver(
     ``f~(s, y, z) = f(inv(s), y, z / sqrt(inv'(s))) * inv'(s)`` with
     ``inv'(s) = 1 / alpha^2(inv(s))`` composed exactly through the clock's
     density, which is what keeps the probed Lipschitz ratio at or below 1 to
-    rounding rather than to grid tolerance.
+    rounding rather than to grid tolerance.  The new problem is an ordinary
+    :class:`WienerBSDEProblem`: its coefficients are all ones (Lipschitz
+    constant 1), and it keeps the original terminal rule, since an exit
+    interval applies to the same state.
     """
-    if clock.density is None:
-        raise StructuralError("clock must carry its density to transform a driver")
     if not clock.source_grid.same_as(problem.coeffs.grid):
         raise StructuralError("clock and problem coefficients live on different grids")
 
@@ -307,17 +308,13 @@ def transform_driver(
         mode=problem.coeffs.mode,
         l=SampledPath(tgt, ones, LINEAR) if problem.coeffs.mode == "monotone" else None,
     )
-    if problem.terminal.kind == "fixed":
-        tilde_terminal = TerminalRule(kind="fixed")
-    else:
-        tilde_terminal = problem.terminal  # exit interval applies to the same state
 
     tilde_problem = WienerBSDEProblem(
         k=problem.k,
         d=problem.d,
         driver=tilde_driver,
         coeffs=tilde_coeffs,
-        terminal=tilde_terminal,
+        terminal=problem.terminal,
         payoff=tilde_payoff,
         mode=problem.mode,
     )
@@ -376,14 +373,13 @@ def check_uniform_lipschitz(
 
 
 def _unpack(problem_or_transformed, ensemble):
-    """Problem, noise, Markov state, its step variances and whether the problem was transformed.
+    """Problem, noise, Markov state and its step variances.
 
     A plain problem's state is its noise, with the grid steps as variances.
     """
     tp = problem_or_transformed
-    transformed = isinstance(tp, TransformedProblem)
     state = state_var = None
-    if transformed:
+    if isinstance(tp, TransformedProblem):
         ensemble = ensemble if ensemble is not None else tp.noise
         state, state_var, tp = tp.state, tp.state_var, tp.problem
     if ensemble is None:
@@ -392,14 +388,12 @@ def _unpack(problem_or_transformed, ensemble):
         state = ensemble.values
     if state_var is None:
         state_var = ensemble.grid.steps.copy()
-    return tp, ensemble, state, state_var, transformed
+    return tp, ensemble, state, state_var
 
 
-def _contraction_guard(problem: WienerBSDEProblem, grid: TimeGrid, transformed: bool):
-    if transformed:
-        lip = 1.0
-    else:
-        lip = float(np.max(problem.coeffs.alpha_sq.values))
+def _contraction_guard(problem: WienerBSDEProblem, grid: TimeGrid):
+    # A transformed problem's alpha_sq is all ones: its Lipschitz constant is 1.
+    lip = float(np.max(problem.coeffs.alpha_sq.values))
     bad = grid.steps * lip >= 1.0
     if np.any(bad):
         j = int(np.argmax(bad))
@@ -466,11 +460,11 @@ def solve_lsmc(
     Rank-deficient designs fall back to the ensemble mean and set
     ``metadata["rank_deficient"]``.
     """
-    problem, ensemble, state, _, transformed = _unpack(problem_or_transformed, ensemble)
+    problem, ensemble, state, _ = _unpack(problem_or_transformed, ensemble)
     if problem.k != 1:
         raise UnsupportedError("solvers cover scalar solutions (k = 1)")
     grid = ensemble.grid
-    _contraction_guard(problem, grid, transformed)
+    _contraction_guard(problem, grid)
     P, n, d = state.shape
     dt = grid.steps
 
@@ -555,11 +549,11 @@ def solve_picard_oracle(
     whose step variances all differ builds one per step (``8 n_space^2``
     bytes each).
     """
-    problem, ensemble, state, state_var, transformed = _unpack(problem_or_transformed, ensemble)
+    problem, ensemble, state, state_var = _unpack(problem_or_transformed, ensemble)
     if problem.k != 1 or problem.d != 1:
         raise UnsupportedError("the fixed-point oracle covers k = d = 1 problems")
     grid = ensemble.grid
-    _contraction_guard(problem, grid, transformed)
+    _contraction_guard(problem, grid)
     P, n, _ = state.shape
     dt = grid.steps
 
@@ -732,8 +726,6 @@ def map_solution(
     scaling onto the target grid.  The two directions compose to the identity
     up to interpolation tolerance.
     """
-    if clock.density is None:
-        raise StructuralError("clock must carry its density to rescale Z")
     if direction == "from_transformed":
         out_grid = clock.source_grid
         times = np.asarray(clock.forward.values)
@@ -780,8 +772,6 @@ class WeightedNormReport:
 
 def weighted_norms(sol: SolutionEnsemble, clock: TimeChangeMap, rho: float) -> WeightedNormReport:
     """Monte Carlo estimates of the exponentially weighted solution norms."""
-    if clock.density is None:
-        raise StructuralError("clock must carry its density (alpha^2 samples)")
     grid = sol.grid
     phi = np.asarray(clock.forward_at(grid.nodes))
     a2 = np.asarray(clock.density_at(grid.nodes))

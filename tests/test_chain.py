@@ -328,3 +328,58 @@ def test_balance_survives_transform_with_same_gamma():
     )
     assert rep.passed
     assert np.all(tilde_drv.c_path.values <= 1.0 + 1e-9)
+
+
+def test_clocked_callbacks_read_the_clock_once(monkeypatch):
+    # one inverse read and one density read per scalar evaluation
+    grid = TimeGrid.uniform(2.0, 81)
+    model = two_state_model(1.0, 2.0)
+    drv = flat_driver(grid, model, c=0.5)
+    clock = chain_clock(SampledPath(grid, 1.0 + grid.nodes, LINEAR), c2=0.0)
+    tilde_model = transform_chain(model, clock)
+    tilde_drv = transform_chain_driver(drv, clock)
+    calls = []
+    orig_at = SampledPath.at
+
+    def counted_at(self, t):
+        calls.append(t)
+        return orig_at(self, t)
+
+    monkeypatch.setattr(SampledPath, "at", counted_at)
+    z = np.array([0.3, -0.2])
+    for evaluate in (
+        lambda u: tilde_model.rates(u),
+        lambda u: tilde_drv.f(u, 0, 0.7, z),
+        lambda u: tilde_drv.eta(u, 1, z, z),
+    ):
+        calls.clear()
+        evaluate(1.3)
+        assert len(calls) == 2
+
+
+def test_rerooted_clocked_model_keeps_its_clock(monkeypatch):
+    # message_transmission re-roots a model whose initial state is not the source
+    import tcbsde.chain as chain
+
+    grid = TimeGrid.uniform(2.0, 81)
+    A = np.array([[-1.0, 0.0], [1.0, 0.0]])
+    base = MarkovChainModel(2, lambda t: A * (1.0 + t), 1, rate_bound=3.0)
+    tilde = transform_chain(base, chain_clock(SampledPath(grid, 1.0 + grid.nodes, LINEAR), c2=0.0))
+    seen = []
+    orig = chain.build_message_problem
+
+    def spy(model, *args, **kwargs):
+        seen.append(model)
+        return orig(model, *args, **kwargs)
+
+    monkeypatch.setattr(chain, "build_message_problem", spy)
+    chain.message_transmission(
+        tilde, lambda t, i: 0.5, source=0, target=1, horizon=1.0, paths=200, seed=0, n_nodes=21
+    )
+    rerooted = seen[0]
+    assert rerooted.initial == 0 and rerooted.clock is tilde.clock
+    u = np.linspace(0.0, 1.0, 17)
+    assert np.array_equal(rerooted.rates(u), tilde.rates(u))
+    for t in u.tolist():
+        assert np.array_equal(rerooted.rates(t), tilde.rates(t))
+        assert np.array_equal(rerooted.rate_fn(t), tilde.rates(t))

@@ -53,9 +53,15 @@ def test_config_rejects_bad_values(tmp_path):
         with pytest.raises(ConfigError):
             ExperimentConfig(scenario="x", tol=tol)
     p = tmp_path / "bad.ini"
-    p.write_text("[experiment]\nseed = 1\n")
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_file(p)
+    for text in (
+        "[experiment]\nseed = 1\n",  # no scenario
+        "[experiment]\nscenario = psi-properties\nseed = abc\n",
+        "[experiment]\nscenario = psi-properties\ntol = small\n",
+        "scenario = psi-properties\n",  # no section header
+    ):
+        p.write_text(text)
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_file(p)
 
 
 def test_verdict_lines_carry_values():
@@ -145,6 +151,18 @@ def test_cli_flags_pass_the_config_checks(tmp_path, capsys, command, flag):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("text", ["[experiment]\nscenario = psi-properties\nseed = abc\n",
+                                  "scenario = psi-properties\n"])
+def test_cli_rejects_unparsable_config_files(tmp_path, capsys, text):
+    from tcbsde.cli import main
+
+    p = tmp_path / "exp.ini"
+    p.write_text(text)
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_sweep_rejects_non_integer_seeds(tmp_path, capsys):

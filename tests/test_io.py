@@ -57,6 +57,68 @@ def test_solution_roundtrip(tmp_path):
     assert back["stopped"][1, 2] == 1 and back["stopped"][1, 1] == 0
 
 
+def reference_read_solution_csv(path):
+    # cell by cell in Python, as the reader used to; indexes paths by their id
+    lines = [ln for ln in path.read_text().split("\n") if ln]
+    header, rows = lines[0].split(","), [ln.split(",") for ln in lines[1:]]
+    n_z = sum(1 for h in header if h.startswith("Z_"))
+    path_ids = sorted({int(r[0]) for r in rows})
+    times = sorted({float(r[1]) for r in rows})
+    Y = np.empty((len(path_ids), len(times)))
+    Z = np.empty((len(path_ids), len(times), n_z))
+    stopped = np.zeros((len(path_ids), len(times)), dtype=int)
+    t_index = {format_float(t): i for i, t in enumerate(times)}
+    for r in rows:
+        p, j = int(r[0]), t_index[format_float(float(r[1]))]
+        Y[p, j] = float(r[2])
+        for a in range(n_z):
+            Z[p, j, a] = float(r[3 + a])
+        stopped[p, j] = int(r[3 + n_z])
+    return {"times": np.array(times), "Y": Y, "Z": Z, "stopped": stopped}
+
+
+def _odd_solution():
+    g = TimeGrid.uniform(3.0, 7)
+    rng = np.random.default_rng(4)
+    Y = rng.normal(size=(4, 7)) * 10.0 ** rng.integers(-8, 9, size=(4, 7))
+    Z = rng.normal(size=(4, 7, 2))
+    Y[0, :3] = [-0.0, 1e-300, 123456789012345.0]
+    Z[1, 2] = [-0.0, -1e-300]
+    Z[2, 5] = [123456789012345.0, -123456789012345.0]
+    return SolutionEnsemble(
+        grid=g, Y=Y, Z=Z, stop_idx=np.array([6, 0, 3, 7]), scheme="lsmc", seed=0
+    )
+
+
+@pytest.mark.parametrize("make_sol", [small_solution, _odd_solution])
+def test_read_solution_csv_matches_reference_reader(tmp_path, make_sol):
+    p = tmp_path / "sol.csv"
+    write_solution_csv(make_sol(), p)
+    fast, ref = read_solution_csv(p), reference_read_solution_csv(p)
+    assert fast.keys() == ref.keys()
+    for key in ref:
+        assert fast[key].dtype == ref[key].dtype and fast[key].shape == ref[key].shape
+        assert np.array_equal(fast[key], ref[key]), key
+
+
+@pytest.mark.parametrize("edit", ["drop", "duplicate", "ragged", "text"])
+def test_read_solution_csv_rejects_malformed_files(tmp_path, edit):
+    p = tmp_path / "sol.csv"
+    write_solution_csv(small_solution(), p)
+    lines = p.read_text().splitlines()
+    if edit == "drop":
+        del lines[5]
+    elif edit == "duplicate":
+        lines.insert(5, lines[5])
+    elif edit == "ragged":
+        lines[5] += ",0"
+    else:
+        lines[5] = lines[5].replace(",0", ",x", 1)
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(StructuralError):
+        read_solution_csv(p)
+
+
 def reference_write_solution_csv(sol, path):
     # cell by cell through NumPy scalars, as the writer used to
     d = sol.Z.shape[2]
@@ -73,16 +135,7 @@ def reference_write_solution_csv(sol, path):
 
 
 def test_solution_csv_bytes_match_reference_writer(tmp_path):
-    g = TimeGrid.uniform(3.0, 7)
-    rng = np.random.default_rng(4)
-    Y = rng.normal(size=(4, 7)) * 10.0 ** rng.integers(-8, 9, size=(4, 7))
-    Z = rng.normal(size=(4, 7, 2))
-    Y[0, :3] = [-0.0, 1e-300, 123456789012345.0]
-    Z[1, 2] = [-0.0, -1e-300]
-    Z[2, 5] = [123456789012345.0, -123456789012345.0]
-    sol = SolutionEnsemble(
-        grid=g, Y=Y, Z=Z, stop_idx=np.array([6, 0, 3, 7]), scheme="lsmc", seed=0
-    )
+    sol = _odd_solution()
     write_solution_csv(sol, tmp_path / "fast.csv")
     reference_write_solution_csv(sol, tmp_path / "ref.csv")
     fast = (tmp_path / "fast.csv").read_bytes()
@@ -177,6 +230,9 @@ def test_load_chain_model_runs_end_to_end(tmp_path):
         ("idle->busy = constant 1.0", "idle->busy = sine 1.0"),
         ("set = done", "set = limbo"),
         ("idle->busy = constant 1.0", "idlebusy = constant 1.0"),
+        ("idle->busy = constant 1.0", "idle->busy = constant abc"),
+        ("idle->busy = constant 1.0", "idle->busy ="),
+        ("[chain]\n", ""),  # no section header before the first key
     ],
 )
 def test_load_chain_model_rejects_bad_configs(tmp_path, mutation):

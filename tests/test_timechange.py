@@ -214,7 +214,7 @@ def test_build_phi_identity_clock():
     clock = build_phi(make_coeffs(g, 1.0, 0.0, eps=0.9), identity_process(g), target=g)
     assert np.allclose(clock.forward.values, g.nodes)
     assert np.allclose(clock.inverse.values, g.nodes, atol=1e-12)
-    assert np.allclose(clock.derivative.values, 1.0)
+    assert np.allclose(clock.derivative_at(g.nodes), 1.0)
 
 
 def test_build_phi_constant_four():
@@ -239,10 +239,11 @@ def test_build_phi_quadratic_inverse():
 def test_build_phi_derivative_reciprocal_invariant():
     g = TimeGrid.uniform(1.5, 501)
     coeffs = make_coeffs(g, 1.0 + g.nodes**2, 0.5, eps=0.5)
-    clock = build_phi(coeffs, identity_process(g))
-    s = clock.target_grid.nodes[np.isfinite(clock.inverse.values)]
-    prod = clock.derivative_at(s) * clock.density_at(clock.inverse_at(s))
-    assert np.allclose(prod, 1.0, atol=1e-12)
+    # the squashing map carries the density of t / (1 + t) on its source grid
+    for clock in (build_phi(coeffs, identity_process(g)), normalize_terminal_time(3.0)):
+        s = clock.target_grid.nodes[np.isfinite(clock.inverse.values)]
+        prod = clock.derivative_at(s) * clock.density_at(clock.inverse_at(s))
+        assert np.allclose(prod, 1.0, atol=1e-12)
 
 
 def test_build_phi_rejects_low_density():
@@ -361,7 +362,7 @@ def test_terminal_time_tau_three():
     m = normalize_terminal_time(3.0)
     assert m.forward.values[-1] == pytest.approx(0.75)
     # derivative at the squashed horizon equals (1 + tau)^2
-    assert m.derivative.at(0.75) == pytest.approx(16.0, rel=1e-9)
+    assert m.derivative_at(0.75) == pytest.approx(16.0, rel=1e-9)
     assert terminal_clock_derivative(0.75) == pytest.approx((1 + 3.0) ** 2)
 
 

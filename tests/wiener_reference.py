@@ -75,11 +75,11 @@ def reference_solve_lsmc(
     basis).  Rank-deficient designs fall back to the ensemble mean and set
     ``metadata["rank_deficient"]``.
     """
-    problem, ensemble, state, _, transformed = _unpack(problem_or_transformed, ensemble)
+    problem, ensemble, state, _ = _unpack(problem_or_transformed, ensemble)
     if problem.k != 1:
         raise UnsupportedError("solvers cover scalar solutions (k = 1)")
     grid = ensemble.grid
-    _contraction_guard(problem, grid, transformed)
+    _contraction_guard(problem, grid)
     P, n, d = state.shape
     dt = grid.steps
 
@@ -152,11 +152,11 @@ def reference_solve_picard_oracle(
     deliberately independent of the regression machinery it is used to check.
     Scalar problems with one noise only; small instances intended.
     """
-    problem, ensemble, state, state_var, transformed = _unpack(problem_or_transformed, ensemble)
+    problem, ensemble, state, state_var = _unpack(problem_or_transformed, ensemble)
     if problem.k != 1 or problem.d != 1:
         raise UnsupportedError("the fixed-point oracle covers k = d = 1 problems")
     grid = ensemble.grid
-    _contraction_guard(problem, grid, transformed)
+    _contraction_guard(problem, grid)
     P, n, _ = state.shape
     dt = grid.steps
 
