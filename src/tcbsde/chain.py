@@ -196,6 +196,11 @@ class ChainPaths:
 def _check_rate_batch(A: np.ndarray, t: np.ndarray, total: np.ndarray, bound: float):
     """Generator invariants on a stack of rate matrices and the thinning bound on ``total``."""
     N = A.shape[1]
+    # every comparison below is false for NaN, so non-finite rates go first
+    finite = np.isfinite(A)
+    if not finite.all():
+        k = np.argmin(finite.reshape(len(A), -1).all(axis=1))
+        raise InvariantError(f"rate matrix is not finite at t={t[k]}")
     bad = np.flatnonzero(np.any(A[:, ~np.eye(N, dtype=bool)] < -1e-12, axis=1))
     if bad.size:
         raise InvariantError(f"negative off-diagonal rate at t={t[bad[0]]}")

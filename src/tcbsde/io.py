@@ -193,6 +193,8 @@ def load_chain_model(path) -> ChainModelConfig:
     except (configparser.Error, ValueError) as e:
         raise ConfigError(f"bad [chain] section: {e}") from e
     index = {nm: i for i, nm in enumerate(names)}
+    if len(index) != len(names):
+        raise ConfigError(f"duplicate state names in {names}")
     if initial not in index:
         raise ConfigError(f"initial state {initial!r} not among states")
     N = len(names)

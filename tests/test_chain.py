@@ -95,6 +95,19 @@ def test_rate_above_bound_rejected():
         simulate_chain(model, 50.0, 200, seed=0)
 
 
+def test_non_finite_rate_rejected():
+    # the column sum is NaN, so only the exit-rate bound would object, and
+    # with the wrong reason
+    def rate_fn(t):
+        lam = math.inf if t >= 0.5 else 1.0
+        return np.array([[-lam, 0.0], [lam, 0.0]])
+
+    model = MarkovChainModel(2, rate_fn, 0, rate_bound=2.0)
+    model.validate([0.0, 0.25])
+    with pytest.raises(InvariantError, match="not finite at t=0.5"):
+        model.validate([0.0, 0.5, 1.0])
+
+
 # ---------------------------------------------------------------------------
 # compensated indicator process
 # ---------------------------------------------------------------------------

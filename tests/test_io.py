@@ -233,6 +233,7 @@ def test_load_chain_model_runs_end_to_end(tmp_path):
         ("idle->busy = constant 1.0", "idle->busy = constant abc"),
         ("idle->busy = constant 1.0", "idle->busy ="),
         ("[chain]\n", ""),  # no section header before the first key
+        ("states = idle busy done", "states = idle busy done idle"),
     ],
 )
 def test_load_chain_model_rejects_bad_configs(tmp_path, mutation):
@@ -248,6 +249,7 @@ def test_load_chain_model_rejects_bad_configs(tmp_path, mutation):
     [
         (("rate_bound = 4.0", "rate_bound = 0.5"), "exceeds the thinning bound"),
         (("idle->busy = constant 1.0", "idle->busy = constant -1.0"), "negative off-diagonal rate"),
+        (("idle->busy = constant 1.0", "idle->busy = linear nan 1.0"), "not finite at t=0.0"),
     ],
 )
 def test_load_chain_model_rejects_invalid_generators(tmp_path, mutation, message):

@@ -1,13 +1,16 @@
 """The fast Wiener solvers against their slow references in ``wiener_reference``.
 
-The fast solvers sum in another order (one operator per step variance, one
-block of right-hand sides per regression), so they agree with the references
-to rounding, not bit for bit: 1e-12 relative to the largest magnitude of
-each compared quantity.
+The fast solvers sum in another order (one operator per step variance, built
+from the spline coefficients, and one block of right-hand sides per
+regression), so they agree with the references to rounding, not bit for bit:
+1e-12 relative to the largest magnitude of each compared quantity.
 """
+
+import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from tcbsde import wiener
 from tcbsde.timechange import (
@@ -144,12 +147,16 @@ def test_rank_deficient_design_matches_reference():
 
 
 def test_oracle_builds_one_spline_per_solve(monkeypatch):
-    built = []
+    built, calls = [], []
 
     class CountingSpline(wiener.CubicSpline):
         def __init__(self, *args, **kwargs):
             built.append(1)
             super().__init__(*args, **kwargs)
+
+        def __call__(self, *args, **kwargs):
+            calls.append(1)
+            return super().__call__(*args, **kwargs)
 
     monkeypatch.setattr(wiener, "CubicSpline", CountingSpline)
     g = grid_uniform(1.0, 51)
@@ -157,3 +164,37 @@ def test_oracle_builds_one_spline_per_solve(monkeypatch):
     sol = solve_picard_oracle(prob, simulate_brownian(g, 100, 1, seed=8), iterations=8)
     assert len(sol.metadata["iterate_distances"]) == 8
     assert len(built) == 1
+    assert len(calls) == 0
+
+
+def _operator_by_evaluation(xs, gh_x, gh_w, var):
+    # the spline of the identity evaluated at each clipped quadrature shift
+    spline = CubicSpline(xs, np.eye(xs.size), axis=0)
+    shift = np.clip(xs[:, None] + math.sqrt(var) * gh_x[None, :], xs[0], xs[-1])
+    return sum(w * spline(shift[:, q]) for q, w in enumerate(gh_w))
+
+
+@pytest.mark.parametrize(
+    "n_quad, var, case",
+    [
+        (21, 4.0, "clipped at both ends"),
+        (20, 0.01, "even rule"),
+        (21, 0.01, "middle node on every breakpoint"),
+    ],
+)
+def test_expectation_operator_matches_spline_evaluation(n_quad, var, case):
+    xs = np.linspace(-3.0, 3.0, 61)
+    gh_x, gh_w = np.polynomial.hermite_e.hermegauss(n_quad)
+    gh_w = gh_w / math.sqrt(2.0 * math.pi)
+    shift = xs[:, None] + math.sqrt(var) * gh_x[None, :]
+    if case == "clipped at both ends":
+        assert np.any(shift < xs[0]) and np.any(shift > xs[-1])
+    elif case == "even rule":
+        assert not np.any(np.isin(shift, xs))
+    else:
+        # hermegauss puts the middle node of an odd rule at exactly 0
+        np.testing.assert_array_equal(shift[:, n_quad // 2], xs)
+    coef = CubicSpline(xs, np.eye(xs.size), axis=0).c.reshape(4 * (xs.size - 1), xs.size)
+    fast = wiener._expectation_operator(xs, coef, gh_x, gh_w, var)
+    ref = _operator_by_evaluation(xs, gh_x, gh_w, var)
+    assert np.max(np.abs(fast - ref)) <= 1e-13 * np.max(np.abs(ref))

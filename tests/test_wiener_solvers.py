@@ -398,6 +398,8 @@ def test_comparison_dominated_pair():
     W = simulate_brownian(g, 10_000, 1, seed=16)
     rep = comparison_experiment(prob_a, prob_b, W)
     assert rep.passed and rep.violating_nodes == 0
+    # Y_0 is the same on every path, so its gap has no spread at all
+    assert rep.node_ses[0] == 0.0
 
 
 def test_comparison_rejects_undominated():
