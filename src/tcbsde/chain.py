@@ -194,19 +194,27 @@ class ChainPaths:
 
 
 def _check_rate_batch(A: np.ndarray, t: np.ndarray, total: np.ndarray, bound: float):
-    """Generator invariants on a stack of rate matrices and the thinning bound on ``total``."""
-    N = A.shape[1]
+    """Generator invariants on a stack of rate matrices and the thinning bound on ``total``.
+
+    Each test runs on the whole batch; only a failure searches for the first
+    matrix that fails it.
+    """
+    m, N = A.shape[:2]
     # every comparison below is false for NaN, so non-finite rates go first
     finite = np.isfinite(A)
     if not finite.all():
-        k = np.argmin(finite.reshape(len(A), -1).all(axis=1))
+        k = np.argmin(finite.reshape(m, -1).all(axis=1))
         raise InvariantError(f"rate matrix is not finite at t={t[k]}")
-    bad = np.flatnonzero(np.any(A[:, ~np.eye(N, dtype=bool)] < -1e-12, axis=1))
-    if bad.size:
-        raise InvariantError(f"negative off-diagonal rate at t={t[bad[0]]}")
-    bad = np.flatnonzero(np.max(np.abs(A.sum(axis=1)), axis=1) > 1e-9)
-    if bad.size:
-        raise InvariantError(f"columns do not sum to zero at t={t[bad[0]]}")
+    negative = A < -1e-12
+    diag = np.arange(N)
+    negative[:, diag, diag] = False
+    if negative.any():
+        k = np.argmax(negative.reshape(m, -1).any(axis=1))
+        raise InvariantError(f"negative off-diagonal rate at t={t[k]}")
+    unbalanced = np.abs(A.sum(axis=1)) > 1e-9
+    if unbalanced.any():
+        k = np.argmax(unbalanced.any(axis=1))
+        raise InvariantError(f"columns do not sum to zero at t={t[k]}")
     bad = np.flatnonzero(total > bound * (1.0 + 1e-9))
     if bad.size:
         k = bad[0]
@@ -582,16 +590,39 @@ def transform_chain_driver(
     )
 
 
+@dataclass(eq=False)
+class _ClockedChainProblem(ChainBSDEProblem):
+    """A problem read through a clock: the base problem at ``s = inv(u)``.
+
+    ``model``, ``driver`` and ``terminal_fn`` are the clocked views of the
+    base's, for the callers that take one callback at a time; the backward
+    ODE reads ``base`` and ``clock`` itself, once per right-hand side.  The
+    views are derived, not init arguments, so a copy made by
+    ``dataclasses.replace`` can change ``base`` or ``clock`` and the views
+    follow.
+    """
+
+    base: ChainBSDEProblem
+    clock: TimeChangeMap
+    model: MarkovChainModel = field(init=False, repr=False)
+    driver: GammaBalancedDriver = field(init=False, repr=False)
+    hitting_set: frozenset = field(init=False, repr=False)
+    terminal_fn: Callable[[float, int], float] = field(init=False, repr=False)
+    markovian: bool = field(init=False, repr=False)
+
+    def __post_init__(self):
+        base, inv = self.base, self.clock.inverse_at
+        base_g = base.terminal_fn
+        self.model = transform_chain(base.model, self.clock)
+        self.driver = transform_chain_driver(base.driver, self.clock)
+        self.hitting_set = base.hitting_set
+        self.terminal_fn = lambda t, i: base_g(float(inv(t)), i)
+        self.markovian = base.markovian
+
+
 def transform_chain_problem(problem: ChainBSDEProblem, clock: TimeChangeMap) -> ChainBSDEProblem:
-    base_g = problem.terminal_fn
-    inv = clock.inverse_at
-    return ChainBSDEProblem(
-        model=transform_chain(problem.model, clock),
-        driver=transform_chain_driver(problem.driver, clock),
-        hitting_set=problem.hitting_set,
-        terminal_fn=lambda t, i: base_g(float(inv(t)), i),
-        markovian=problem.markovian,
-    )
+    """Model, driver and terminal on the new scale, all read at ``s = inv(u)``."""
+    return _ClockedChainProblem(base=problem, clock=clock)
 
 
 def growth_normalize(
@@ -660,46 +691,62 @@ def _ode_solve(problem: ChainBSDEProblem, grid: TimeGrid, rtol: float, atol: flo
     The state is ``[u_free, q_free]``: ``u`` is the value off the hitting set,
     ``q`` the probability of no hit by the horizon (terminal 1 off the set,
     0 on it, no driver term).  Both share one rate evaluation per call.
+
+    A clocked problem is solved as its base problem at ``s = inv(t)``, with
+    rates and driver scaled by ``w = 1 / alpha^2(s)``: each call reads the
+    clock once, for the rates, the driver and the terminal alike.  An
+    unclocked problem is its own base, with ``s = t`` and ``w = 1``.  Also
+    returns the number of right-hand-side evaluations.
     """
-    N = problem.model.n_states
-    hit = sorted(problem.hitting_set)
-    free = [i for i in range(N) if i not in problem.hitting_set]
-    if not free:
+    if isinstance(problem, _ClockedChainProblem):
+        base, inv, dens = problem.base, problem.clock.inverse_at, problem.clock.density_at
+    else:
+        base, inv, dens = problem, float, lambda s: 1.0
+    N = base.model.n_states
+    hit = sorted(base.hitting_set)
+    free = np.array([i for i in range(N) if i not in base.hitting_set], dtype=int)
+    if not free.size:
         raise PreconditionError("every state is terminal; nothing to solve")
-    n_free = len(free)
-    g = problem.terminal_fn
-    f = problem.driver.f
+    n_free, free_list = free.size, free.tolist()
+    rates, f, g = base.model.rates, base.driver.f, base.terminal_fn
     T = grid.t_end
 
-    def assemble(t, u_free):
-        u = np.empty(N)
-        u[free] = u_free
+    u = np.empty(N)
+    U = np.zeros((N, 2))  # columns u and q; C order fixes how the product below sums
+    drv = np.empty(n_free)
+
+    def rhs(r, x):
+        t = T - r
+        s = float(inv(t))
+        w = float(1.0 / dens(s))
+        u[free] = x[:n_free]
         for i in hit:
-            u[i] = g(t, i)
-        return u
+            u[i] = g(s, i)
+        U[:, 0] = u
+        U[free, 1] = x[n_free:]
+        gen = ((rates(s) * w).T @ U)[free]
+        for k, i in enumerate(free_list):
+            drv[k] = f(s, i, u[i], u) * w
+        out = np.empty(2 * n_free)  # fresh: the integrator keeps the last one it got
+        np.add(gen[:, 0], drv, out=out[:n_free])
+        out[n_free:] = gen[:, 1]
+        return out  # dx/dr = -dx/dt
 
-    def rhs(s, x):
-        t = T - s
-        u = assemble(t, x[:n_free])
-        q = np.zeros(N)
-        q[free] = x[n_free:]
-        A = problem.model.rates(t)
-        gen = (A.T @ np.column_stack((u, q)))[free]
-        drv = np.array([f(t, i, u[i], u) for i in free])
-        return np.concatenate((gen[:, 0] + drv, gen[:, 1]))  # dx/ds = -dx/dt
-
-    x0 = np.concatenate(([g(T, i) for i in free], np.ones(n_free)))
-    s_eval = T - grid.nodes[::-1]
-    sol = solve_ivp(rhs, (0.0, T), x0, t_eval=s_eval, rtol=rtol, atol=atol, method="RK45")
+    s_end = float(inv(T))
+    x0 = np.concatenate(([g(s_end, i) for i in free_list], np.ones(n_free)))
+    r_eval = T - grid.nodes[::-1]
+    sol = solve_ivp(rhs, (0.0, T), x0, t_eval=r_eval, rtol=rtol, atol=atol, method="RK45")
     if not sol.success:
         raise SchemeError(f"backward ODE integration failed: {sol.message}")
-    u_free_path = sol.y[:n_free].T[::-1]  # (n_nodes, len(free)) on the forward grid
     values = np.empty((grid.n_nodes, N))
+    values[:, free] = sol.y[:n_free].T[::-1]  # on the forward grid
     for j, t in enumerate(grid.nodes):
-        values[j] = assemble(t, u_free_path[j])
+        s = float(inv(t))
+        for i in hit:
+            values[j, i] = g(s, i)
     q = np.zeros(N)
     q[free] = sol.y[n_free:, -1]
-    return values, float(q[int(problem.model.initial)])
+    return values, float(q[int(base.model.initial)]), int(sol.nfev)
 
 
 def solve_chain_bsde(
@@ -725,14 +772,18 @@ def solve_chain_bsde(
     if scheme == "markov-ode":
         if not problem.markovian:
             raise UnsupportedError("markov-ode needs a Markovian driver")
-        values, tail = _ode_solve(problem, grid, rtol, atol)
+        for name, tol in (("rtol", rtol), ("atol", atol)):
+            # NaN never meets the step test and hangs the integrator; inf accepts any step
+            if not (math.isfinite(tol) and tol > 0.0):
+                raise PreconditionError(f"{name} must be positive and finite, got {tol}")
+        values, tail, nfev = _ode_solve(problem, grid, rtol, atol)
         z_values = np.repeat(values[:, None, :], problem.model.n_states, axis=1)
         sol = ChainSolution(
             grid=grid,
             state_values=values,
             z_values=z_values,
             scheme="markov-ode",
-            metadata={"tail_probability": tail},
+            metadata={"tail_probability": tail, "rhs_evaluations": nfev},
         )
         if paths:
             log, _, _ = _thin(problem.model, grid.t_end, paths, seed)

@@ -1,0 +1,191 @@
+"""The backward ODE of ``solve_chain_bsde("markov-ode")``.
+
+A clocked problem is solved as its base problem read at ``s = inv(u)``, with
+one clock read per right-hand side; ``ode_reference`` evaluates the same
+problem closure by closure, and the two must agree bit for bit.
+"""
+
+import math
+import signal
+from contextlib import contextmanager
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from tcbsde import chain
+from tcbsde.chain import (
+    ChainBSDEProblem,
+    GammaBalancedDriver,
+    MarkovChainModel,
+    build_message_problem,
+    chain_clock,
+    solve_chain_bsde,
+    transform_chain_problem,
+)
+from tcbsde.errors import PreconditionError
+from tcbsde.timechange import LINEAR, SampledPath, TimeGrid
+
+from ode_reference import reference_ode_solve
+
+RTOL, ATOL = 1e-8, 1e-10
+
+
+def line_model():
+    A = np.array([[-1.0, 0.0], [1.0, 0.0]])
+    return MarkovChainModel(2, lambda t: A, 0, rate_bound=1.0)
+
+
+def clocked_message(loss, horizon=8.0, nodes=201):
+    problem = build_message_problem(line_model(), loss, 1, TimeGrid.uniform(horizon, nodes))
+    clock = chain_clock(problem.driver.c_path, problem.driver.c2, target="image")
+    return transform_chain_problem(problem, clock), clock.target_grid
+
+
+def three_state_direct():
+    A = np.array([[-2.0, 1.0, 0.0], [1.5, -2.0, 0.0], [0.5, 1.0, 0.0]])
+    grid = TimeGrid.uniform(8.0, 161)
+
+    def eta(t, i, z, zp):
+        return 0.8 * A[:, i]
+
+    def f(t, i, y, z):
+        return -0.3 * y + float(z @ (eta(t, i, z, None) - A[:, i]))
+
+    problem = ChainBSDEProblem(
+        model=MarkovChainModel(3, lambda t: A, 0, rate_bound=2.0),
+        driver=GammaBalancedDriver(
+            f=f, eta=eta, gamma=0.8,
+            c_path=SampledPath(grid, np.full(grid.n_nodes, 0.3), LINEAR),
+            c1=0.0, c2=0.0, beta_hat=0.0, beta=1.0, beta_tilde=1.0,
+            k1=lambda t: 1.0, k2=lambda t: 1.0,
+        ),
+        hitting_set=frozenset({2}),
+        terminal_fn=lambda t, i: 1.0,
+        markovian=True,
+    )
+    return problem, grid
+
+
+def twice_transformed():
+    once, grid = clocked_message(lambda t, i: 1.0 + t, horizon=4.0, nodes=101)
+    # a second clock on the first one's scale, with a density that grows
+    second = chain_clock(SampledPath(grid, 1.0 + 0.5 * grid.nodes, LINEAR), 0.0, target="image")
+    return transform_chain_problem(once, second), second.target_grid
+
+
+def time_varying_terminal():
+    # the chain leaves the target again, and the terminal on the hitting set
+    # depends on time, so the clock reads of the terminal matter
+    A = np.array([[-1.0, 2.0], [1.0, -2.0]])
+    model = MarkovChainModel(2, lambda t: A, 0, rate_bound=2.0)
+    grid = TimeGrid.uniform(3.0, 31)
+    problem = build_message_problem(model, lambda t, i: 0.5 + 0.2 * t, target=1, horizon_grid=grid)
+    problem = replace(problem, terminal_fn=lambda t, i: (1.0 + t) * (i + 1.0))
+    clock = chain_clock(problem.driver.c_path, problem.driver.c2, target="image")
+    return transform_chain_problem(problem, clock), clock.target_grid
+
+
+CASES = {
+    "constant-loss": lambda: clocked_message(lambda t, i: 1.0),
+    "linear-loss": lambda: clocked_message(lambda t, i: 1.0 + t),
+    "quadratic-loss": lambda: clocked_message(lambda t, i: 1.0 + t * t),
+    "three-state-direct": three_state_direct,
+    "twice-transformed": twice_transformed,
+    "time-varying-terminal": time_varying_terminal,
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_ode_matches_closure_reference(case):
+    problem, grid = CASES[case]()
+    sol = solve_chain_bsde(problem, "markov-ode", grid, rtol=RTOL, atol=ATOL)
+    values, tail, nfev = reference_ode_solve(problem, grid, RTOL, ATOL)
+    assert np.array_equal(sol.state_values, values)
+    assert sol.metadata["tail_probability"] == tail
+    assert sol.metadata["rhs_evaluations"] == nfev
+
+
+def test_clocked_rhs_reads_the_clock_twice(monkeypatch):
+    # the inverse once and the density once per call; the closures read the
+    # clock five times: rates twice, the driver twice and the terminal once
+    problem, grid = CASES["linear-loss"]()
+    reads = [0]
+    per_call = []
+    at = SampledPath.at
+
+    def counting_at(self, t):
+        reads[0] += 1
+        return at(self, t)
+
+    def counting_solve_ivp(fun, *args, **kwargs):
+        def rhs(r, x):
+            before = reads[0]
+            out = fun(r, x)
+            per_call.append(reads[0] - before)
+            return out
+
+        return solve_ivp(rhs, *args, **kwargs)
+
+    solve_ivp = chain.solve_ivp
+    monkeypatch.setattr(SampledPath, "at", counting_at)
+    monkeypatch.setattr(chain, "solve_ivp", counting_solve_ivp)
+    sol = solve_chain_bsde(problem, "markov-ode", grid)
+    assert len(per_call) == sol.metadata["rhs_evaluations"] > 0
+    assert set(per_call) == {2}
+
+
+def test_clocked_problem_views_follow_the_base():
+    problem, grid = CASES["time-varying-terminal"]()
+    base, clock = problem.base, problem.clock
+    s = float(clock.inverse_at(1.0))
+    assert problem.terminal_fn(1.0, 1) == base.terminal_fn(s, 1)
+    assert problem.hitting_set == base.hitting_set and problem.markovian
+    # the views are derived: replace can swap the base, never a view
+    with pytest.raises(ValueError):
+        replace(problem, terminal_fn=lambda t, i: 0.0)
+    other = replace(problem, base=replace(base, terminal_fn=lambda t, i: 3.0 * t))
+    assert other.terminal_fn(1.0, 1) == 3.0 * s
+    assert other.model is not problem.model
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail with TimeoutError instead of hanging past ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "tolerances",
+    [
+        {"rtol": math.nan},
+        {"atol": math.nan},
+        {"atol": math.inf},
+        {"rtol": math.inf},
+        {"atol": -1.0},
+        {"rtol": -1e-8},
+        {"atol": 0.0},
+        {"rtol": 0.0},
+    ],
+    ids=["rtol-nan", "atol-nan", "atol-inf", "rtol-inf", "atol-negative", "rtol-negative", "atol-zero", "rtol-zero"],
+)
+def test_markov_ode_rejects_bad_tolerances(tolerances):
+    # reach probability (1 - e^-4) / 2 at horizon 2: exit and loss rate both 1
+    grid = TimeGrid.uniform(2.0, 21)
+    problem = build_message_problem(line_model(), lambda t, i: 1.0, 1, grid)
+    assert solve_chain_bsde(problem, "markov-ode", grid).value_at(0.0, 0) == pytest.approx(
+        (1.0 - math.exp(-4.0)) / 2.0, rel=1e-6
+    )
+    name = next(iter(tolerances))
+    with deadline(20), pytest.raises(PreconditionError, match=f"{name} must be positive and finite"):
+        solve_chain_bsde(problem, "markov-ode", grid, **tolerances)

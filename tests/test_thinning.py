@@ -323,6 +323,25 @@ def test_kernel_rejects_nonzero_column_sum():
         simulate_chain(model, 3.0, 100, seed=0)
 
 
+@pytest.mark.parametrize(
+    "defect, message",
+    [
+        (np.array([[0.0, -1.1], [0.0, 1.1]]), "negative off-diagonal rate"),
+        (np.array([[0.0, 0.0], [0.1, 0.0]]), "columns do not sum to zero"),
+        (np.array([[np.nan, 0.0], [0.0, 0.0]]), "rate matrix is not finite"),
+    ],
+    ids=["negative", "column-sum", "not-finite"],
+)
+def test_rate_check_reports_the_first_bad_matrix(defect, message):
+    # two bad matrices in one batch, the later one worse: the earlier time is reported
+    A = np.array([[-1.0, 1.0], [1.0, -1.0]])
+    bad = {0.5: A + defect, 1.5: A + 50.0 * defect}
+    model = MarkovChainModel(2, lambda t: bad.get(t, A), 0, rate_bound=1.0)
+    model.validate([0.0, 1.0, 2.0])
+    with pytest.raises(InvariantError, match=rf"{message} at t=0\.5$"):
+        model.validate([0.0, 0.5, 1.0, 1.5, 2.0])
+
+
 def test_killed_chain_rejects_intensity_above_bound():
     # exit 1 plus kill 2 against a thinning bound of 1 + 1
     with pytest.raises(InvariantError, match="exceeds the thinning bound"):
