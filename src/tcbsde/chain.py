@@ -90,6 +90,8 @@ class MarkovChainModel:
 
     def _rates_at_times(self, t: np.ndarray) -> np.ndarray:
         N = self.n_states
+        if not t.size:
+            return np.empty((0, N, N))
         try:
             A = np.array([self.rate_fn(s) for s in t.tolist()], dtype=float)
         except ValueError as exc:
@@ -711,26 +713,19 @@ def _ode_solve(problem: ChainBSDEProblem, grid: TimeGrid, rtol: float, atol: flo
     rates, f, g = base.model.rates, base.driver.f, base.terminal_fn
     T = grid.t_end
 
-    u = np.empty(N)
     U = np.zeros((N, 2))  # columns u and q; C order fixes how the product below sums
-    drv = np.empty(n_free)
 
     def rhs(r, x):
-        t = T - r
-        s = float(inv(t))
+        s = float(inv(T - r))
         w = float(1.0 / dens(s))
-        u[free] = x[:n_free]
+        U[free] = x.reshape(2, n_free).T
         for i in hit:
-            u[i] = g(s, i)
-        U[:, 0] = u
-        U[free, 1] = x[n_free:]
+            U[i, 0] = g(s, i)
+        u = U[:, 0].copy()
         gen = ((rates(s) * w).T @ U)[free]
         for k, i in enumerate(free_list):
-            drv[k] = f(s, i, u[i], u) * w
-        out = np.empty(2 * n_free)  # fresh: the integrator keeps the last one it got
-        np.add(gen[:, 0], drv, out=out[:n_free])
-        out[n_free:] = gen[:, 1]
-        return out  # dx/dr = -dx/dt
+            gen[k, 0] += f(s, i, u[i], u) * w
+        return gen.T.ravel()  # fresh: the integrator keeps the last one it got; dx/dr = -dx/dt
 
     s_end = float(inv(T))
     x0 = np.concatenate(([g(s_end, i) for i in free_list], np.ones(n_free)))
@@ -795,6 +790,12 @@ def solve_chain_bsde(
         raise PreconditionError(f"unknown scheme {scheme!r}")
     if not paths:
         raise PreconditionError("picard scheme needs a path count")
+    # NaN never meets the residual test, inf accepts the first iterate, and
+    # the iteration cap takes the logarithm of the tolerance
+    if not (math.isfinite(fixed_point_tol) and fixed_point_tol > 0.0):
+        raise PreconditionError(
+            f"fixed_point_tol must be positive and finite, got {fixed_point_tol}"
+        )
     return _picard_solve(problem, grid, paths, seed, fixed_point_tol)
 
 

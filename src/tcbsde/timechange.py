@@ -25,7 +25,9 @@ instances can be shared freely across threads and path ensembles.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +37,7 @@ PREVIOUS = "previous"  # piecewise-constant-left: hold the left node's value
 LINEAR = "linear"
 
 _INTERP_RULES = (PREVIOUS, LINEAR)
+_SCALAR_TIMES = (float, int, np.floating, np.integer)
 
 
 def _readonly(a) -> np.ndarray:
@@ -111,28 +114,51 @@ class SampledPath:
     def is_scalar(self) -> bool:
         return self.values.ndim == 1
 
+    @cached_property
+    def _scalar_table(self) -> tuple[list, list | None] | None:
+        """Nodes and values as Python floats, for scalar lookups.
+
+        ``None`` for a vector-valued linear path, which has no scalar lookup,
+        and no values for a ``PREVIOUS`` path, which returns its node's row.
+        ``values`` is read-only, and a new path (``with_values``,
+        ``dataclasses.replace``) starts with no table, so it never goes stale.
+        """
+        if self.interpolation == PREVIOUS:
+            return self.grid.nodes.tolist(), None
+        if self.is_scalar:
+            return self.grid.nodes.tolist(), self.values.tolist()
+        return None
+
     def at(self, t) -> np.ndarray:
         """Evaluate the path at time(s) ``t`` under the declared rule.
 
-        A scalar time (Python or NumPy float or int) returns a NumPy scalar,
-        or one node's row for a vector-valued path, with the same value and
-        the same errors as the array path; it skips the array checks because
-        transformed coefficients call this once per solver step.
+        A scalar time (Python or NumPy float or int) on a scalar path, or on
+        any path with the ``PREVIOUS`` rule, is looked up without NumPy in the
+        cached ``_scalar_table``: ``bisect_right`` finds the interval, and a
+        linear path interpolates with ``np.interp``'s own arithmetic.  It
+        returns a NumPy scalar, or one node's row for a vector-valued path,
+        with the same bits and the same errors as the array path;
+        transformed coefficients call it once per solver step.
         """
-        nodes = self.grid.nodes
-        if isinstance(t, (float, int, np.floating, np.integer)) and (
-            self.is_scalar or self.interpolation == PREVIOUS
-        ):
+        if isinstance(t, _SCALAR_TIMES) and (table := self._scalar_table) is not None:
+            xs, ys = table
             t = float(t)
-            lo, hi = float(nodes[0]), float(nodes[-1])
-            if not math.isfinite(t):
-                raise DomainError("evaluation at non-finite time")
-            if t < lo - 1e-12 or t > hi + 1e-12:
-                raise DomainError(f"evaluation outside grid range [{lo}, {hi}]")
-            tc = min(max(t, lo), hi)
-            if self.interpolation == PREVIOUS:
-                return self.values[int(np.searchsorted(nodes, tc, side="right")) - 1]
-            return np.interp(tc, nodes, self.values)
+            if not xs[0] - 1e-12 <= t <= xs[-1] + 1e-12:
+                if not math.isfinite(t):
+                    raise DomainError("evaluation at non-finite time")
+                raise DomainError(f"evaluation outside grid range [{xs[0]}, {xs[-1]}]")
+            # the last node at or before t, clamped to the grid
+            j = max(bisect_right(xs, t) - 1, 0)
+            if ys is None or j == len(xs) - 1 or t <= xs[j]:
+                return self.values[j]
+            slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+            y = slope * (t - xs[j]) + ys[j]
+            if y != y:  # NaN: np.interp tries the other end, then a flat step
+                y = slope * (t - xs[j + 1]) + ys[j + 1]
+                if y != y and ys[j] == ys[j + 1]:
+                    y = ys[j]
+            return np.float64(y)
+        nodes = self.grid.nodes
         t = np.asarray(t, dtype=float)
         if np.any(~np.isfinite(t)):
             raise DomainError("evaluation at non-finite time")

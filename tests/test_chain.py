@@ -108,6 +108,15 @@ def test_non_finite_rate_rejected():
         model.validate([0.0, 0.5, 1.0])
 
 
+def test_validate_accepts_no_times():
+    # an empty stack of rate matrices has shape (0, N, N) and nothing to reject
+    A = np.array([[-2.0, 1.0, 0.0], [1.5, -2.0, 0.0], [0.5, 1.0, 0.0]])
+    model = MarkovChainModel(3, lambda t: A, 0, rate_bound=2.0)
+    assert model.rates(np.array([])).shape == (0, 3, 3)
+    model.validate([])
+    model.validate(np.array([]))
+
+
 # ---------------------------------------------------------------------------
 # compensated indicator process
 # ---------------------------------------------------------------------------

@@ -189,3 +189,12 @@ def test_markov_ode_rejects_bad_tolerances(tolerances):
     name = next(iter(tolerances))
     with deadline(20), pytest.raises(PreconditionError, match=f"{name} must be positive and finite"):
         solve_chain_bsde(problem, "markov-ode", grid, **tolerances)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf], ids=["nan", "negative", "zero", "inf"])
+def test_picard_rejects_bad_fixed_point_tolerance(tol):
+    # NaN never converges, a non-positive tolerance has no logarithm for the
+    # iteration cap, and inf would accept the first iterate of every step
+    problem, grid = three_state_direct()
+    with pytest.raises(PreconditionError, match="fixed_point_tol must be positive and finite"):
+        solve_chain_bsde(problem, "picard", grid, paths=200, seed=1, fixed_point_tol=tol)

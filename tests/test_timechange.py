@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -97,6 +98,91 @@ def test_scalar_time_matches_array_path(steps, rule, width, seed, data):
         assert type(got) is type(ref)
         assert np.shape(got) == np.shape(ref)
         assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+
+
+def reference_at(nodes, values, rule, t):
+    """The slow lookup: NumPy on the clamped time, one node's value for PREVIOUS."""
+    tc = np.clip(t, nodes[0], nodes[-1])
+    if rule == PREVIOUS:
+        return values[np.searchsorted(nodes, tc, side="right") - 1]
+    return np.interp(tc, nodes, values)
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@st.composite
+def scalar_paths(draw):
+    n = draw(st.integers(2, 40))
+    if draw(st.booleans()):
+        nodes = np.linspace(0.0, draw(st.floats(1e-3, 1e3)), n)
+    else:
+        steps = draw(st.lists(st.floats(1e-6, 10.0), min_size=n - 1, max_size=n - 1))
+        nodes = np.concatenate([[0.0], np.cumsum(steps)])
+    # repeated values make flat steps; huge ones overflow the slope, and
+    # infinities send np.interp to its NaN fallback
+    value = st.one_of(
+        st.floats(-1e3, 1e3),
+        st.floats(-1e308, 1e308),
+        st.sampled_from([0.0, -0.0, 1.0, math.inf, -math.inf]),
+    )
+    values = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    return TimeGrid(nodes), values
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=scalar_paths(), rule=st.sampled_from([LINEAR, PREVIOUS]), data=st.data())
+def test_scalar_lookup_matches_numpy(path, rule, data):
+    # the cached-list lookup against np.interp and searchsorted, bit for bit
+    grid, values = path
+    sampled = SampledPath(grid, values, rule)
+    nodes, t_end = grid.nodes, grid.t_end
+    times = [float(x) for x in nodes] + [-1e-12, -5e-13, t_end + 5e-13, t_end + 1e-12]
+    times += data.draw(st.lists(st.floats(0.0, t_end), min_size=1, max_size=20))
+    for t in times:
+        got = sampled.at(t)
+        assert type(got) is np.float64
+        assert same_bits(got, reference_at(nodes, values, rule, t))
+        assert same_bits(got, sampled.at(np.array([t]))[0])
+
+
+def test_scalar_lookup_keeps_the_nan_fallbacks():
+    # an infinite step gives NaN from the left end, an infinite flat step NaN
+    # from both, and an overflowing slope stays infinite; np.interp decides each
+    inf = math.inf
+    grid = TimeGrid(np.arange(8.0))
+    values = np.array([1.0, inf, inf, 1.0, -1e308, 1e308, -inf, -inf])
+    path = SampledPath(grid, values, LINEAR)
+    for t in np.linspace(0.0, 7.0, 141):
+        assert same_bits(path.at(float(t)), np.interp(t, grid.nodes, values))
+
+
+@pytest.mark.parametrize("rule", [LINEAR, PREVIOUS])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -2e-12, -1.0, 2.0 + 2e-12, 5.0])
+def test_scalar_lookup_errors_match_array_path(rule, t):
+    path = SampledPath(TimeGrid(np.array([0.0, 0.5, 2.0])), np.array([1.0, 3.0, 2.0]), rule)
+    with pytest.raises(DomainError) as scalar:
+        path.at(t)
+    with pytest.raises(DomainError) as array:
+        path.at(np.array([t]))
+    assert str(scalar.value) == str(array.value)
+
+
+def test_scalar_lookup_never_reads_a_stale_table():
+    grid = TimeGrid(np.array([0.0, 1.0, 2.0]))
+    path = SampledPath(grid, np.array([0.0, 2.0, 6.0]), LINEAR)
+    assert path.at(1.5) == 4.0  # fills the table
+    assert path.with_values(np.array([0.0, -2.0, -6.0])).at(1.5) == -4.0
+    assert path.with_values(path.values, PREVIOUS).at(1.5) == 2.0
+    assert replace(path, values=np.array([1.0, 1.0, 3.0])).at(1.5) == 2.0
+    assert replace(path, grid=TimeGrid(np.array([0.0, 1.5, 2.0]))).at(1.5) == 2.0
+    assert replace(path, interpolation=PREVIOUS).at(1.5) == 2.0
+    assert path.at(1.5) == 4.0
+    # a vector-valued linear path has no table and takes the array path
+    wide = SampledPath(grid, np.array([[0.0, 1.0], [2.0, 1.0], [6.0, 1.0]]), LINEAR)
+    assert np.array_equal(wide.at(1.5), [4.0, 1.0])
+    assert np.array_equal(replace(wide, interpolation=PREVIOUS).at(1.5), [2.0, 1.0])
 
 
 def test_increasing_process_floor():
