@@ -54,7 +54,6 @@ from .wiener import (
     stability_gap,
     transform_brownian,
     transform_driver,
-    weighted_norms,
 )
 from .chain import (
     ChainBSDEProblem,
@@ -66,8 +65,6 @@ from .chain import (
     build_message_problem,
     chain_clock,
     check_gamma_balanced,
-    doob_meyer_martingale,
-    growth_normalize,
     map_chain_solution,
     message_transmission,
     psi_matrix,

@@ -246,6 +246,8 @@ def _thin(
     is killed, or on entering ``target``.  Returns the jump log and the
     masks of the paths that reached the target and that were killed.
     """
+    if not (isinstance(paths, (int, np.integer)) and paths >= 1):
+        raise PreconditionError(f"path count must be a positive integer, got {paths!r}")
     if horizon <= 0:
         raise PreconditionError("horizon must be positive")
     bound = float(model.rate_bound + loss_bound)
@@ -311,41 +313,6 @@ def occupancy(paths: ChainPaths, t: float, n_states: int) -> np.ndarray:
     """Empirical state distribution at time t."""
     states = paths.states_at([float(t)])[:, 0]
     return np.bincount(states, minlength=n_states) / len(paths)
-
-
-def states_on_grid(paths: ChainPaths, grid: TimeGrid) -> np.ndarray:
-    return paths.states_at(grid.nodes)
-
-
-def doob_meyer_martingale(
-    path: ChainPath, model: MarkovChainModel, grid: TimeGrid
-) -> SampledPath:
-    """Compensated indicator process ``M_t = X_t - X_0 - int A X ds`` on a grid.
-
-    The compensator integral splits each grid step at the jump times, holding
-    the pre-jump state on every segment; time variation of the rates is
-    handled by trapezoidal quadrature within segments.
-    """
-    if path.jump_times.size and path.jump_times[-1] > grid.t_end + 1e-12:
-        raise StructuralError("path jumps beyond the requested grid")
-    N = model.n_states
-    nodes = grid.nodes
-    cut = np.unique(np.concatenate([nodes, path.jump_times]))
-    comp_at_cut = np.zeros((cut.size, N))
-    acc = np.zeros(N)
-    for i in range(cut.size - 1):
-        a, b = cut[i], cut[i + 1]
-        # state over (a, b]: the state just after a (cadlag, jumps are cut points)
-        s = int(path.state_at(a))
-        fa = model.rates(a)[:, s]
-        fb = model.rates(b)[:, s]
-        acc = acc + 0.5 * (fa + fb) * (b - a)
-        comp_at_cut[i + 1] = acc
-    comp = comp_at_cut[np.searchsorted(cut, nodes)]
-    eye = np.eye(N)
-    X = eye[path.state_at(nodes)]
-    M = X - eye[path.states[0]][None, :] - comp
-    return SampledPath(grid, M, LINEAR)
 
 
 # ---------------------------------------------------------------------------
@@ -433,13 +400,16 @@ class BalanceReport:
     passed: bool
 
 
+# y, z, z' and the shift of z are probed uniformly on [-box, box]
+_BALANCE_PROBE_BOX = 2.0
+
+
 def check_gamma_balanced(
     driver: GammaBalancedDriver,
     model: MarkovChainModel,
     probes: int,
     *,
     t_max: float = 5.0,
-    z_box: float = 2.0,
     seed: int = 0,
     tol: float = 1e-9,
 ) -> BalanceReport:
@@ -448,6 +418,7 @@ def check_gamma_balanced(
         raise PreconditionError("need at least one probe")
     rng = np.random.default_rng(seed)
     N = model.n_states
+    box = _BALANCE_PROBE_BOX
     worst_diff = 0.0
     worst_ratio = 0.0
     worst_sum = 0.0
@@ -456,10 +427,10 @@ def check_gamma_balanced(
     for _ in range(probes):
         t = float(rng.uniform(0.0, t_max))
         x = int(rng.integers(0, N))
-        y = float(rng.uniform(-z_box, z_box))
-        z = rng.uniform(-z_box, z_box, size=N)
-        zp = rng.uniform(-z_box, z_box, size=N)
-        alpha = float(rng.uniform(-z_box, z_box))
+        y = float(rng.uniform(-box, box))
+        z = rng.uniform(-box, box, size=N)
+        zp = rng.uniform(-box, box, size=N)
+        alpha = float(rng.uniform(-box, box))
         ax = model.rates(t)[:, x]
         eta = np.asarray(driver.eta(t, x, z, zp), dtype=float)
 
@@ -627,33 +598,6 @@ def transform_chain_problem(problem: ChainBSDEProblem, clock: TimeChangeMap) -> 
     return _ClockedChainProblem(base=problem, clock=clock)
 
 
-def growth_normalize(
-    driver: GammaBalancedDriver,
-    model: MarkovChainModel,
-    m: float,
-    horizon: float,
-    n_nodes: int = 201,
-) -> tuple[TimeChangeMap, GammaBalancedDriver]:
-    """Clock built from the driver's own zero-argument growth, scaled by m > 1.
-
-    Density ``m (|f(t, 0, 0)| / (1 + t^beta_hat) + 1)`` (the state maximum of
-    ``|f|`` is used); the transformed zero-argument growth shrinks to
-    ``(1 + t^beta_hat) / m`` and the solution bound tightens accordingly as m
-    grows.
-    """
-    if m <= 1.0:
-        raise PreconditionError("growth normalization needs m > 1")
-    grid = TimeGrid.uniform(horizon, n_nodes)
-    dens = np.empty(grid.n_nodes)
-    for j, t in enumerate(grid.nodes):
-        f0 = max(abs(driver.f(float(t), i, 0.0, np.zeros(model.n_states))) for i in range(model.n_states))
-        dens[j] = m * (f0 / (1.0 + float(t) ** driver.beta_hat) + 1.0)
-    clock = build_clock_from_density(
-        SampledPath(grid, dens, LINEAR), IncreasingProcess.identity(grid), eps=m
-    )
-    return clock, transform_chain_driver(driver, clock)
-
-
 # ---------------------------------------------------------------------------
 # solvers
 # ---------------------------------------------------------------------------
@@ -683,6 +627,9 @@ class ChainSolution:
         lo, hi = float(self.grid.nodes[0]), self.grid.t_end
         if not math.isfinite(t) or t < lo - 1e-12 or t > hi + 1e-12:
             raise DomainError(f"value_at({t}) outside solution grid range [{lo}, {hi}]")
+        N = self.state_values.shape[1]
+        if not 0 <= state < N:
+            raise DomainError(f"value_at state {state} outside the states 0..{N - 1}")
         col = self.state_values[:, state]
         return float(np.interp(t, self.grid.nodes, col))
 
@@ -920,7 +867,7 @@ def map_chain_solution(sol: ChainSolution, clock: TimeChangeMap) -> ChainSolutio
 
 
 # ---------------------------------------------------------------------------
-# bounds and probes
+# bounds
 # ---------------------------------------------------------------------------
 
 # a-priori bound profiles, all multiples of exp(c1) K1(t):
@@ -946,63 +893,6 @@ def verify_bound(
     bound = factor * np.array([abs(driver.k1(float(t))) for t in sol.grid.nodes])
     ratio = float(np.max(np.abs(sol.state_values) / bound[:, None]))
     return ratio, ratio <= 1.0 + tol
-
-
-def validate_k_functions(
-    problem: ChainBSDEProblem,
-    horizon: float,
-    paths: int = 2000,
-    seed: int = 0,
-    rate_factors: tuple = None,
-) -> dict:
-    """Necessity probe of the K control functions under sampled rate perturbations.
-
-    The full perturbation family is uncountable; this simulates the chain
-    under a few admissible compensator scalings (factors inside
-    ``[gamma, 1/gamma]``) and checks the three moment bounds at time zero.
-    A pass is necessary evidence, not sufficiency.
-    """
-    d = problem.driver
-    if rate_factors is None:
-        rate_factors = (d.gamma, 1.0, 1.0 / d.gamma)
-    out = {"candidates": [], "passed": True}
-    hit = sorted(problem.hitting_set)
-    g = problem.terminal_fn
-    for c in rate_factors:
-        scaled = MarkovChainModel(
-            n_states=problem.model.n_states,
-            rate_fn=lambda t, c=c: problem.model.rates(t) * c,
-            initial=problem.model.initial,
-            rate_bound=problem.model.rate_bound * max(c, 1.0),
-        )
-        sim = simulate_chain(scaled, horizon, paths, seed)
-        # tau: 0 when the chain starts in the set, else its first jump into
-        # the set, else the horizon, where it sits in its last state
-        taus = np.full(paths, float(horizon))
-        at_tau = sim.states_at([float(horizon)])[:, 0]
-        into = np.flatnonzero(np.isin(sim.state, hit))
-        who, first = np.unique(sim.path[into], return_index=True)
-        taus[who], at_tau[who] = sim.time[into[first]], sim.state[into[first]]
-        start = np.isin(sim.initial, hit)
-        taus[start], at_tau[start] = 0.0, sim.initial[start]
-        xis = np.array([g(float(t), int(s)) for t, s in zip(taus, at_tau)])
-        e_xi = float(np.mean(np.abs(xis)))
-        e_tau = float(np.mean((1.0 + taus) ** (1.0 + d.beta)))
-        e_k1 = float(np.mean(np.array([abs(d.k1(t)) for t in taus]) ** (1.0 + d.beta_tilde)))
-        rec = {
-            "factor": c,
-            "E|xi|": e_xi,
-            "E(1+tau)^(1+beta)": e_tau,
-            "EK1(tau)^(1+beta~)": e_k1,
-            "K1(0)": d.k1(0.0),
-            "K2(0)": d.k2(0.0),
-            "ok": e_xi <= d.k1(0.0) + 1e-9
-            and e_tau <= d.k1(0.0) + 1e-9
-            and e_k1 <= d.k2(0.0) + 1e-9,
-        }
-        out["candidates"].append(rec)
-        out["passed"] = out["passed"] and rec["ok"]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,22 @@ class ExperimentConfig:
         return Path(base)
 
     def param(self, key, default):
-        return self.params.get(key, default)
+        """``params[key]`` as the type of the numeric ``default``, or ``default`` when unset.
+
+        A value that does not convert without loss (``2.5`` for an int), or
+        that is not finite, is a ``ConfigError``.
+        """
+        if key not in self.params:
+            return default
+        value = self.params[key]
+        kind = type(default)
+        try:
+            out = kind(value)
+        except (TypeError, ValueError, OverflowError):
+            out = None
+        if out is None or out != value or not math.isfinite(out):
+            raise ConfigError(f"param {key} = {value!r} is not a finite {kind.__name__}")
+        return out
 
 
 def _coerce(v: str):

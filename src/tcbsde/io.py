@@ -101,17 +101,6 @@ def write_chain_solution_csv(sol: ChainSolution, path) -> None:
     write_csv(path, header, rows)
 
 
-def write_state_values_csv(sol: ChainSolution, path) -> None:
-    """Dense value-function table: one column per state."""
-    N = sol.state_values.shape[1]
-    header = ["node_time"] + [f"Y_state_{i}" for i in range(N)]
-    rows = [
-        [format_float(t)] + [format_float(sol.state_values[j, i]) for i in range(N)]
-        for j, t in enumerate(sol.grid.nodes)
-    ]
-    write_csv(path, header, rows)
-
-
 # ---------------------------------------------------------------------------
 # chain model text config
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .chain import (
     transform_chain_problem,
     verify_bound,
 )
+from .errors import ConfigError
 from .harness import ExperimentConfig, ReportBundle, ScenarioSpec, Verdict
 from .timechange import (
     LINEAR,
@@ -114,7 +115,7 @@ def _oracle_not_diverging(*solutions):
 )
 def identity_clock_roundtrip(cfg: ExperimentConfig) -> ReportBundle:
     b = ReportBundle(scenario="identity-clock-roundtrip")
-    grid = TimeGrid.uniform(1.0, int(cfg.param("nodes", 201)))
+    grid = TimeGrid.uniform(1.0, cfg.param("nodes", 201))
     clock = TimeChangeMap.identity(grid)
     X = SampledPath(grid, np.sin(3.0 * grid.nodes), LINEAR)
     fwd = time_change_path(X, clock, "inverse")
@@ -144,8 +145,10 @@ def identity_clock_roundtrip(cfg: ExperimentConfig) -> ReportBundle:
 )
 def quadratic_clock_inverse(cfg: ExperimentConfig) -> ReportBundle:
     b = ReportBundle(scenario="quadratic-clock-inverse")
-    step = float(cfg.param("step", 1e-3))
-    t_end = float(cfg.param("t_end", 2.0))
+    step = cfg.param("step", 1e-3)
+    t_end = cfg.param("t_end", 2.0)
+    if step <= 0:
+        raise ConfigError(f"step must be positive, got {step}")
     grid = TimeGrid.uniform(t_end, int(round(t_end / step)) + 1)
     coeffs = _coeffs(grid, 1.0 + 2.0 * grid.nodes, 0.0, eps=0.5)
     clock = build_phi(coeffs, IncreasingProcess.identity(grid))
@@ -236,7 +239,7 @@ def terminal_time_normalization(cfg: ExperimentConfig) -> ReportBundle:
 def transformed_driver_lipschitz(cfg: ExperimentConfig) -> ReportBundle:
     b = ReportBundle(scenario="transformed-driver-lipschitz")
     rng = np.random.default_rng(cfg.seed)
-    n_probes = int(cfg.param("probes", 10_000))
+    n_probes = cfg.param("probes", 10_000)
     grid = TimeGrid.uniform(1.0, 301)
     rows = []
     worst_transformed = 0.0
@@ -277,7 +280,7 @@ def transformed_driver_lipschitz(cfg: ExperimentConfig) -> ReportBundle:
 def brownian_variance(cfg: ExperimentConfig) -> ReportBundle:
     b = ReportBundle(scenario="brownian-variance")
     P = cfg.paths or 10_000
-    src = TimeGrid.uniform(1.0, int(cfg.param("source_nodes", 1001)))
+    src = TimeGrid.uniform(1.0, cfg.param("source_nodes", 1001))
     W = simulate_brownian(src, P, 1, cfg.seed)
     clock = build_phi(
         _coeffs(src, 1.0 + 2.0 * src.nodes, 0.0, eps=0.5),
@@ -309,9 +312,9 @@ def brownian_variance(cfg: ExperimentConfig) -> ReportBundle:
 def linear_equivalence(cfg: ExperimentConfig) -> ReportBundle:
     b = ReportBundle(scenario="linear-equivalence")
     P = cfg.paths or 2000
-    steps = int(cfg.param("steps", 50))
+    steps = cfg.param("steps", 50)
     g = TimeGrid.uniform(1.0, steps + 1)
-    fine = TimeGrid.uniform(1.0, int(cfg.param("source_nodes", 1001)))
+    fine = TimeGrid.uniform(1.0, cfg.param("source_nodes", 1001))
     prob = _linear_problem(g, 0.1 * (1.0 + g.nodes), 0.0, (0.0, 0.0, 1.0), eps=0.05)
     W_fine = simulate_brownian(fine, P, 1, cfg.seed)
     W = restrict_brownian(W_fine, g)
@@ -342,7 +345,7 @@ def linear_equivalence(cfg: ExperimentConfig) -> ReportBundle:
 def lsmc_vs_closed_form(cfg: ExperimentConfig) -> ReportBundle:
     b = ReportBundle(scenario="lsmc-vs-closed-form")
     P = cfg.paths or 20_000
-    steps = int(cfg.param("steps", 100))
+    steps = cfg.param("steps", 100)
     g = TimeGrid.uniform(1.0, steps + 1)
     payoff = (1.0, 2.0, 1.0)
     prob = _linear_problem(g, 0.1, 0.3, payoff, eps=0.05)
@@ -373,7 +376,7 @@ def lsmc_vs_closed_form(cfg: ExperimentConfig) -> ReportBundle:
 def comparison_order(cfg: ExperimentConfig) -> ReportBundle:
     b = ReportBundle(scenario="comparison-order")
     P = cfg.paths or 10_000
-    g = TimeGrid.uniform(1.0, int(cfg.param("steps", 50)) + 1)
+    g = TimeGrid.uniform(1.0, cfg.param("steps", 50) + 1)
 
     def decay(t, w, y, z):
         return -0.1 * y
@@ -402,7 +405,7 @@ def comparison_order(cfg: ExperimentConfig) -> ReportBundle:
 def bounded_solution(cfg: ExperimentConfig) -> ReportBundle:
     b = ReportBundle(scenario="bounded-solution")
     P = cfg.paths or 20_000
-    g = TimeGrid.uniform(1.0, int(cfg.param("steps", 100)) + 1)
+    g = TimeGrid.uniform(1.0, cfg.param("steps", 100) + 1)
     prob = WienerBSDEProblem(
         k=1, d=1,
         driver=lambda t, w, y, z: -(y**3),
@@ -434,11 +437,11 @@ def bounded_solution(cfg: ExperimentConfig) -> ReportBundle:
 def stability_gap_scenario(cfg: ExperimentConfig) -> ReportBundle:
     b = ReportBundle(scenario="stability-gap")
     P = cfg.paths or 4000
-    g = TimeGrid.uniform(1.0, int(cfg.param("steps", 40)) + 1)
+    g = TimeGrid.uniform(1.0, cfg.param("steps", 40) + 1)
     prob_a = _linear_problem(g, 0.1, 0.0, (1.0,), eps=0.05)
     prob_b = replace(prob_a, payoff=PolynomialPayoff((1.1,)))
     W = simulate_brownian(g, P, 1, cfg.seed)
-    rep = stability_gap(prob_a, prob_b, W, theta=float(cfg.param("theta", 3.5)))
+    rep = stability_gap(prob_a, prob_b, W, theta=cfg.param("theta", 3.5))
     b.estimates["lhs"] = rep.lhs
     b.estimates["rhs"] = rep.rhs
     b.verdicts.append(Verdict.check("lhs_below_rhs", rep.lhs, rep.rhs))
@@ -465,7 +468,7 @@ def psi_properties(cfg: ExperimentConfig) -> ReportBundle:
     rng = np.random.default_rng(cfg.seed)
     worst_asym = 0.0
     worst_eig = 0.0
-    for _ in range(int(cfg.param("generators", 100))):
+    for _ in range(cfg.param("generators", 100)):
         n = int(rng.integers(2, 7))
         A = rng.uniform(0.0, 3.0, size=(n, n))
         np.fill_diagonal(A, 0.0)
@@ -504,7 +507,7 @@ def chain_transform_law(cfg: ExperimentConfig) -> ReportBundle:
     model = MarkovChainModel(2, lambda t: A, 0, rate_bound=1.0)
     clock = chain_clock(SampledPath(grid, np.full(grid.n_nodes, 2.0), LINEAR), c2=0.0)
     tilde = transform_chain(model, clock)
-    t_check = float(cfg.param("t_check", 1.5))
+    t_check = cfg.param("t_check", 1.5)
     occ_t = occupancy(simulate_chain(tilde, 2.0, P, cfg.seed), t_check, 2)
     s = float(clock.inverse_at(t_check))
     occ_o = occupancy(simulate_chain(model, 2.0, P, cfg.seed + 1), s, 2)
@@ -531,7 +534,7 @@ def message_transmission_scenario(cfg: ExperimentConfig) -> ReportBundle:
 
     rep_const = message_transmission(
         model, lambda t, i: 1.0, source=0, target=1,
-        horizon=float(cfg.param("horizon", 16.0)), paths=P, seed=cfg.seed,
+        horizon=cfg.param("horizon", 16.0), paths=P, seed=cfg.seed,
     )
     b.estimates["reach_constant"] = rep_const.reach_probability
     b.estimates["reach_constant_se"] = rep_const.mc_se
@@ -548,7 +551,7 @@ def message_transmission_scenario(cfg: ExperimentConfig) -> ReportBundle:
 
     rep_tv = message_transmission(
         model, lambda t, i: 1.0 + t, source=0, target=1,
-        horizon=float(cfg.param("horizon_tv", 12.0)), paths=P, seed=cfg.seed + 1,
+        horizon=cfg.param("horizon_tv", 12.0), paths=P, seed=cfg.seed + 1,
     )
     b.estimates["reach_time_varying"] = rep_tv.reach_probability
     b.estimates["reach_time_varying_se"] = rep_tv.mc_se
@@ -577,7 +580,7 @@ def chain_bound_verification(cfg: ExperimentConfig) -> ReportBundle:
     b = ReportBundle(scenario="chain-bound-verification")
     A = np.array([[-1.0, 0.0], [1.0, 0.0]])
     model = MarkovChainModel(2, lambda t: A, 0, rate_bound=1.0)
-    grid = TimeGrid.uniform(float(cfg.param("horizon", 12.0)), 121)
+    grid = TimeGrid.uniform(cfg.param("horizon", 12.0), 121)
     problem = build_message_problem(model, lambda t, i: 1.0, target=1, horizon_grid=grid)
     clock = chain_clock(problem.driver.c_path, problem.driver.c2, target="image")
     tilde = transform_chain_problem(problem, clock)
@@ -603,7 +606,7 @@ def chain_bound_verification(cfg: ExperimentConfig) -> ReportBundle:
 )
 def gamma_balance_preservation(cfg: ExperimentConfig) -> ReportBundle:
     b = ReportBundle(scenario="gamma-balance-preservation")
-    probes = int(cfg.param("probes", 1000))
+    probes = cfg.param("probes", 1000)
     grid = TimeGrid.uniform(1.0, 101)
     A = np.array([[-2.0, 0.0, 0.0], [1.0, -1.0, 0.0], [1.0, 1.0, 0.0]])
     model = MarkovChainModel(3, lambda t: A, 0, rate_bound=2.0)

@@ -63,6 +63,8 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, t_end: float, n_nodes: int) -> "TimeGrid":
+        if n_nodes < 2:
+            raise InvariantError(f"TimeGrid needs at least 2 nodes, got {n_nodes}")
         return cls(np.linspace(0.0, float(t_end), int(n_nodes)))
 
     @property

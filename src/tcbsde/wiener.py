@@ -328,6 +328,34 @@ def transform_driver(
     return out
 
 
+# probes come in this many batches, each at one sampled time: drivers are
+# vectorized per time
+_PROBE_TIME_BATCHES = 50
+# half-width of the probe box of the comparison and boundedness checks
+_PROBE_BOX = 2.0
+_COMPARISON_PROBES = 200
+_BOUNDEDNESS_PROBES = 100
+
+
+def _probe_batches(n_probes: int, box: float, dim: int, t_range: tuple[float, float], seed: int):
+    """Random probe points, one batch per sampled time: ``(t, w, y, y', z, z')``.
+
+    ``max(1, n_probes // _PROBE_TIME_BATCHES)`` points per batch, every
+    coordinate uniform on ``[-box, box]``.  The draw order is part of the
+    output: the ``transformed-driver-lipschitz`` table reads it.
+    """
+    rng = np.random.default_rng(seed)
+    m = max(1, n_probes // _PROBE_TIME_BATCHES)
+    for _ in range(_PROBE_TIME_BATCHES):
+        t = float(rng.uniform(*t_range))
+        w = rng.uniform(-box, box, size=(m, dim))
+        y = rng.uniform(-box, box, size=m)
+        yp = rng.uniform(-box, box, size=m)
+        z = rng.uniform(-box, box, size=(m, dim))
+        zp = rng.uniform(-box, box, size=(m, dim))
+        yield t, w, y, yp, z, zp
+
+
 def check_uniform_lipschitz(
     driver: Driver,
     n_probes: int,
@@ -336,7 +364,6 @@ def check_uniform_lipschitz(
     dim: int = 1,
     t_range: tuple[float, float] = (0.0, 1.0),
     seed: int = 0,
-    n_time_batches: int = 50,
 ) -> float:
     """Max probed ratio ``|f(t,y,z) - f(t,y',z')| / (|y-y'| + |z-z'|)``.
 
@@ -346,18 +373,9 @@ def check_uniform_lipschitz(
     """
     if n_probes < 1:
         raise PreconditionError("need at least one probe")
-    rng = np.random.default_rng(seed)
-    per_batch = max(1, n_probes // n_time_batches)
     worst = 0.0
-    for _ in range(n_time_batches):
-        t = float(rng.uniform(*t_range))
-        m = per_batch
-        w = rng.uniform(-box, box, size=(m, dim))
-        y = rng.uniform(-box, box, size=m)
-        yp = rng.uniform(-box, box, size=m)
-        z = rng.uniform(-box, box, size=(m, dim))
-        zp = rng.uniform(-box, box, size=(m, dim))
-        third = m // 3
+    for t, w, y, yp, z, zp in _probe_batches(n_probes, box, dim, t_range, seed):
+        third = y.size // 3
         zp[:third] = z[:third]  # y-only
         yp[third : 2 * third] = y[third : 2 * third]  # z-only
         num = np.abs(driver(t, w, y, z) - driver(t, w, yp, zp))
@@ -738,7 +756,7 @@ def closed_form_linear(
 
 
 # ---------------------------------------------------------------------------
-# solution mapping and weighted norms
+# solution mapping
 # ---------------------------------------------------------------------------
 
 
@@ -799,42 +817,6 @@ def map_solution(
     )
 
 
-@dataclass(frozen=True)
-class WeightedNormReport:
-    rho: float
-    y_weighted: tuple  # (estimate, standard error) of int e^{rho phi} |alpha Y|^2
-    z_weighted: tuple  # same for int e^{rho phi} |Z|^2
-    sup_weighted: tuple  # same for sup e^{rho phi} |Y|^2
-    per_path: dict
-
-
-def weighted_norms(sol: SolutionEnsemble, clock: TimeChangeMap, rho: float) -> WeightedNormReport:
-    """Monte Carlo estimates of the exponentially weighted solution norms."""
-    grid = sol.grid
-    phi = np.asarray(clock.forward_at(grid.nodes))
-    a2 = np.asarray(clock.density_at(grid.nodes))
-    w = np.exp(rho * phi)
-    dt = grid.steps
-    P, n = sol.Y.shape
-    alive = np.arange(n)[None, :] < sol.stop_idx[:, None]
-    ynorm = np.sum(np.where(alive[:, :-1], (w * a2)[None, :-1] * sol.Y[:, :-1] ** 2, 0.0) * dt, axis=1)
-    z2 = np.sum(sol.Z**2, axis=2)
-    znorm = np.sum(np.where(alive[:, :-1], w[None, :-1] * z2[:, :-1], 0.0) * dt, axis=1)
-    upto = np.arange(n)[None, :] <= sol.stop_idx[:, None]
-    supnorm = np.max(np.where(upto, w[None, :] * sol.Y**2, -np.inf), axis=1)
-
-    def stat(v):
-        return (float(np.mean(v)), float(np.std(v) / math.sqrt(P)))
-
-    return WeightedNormReport(
-        rho=rho,
-        y_weighted=stat(ynorm),
-        z_weighted=stat(znorm),
-        sup_weighted=stat(supnorm),
-        per_path={"y": ynorm, "z": znorm, "sup": supnorm},
-    )
-
-
 # ---------------------------------------------------------------------------
 # verification experiments
 # ---------------------------------------------------------------------------
@@ -857,7 +839,6 @@ def stability_gap(
     *,
     beta: float = 0.1,
     delta: float = 1.0,
-    solver_kwargs: dict | None = None,
 ) -> StabilityReport:
     """Both sides of the perturbation-stability estimate, for inspection.
 
@@ -873,9 +854,8 @@ def stability_gap(
         raise PreconditionError("the stability estimate requires theta > 3")
     if problem_a.k != problem_b.k or problem_a.d != problem_b.d:
         raise PreconditionError("problems must share dimensions")
-    kw = solver_kwargs or {}
-    sol_a = solve_lsmc(problem_a, ensemble, **kw)
-    sol_b = solve_lsmc(problem_b, ensemble, **kw)
+    sol_a = solve_lsmc(problem_a, ensemble)
+    sol_b = solve_lsmc(problem_b, ensemble)
     clock_grid = problem_a.coeffs.grid
     if not clock_grid.same_as(ensemble.grid):
         raise StructuralError("coefficients and noise must share a grid")
@@ -944,10 +924,7 @@ def comparison_experiment(
     problem_b: WienerBSDEProblem,
     ensemble: BrownianEnsemble,
     *,
-    probe_count: int = 200,
-    probe_box: float = 2.0,
     seed: int = 0,
-    solver_kwargs: dict | None = None,
 ) -> ComparisonReport:
     """Order check for a dominated pair: solve both on shared noise, compare Y.
 
@@ -959,25 +936,20 @@ def comparison_experiment(
     """
     if problem_a.k != 1 or problem_b.k != 1:
         raise UnsupportedError("comparison covers scalar solutions only")
-    rng = np.random.default_rng(seed)
-    t_end = ensemble.grid.t_end
-    for _ in range(probe_count):
-        t = float(rng.uniform(0.0, t_end))
-        w = rng.uniform(-probe_box, probe_box, size=(1, problem_a.d))
-        y = rng.uniform(-probe_box, probe_box, size=1)
-        z = rng.uniform(-probe_box, probe_box, size=(1, problem_a.d))
-        fa = float(np.asarray(problem_a.driver(t, w, y, z)).ravel()[0])
-        fb = float(np.asarray(problem_b.driver(t, w, y, z)).ravel()[0])
-        if fa < fb - 1e-9:
+    t_range = (0.0, ensemble.grid.t_end)
+    for t, w, y, _, z, _ in _probe_batches(_COMPARISON_PROBES, _PROBE_BOX, problem_a.d, t_range, seed):
+        fa = np.ravel(problem_a.driver(t, w, y, z))
+        fb = np.ravel(problem_b.driver(t, w, y, z))
+        if np.any(fa < fb - 1e-9):
             raise PreconditionError("driver dominance fails on a probe")
-        xa = float(np.asarray(problem_a.payoff(np.array([t]), w)).ravel()[0])
-        xb = float(np.asarray(problem_b.payoff(np.array([t]), w)).ravel()[0])
-        if xa < xb - 1e-9:
+        tau = np.full(y.size, t)
+        xa = np.ravel(problem_a.payoff(tau, w))
+        xb = np.ravel(problem_b.payoff(tau, w))
+        if np.any(xa < xb - 1e-9):
             raise PreconditionError("terminal dominance fails on a probe")
 
-    kw = solver_kwargs or {}
-    sol_a = solve_lsmc(problem_a, ensemble, **kw)
-    sol_b = solve_lsmc(problem_b, ensemble, **kw)
+    sol_a = solve_lsmc(problem_a, ensemble)
+    sol_b = solve_lsmc(problem_b, ensemble)
     gap = sol_a.Y - sol_b.Y
     P = gap.shape[0]
     means = np.mean(gap, axis=0)
@@ -1009,7 +981,6 @@ def bounded_solution_check(
     ensemble: BrownianEnsemble,
     *,
     tol: float = 0.02,
-    probe_count: int = 100,
     seed: int = 0,
 ) -> BoundednessReport:
     """Solve a monotone-decreasing scalar problem through the ``u^2 + 1`` clock.
@@ -1022,19 +993,14 @@ def bounded_solution_check(
     """
     if problem.k != 1:
         raise UnsupportedError("boundedness check covers scalar solutions only")
-    rng = np.random.default_rng(seed)
-    t_end = ensemble.grid.t_end
-    for _ in range(probe_count):
-        t = float(rng.uniform(0.0, t_end))
-        w = rng.uniform(-2.0, 2.0, size=(1, problem.d))
-        z = rng.uniform(-2.0, 2.0, size=(1, problem.d))
-        f0 = float(np.asarray(problem.driver(t, w, np.zeros(1), np.zeros((1, problem.d)))).ravel()[0])
-        if abs(f0) > 1e-9:
+    t_range = (0.0, ensemble.grid.t_end)
+    for t, w, y, yp, z, _ in _probe_batches(_BOUNDEDNESS_PROBES, _PROBE_BOX, problem.d, t_range, seed):
+        f0 = np.ravel(problem.driver(t, w, np.zeros_like(y), np.zeros_like(z)))
+        if np.any(np.abs(f0) > 1e-9):
             raise PreconditionError("driver does not vanish at the origin")
-        y1, y2 = rng.uniform(-2.0, 2.0, size=2)
-        f1 = float(np.asarray(problem.driver(t, w, np.array([y1]), z)).ravel()[0])
-        f2 = float(np.asarray(problem.driver(t, w, np.array([y2]), z)).ravel()[0])
-        if (y1 - y2) * (f1 - f2) > 1e-9:
+        f1 = np.ravel(problem.driver(t, w, y, z))
+        f2 = np.ravel(problem.driver(t, w, yp, z))
+        if np.any((y - yp) * (f1 - f2) > 1e-9):
             raise PreconditionError("driver is not monotone decreasing on a probe")
 
     grid = ensemble.grid
@@ -1068,75 +1034,3 @@ def bounded_solution_check(
         passed=sup_abs <= M * (1.0 + tol) + 1e-12,
         z_accumulation=zacc,
     )
-
-
-# ---------------------------------------------------------------------------
-# probe helpers
-# ---------------------------------------------------------------------------
-
-
-def probe_mode_conditions(
-    problem: WienerBSDEProblem, n_probes: int = 200, box: float = 2.0, seed: int = 0
-) -> dict:
-    """Spot-check the declared coefficient inequalities on random probes.
-
-    Returns the worst observed slack per condition; negative slack means a
-    violation.  This is a sanity screen, not a proof.
-    """
-    rng = np.random.default_rng(seed)
-    coeffs = problem.coeffs
-    grid = coeffs.grid
-    worst = {"y_lipschitz": math.inf, "z_lipschitz": math.inf, "monotone": math.inf}
-    for _ in range(n_probes):
-        t = float(rng.uniform(0.0, grid.t_end))
-        w = rng.uniform(-box, box, size=(1, problem.d))
-        y1, y2 = rng.uniform(-box, box, size=2)
-        z = rng.uniform(-box, box, size=(1, problem.d))
-        z2 = rng.uniform(-box, box, size=(1, problem.d))
-        rt = float(coeffs.r.at(t))
-        ut = float(coeffs.u.at(t))
-        f_y1 = float(np.asarray(problem.driver(t, w, np.array([y1]), z)).ravel()[0])
-        f_y2 = float(np.asarray(problem.driver(t, w, np.array([y2]), z)).ravel()[0])
-        f_z2 = float(np.asarray(problem.driver(t, w, np.array([y1]), z2)).ravel()[0])
-        dz = float(np.linalg.norm(z - z2))
-        if problem.mode == "lipschitz":
-            if abs(y1 - y2) > 1e-12:
-                worst["y_lipschitz"] = min(
-                    worst["y_lipschitz"], rt * abs(y1 - y2) - abs(f_y1 - f_y2)
-                )
-        else:
-            if abs(y1 - y2) > 1e-12:
-                worst["monotone"] = min(
-                    worst["monotone"],
-                    -rt * (y1 - y2) ** 2 - (y1 - y2) * (f_y1 - f_y2),
-                )
-        if dz > 1e-12:
-            worst["z_lipschitz"] = min(worst["z_lipschitz"], ut * dz - abs(f_y1 - f_z2))
-    return worst
-
-
-def probe_monotone_transform(
-    transformed: TransformedProblem, n_probes: int = 200, box: float = 2.0, seed: int = 0
-) -> tuple[float, float]:
-    """Worst probed monotonicity and growth constants of a transformed driver.
-
-    Both stay at or below 1 for drivers declared in monotone mode.
-    """
-    rng = np.random.default_rng(seed)
-    f = transformed.problem.driver
-    t_end = transformed.grid.t_end
-    mono = 0.0
-    growth = 0.0
-    for _ in range(n_probes):
-        t = float(rng.uniform(0.0, t_end))
-        w = rng.uniform(-box, box, size=(1, 1))
-        y1, y2 = rng.uniform(-box, box, size=2)
-        z = rng.uniform(-box, box, size=(1, 1))
-        f1 = float(np.asarray(f(t, w, np.array([y1]), z)).ravel()[0])
-        f2 = float(np.asarray(f(t, w, np.array([y2]), z)).ravel()[0])
-        f0 = float(np.asarray(f(t, w, np.zeros(1), z)).ravel()[0])
-        if abs(y1 - y2) > 1e-9:
-            mono = max(mono, (y1 - y2) * (f1 - f2) / (y1 - y2) ** 2)
-        if abs(y1) > 1e-9:
-            growth = max(growth, (abs(f1) - abs(f0)) / abs(y1))
-    return mono, growth

@@ -7,21 +7,28 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 from tcbsde.errors import DomainError, PreconditionError, SchemeError, UnsupportedError
-from tcbsde.timechange import LINEAR, SampledPath, TimeGrid
+from tcbsde.timechange import (
+    LINEAR,
+    IncreasingProcess,
+    SampledPath,
+    TimeChangeMap,
+    TimeGrid,
+    build_clock_from_density,
+)
 from tcbsde.chain import (
     ChainBSDEProblem,
     GammaBalancedDriver,
     MarkovChainModel,
     build_message_problem,
     chain_clock,
-    growth_normalize,
     map_chain_solution,
     message_transmission,
+    simulate_chain,
     simulate_killed_chain,
     solve_chain_bsde,
     transform_chain,
+    transform_chain_driver,
     transform_chain_problem,
-    validate_k_functions,
     verify_bound,
 )
 
@@ -205,6 +212,10 @@ def test_value_at_rejects_times_outside_grid():
     for t in (-1e-6, 20.0 + 1e-6, math.nan, math.inf):
         with pytest.raises(DomainError):
             sol.value_at(t, 0)
+    # -1 must not wrap round to the last state's column
+    for state in (-1, 2):
+        with pytest.raises(DomainError):
+            sol.value_at(0.0, state)
 
 
 def test_non_markovian_rejected_by_ode():
@@ -317,6 +328,63 @@ def test_verify_bound_profile_factors():
         verify_bound(sol, d, "mystery")
 
 
+def validate_k_functions(
+    problem: ChainBSDEProblem,
+    horizon: float,
+    paths: int = 2000,
+    seed: int = 0,
+    rate_factors: tuple = None,
+) -> dict:
+    """Necessity probe of the K control functions under sampled rate perturbations.
+
+    The full perturbation family is uncountable; this simulates the chain
+    under a few admissible compensator scalings (factors inside
+    ``[gamma, 1/gamma]``) and checks the three moment bounds at time zero.
+    A pass is necessary evidence, not sufficiency.
+    """
+    d = problem.driver
+    if rate_factors is None:
+        rate_factors = (d.gamma, 1.0, 1.0 / d.gamma)
+    out = {"candidates": [], "passed": True}
+    hit = sorted(problem.hitting_set)
+    g = problem.terminal_fn
+    for c in rate_factors:
+        scaled = MarkovChainModel(
+            n_states=problem.model.n_states,
+            rate_fn=lambda t, c=c: problem.model.rates(t) * c,
+            initial=problem.model.initial,
+            rate_bound=problem.model.rate_bound * max(c, 1.0),
+        )
+        sim = simulate_chain(scaled, horizon, paths, seed)
+        # tau: 0 when the chain starts in the set, else its first jump into
+        # the set, else the horizon, where it sits in its last state
+        taus = np.full(paths, float(horizon))
+        at_tau = sim.states_at([float(horizon)])[:, 0]
+        into = np.flatnonzero(np.isin(sim.state, hit))
+        who, first = np.unique(sim.path[into], return_index=True)
+        taus[who], at_tau[who] = sim.time[into[first]], sim.state[into[first]]
+        start = np.isin(sim.initial, hit)
+        taus[start], at_tau[start] = 0.0, sim.initial[start]
+        xis = np.array([g(float(t), int(s)) for t, s in zip(taus, at_tau)])
+        e_xi = float(np.mean(np.abs(xis)))
+        e_tau = float(np.mean((1.0 + taus) ** (1.0 + d.beta)))
+        e_k1 = float(np.mean(np.array([abs(d.k1(t)) for t in taus]) ** (1.0 + d.beta_tilde)))
+        rec = {
+            "factor": c,
+            "E|xi|": e_xi,
+            "E(1+tau)^(1+beta)": e_tau,
+            "EK1(tau)^(1+beta~)": e_k1,
+            "K1(0)": d.k1(0.0),
+            "K2(0)": d.k2(0.0),
+            "ok": e_xi <= d.k1(0.0) + 1e-9
+            and e_tau <= d.k1(0.0) + 1e-9
+            and e_k1 <= d.k2(0.0) + 1e-9,
+        }
+        out["candidates"].append(rec)
+        out["passed"] = out["passed"] and rec["ok"]
+    return out
+
+
 def test_k_function_probe_on_message_example():
     model = line_model(1.0)
     grid = TimeGrid.uniform(12.0, 61)
@@ -353,6 +421,33 @@ def test_k_function_probe_matches_path_loop(case):
 # ---------------------------------------------------------------------------
 # growth normalization
 # ---------------------------------------------------------------------------
+
+
+def growth_normalize(
+    driver: GammaBalancedDriver,
+    model: MarkovChainModel,
+    m: float,
+    horizon: float,
+    n_nodes: int = 201,
+) -> tuple[TimeChangeMap, GammaBalancedDriver]:
+    """Clock built from the driver's own zero-argument growth, scaled by m > 1.
+
+    Density ``m (|f(t, 0, 0)| / (1 + t^beta_hat) + 1)`` (the state maximum of
+    ``|f|`` is used); the transformed zero-argument growth shrinks to
+    ``(1 + t^beta_hat) / m`` and the solution bound tightens accordingly as m
+    grows.
+    """
+    if m <= 1.0:
+        raise PreconditionError("growth normalization needs m > 1")
+    grid = TimeGrid.uniform(horizon, n_nodes)
+    dens = np.empty(grid.n_nodes)
+    for j, t in enumerate(grid.nodes):
+        f0 = max(abs(driver.f(float(t), i, 0.0, np.zeros(model.n_states))) for i in range(model.n_states))
+        dens[j] = m * (f0 / (1.0 + float(t) ** driver.beta_hat) + 1.0)
+    clock = build_clock_from_density(
+        SampledPath(grid, dens, LINEAR), IncreasingProcess.identity(grid), eps=m
+    )
+    return clock, transform_chain_driver(driver, clock)
 
 
 def test_growth_normalize_zero_growth():

@@ -64,6 +64,17 @@ def test_config_rejects_bad_values(tmp_path):
             ExperimentConfig.from_file(p)
 
 
+def test_param_takes_the_type_of_its_default():
+    params = {"n": 50.0, "h": 2, "half": 2.5, "nan": math.nan, "inf": math.inf, "word": "ten"}
+    cfg = ExperimentConfig(scenario="x", params=params)
+    assert cfg.param("n", 7) == 50 and type(cfg.param("n", 7)) is int
+    assert cfg.param("h", 1.0) == 2.0 and type(cfg.param("h", 1.0)) is float
+    assert cfg.param("unset", 3) == 3
+    for key, default in (("half", 1), ("nan", 1), ("nan", 1.0), ("inf", 1.0), ("word", 1)):
+        with pytest.raises(ConfigError):
+            cfg.param(key, default)
+
+
 def test_verdict_lines_carry_values():
     v = Verdict.check("gap", 0.5, 1.0)
     assert v.passed and "gap" in v.line() and "0.5" in v.line() and "1" in v.line()
@@ -153,8 +164,17 @@ def test_cli_flags_pass_the_config_checks(tmp_path, capsys, command, flag):
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("text", ["[experiment]\nscenario = psi-properties\nseed = abc\n",
-                                  "scenario = psi-properties\n"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[experiment]\nscenario = psi-properties\nseed = abc\n",
+        "scenario = psi-properties\n",
+        "[experiment]\nscenario = comparison-order\n[params]\nsteps = -3\n",
+        "[experiment]\nscenario = comparison-order\n[params]\nsteps = nan\n",
+        "[experiment]\nscenario = comparison-order\n[params]\nsteps = 2.5\n",
+        "[experiment]\nscenario = quadratic-clock-inverse\n[params]\nstep = 0\n",
+    ],
+)
 def test_cli_rejects_unparsable_config_files(tmp_path, capsys, text):
     from tcbsde.cli import main
 

@@ -9,7 +9,6 @@ from tcbsde.io import (
     write_chain_solution_csv,
     write_csv,
     write_solution_csv,
-    write_state_values_csv,
 )
 from tcbsde.timechange import TimeGrid
 from tcbsde.wiener import SolutionEnsemble
@@ -141,6 +140,17 @@ def test_solution_csv_bytes_match_reference_writer(tmp_path):
     fast = (tmp_path / "fast.csv").read_bytes()
     assert b",-0," in fast and b",1e-300," in fast and b",1.23456789012e+14," in fast
     assert fast == (tmp_path / "ref.csv").read_bytes()
+
+
+def write_state_values_csv(sol: ChainSolution, path) -> None:
+    """Dense value-function table: one column per state."""
+    N = sol.state_values.shape[1]
+    header = ["node_time"] + [f"Y_state_{i}" for i in range(N)]
+    rows = [
+        [format_float(t)] + [format_float(sol.state_values[j, i]) for i in range(N)]
+        for j, t in enumerate(sol.grid.nodes)
+    ]
+    write_csv(path, header, rows)
 
 
 def test_chain_solution_csv(tmp_path):

@@ -23,7 +23,6 @@ from tcbsde.chain import (
     simulate_chain,
     simulate_killed_chain,
     solve_chain_bsde,
-    states_on_grid,
     transform_chain,
 )
 from tcbsde.errors import InvariantError, PreconditionError
@@ -230,7 +229,7 @@ def hand_batch():
 
 def test_states_on_grid_matches_state_at():
     grid, on_node, paths = hand_batch()
-    S = states_on_grid(paths, grid)
+    S = paths.states_at(grid.nodes)
     for k in range(len(paths)):
         assert np.array_equal(S[k], paths[k].state_at(grid.nodes))
     assert np.array_equal(occupancy(paths, on_node, 3), np.array([1.0, 1.0, 1.0]) / 3.0)
@@ -261,6 +260,18 @@ def test_chain_paths_batch_contract():
     assert paths.states_at([]).shape == (3, 0)
     with pytest.raises(PreconditionError):
         paths.states_at([0.5, 0.2])
+
+
+@pytest.mark.parametrize("paths", [0, -1, 2.5])
+def test_path_count_must_be_a_positive_integer(paths):
+    model = two_state()
+    with pytest.raises(PreconditionError):
+        simulate_killed_chain(model, lambda t, i: 0.5, 1, 1.0, paths, 0, 0.5)
+    with pytest.raises(PreconditionError):
+        simulate_chain(model, 1.0, paths, 0)
+    problem = build_message_problem(model, lambda t, i: 0.5, 1, TimeGrid.uniform(1.0, 11))
+    with pytest.raises(PreconditionError):
+        solve_chain_bsde(problem, "picard", TimeGrid.uniform(1.0, 11), paths)
 
 
 def test_simulated_batch_feeds_the_per_path_view():

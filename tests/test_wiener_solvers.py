@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from tcbsde.errors import PreconditionError, SchemeError, UnsupportedError
 from tcbsde.timechange import IncreasingProcess, TimeChangeMap, TimeGrid, build_phi
 from tcbsde.wiener import (
     PolynomialPayoff,
+    SolutionEnsemble,
     TerminalRule,
     WienerBSDEProblem,
     bounded_solution_check,
@@ -18,7 +20,6 @@ from tcbsde.wiener import (
     solve_picard_oracle,
     stability_gap,
     transform_driver,
-    weighted_norms,
 )
 from util import coeffs_on, grid_uniform, linear_problem, path
 
@@ -264,6 +265,42 @@ def test_transform_solve_map_equivalence():
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class WeightedNormReport:
+    rho: float
+    y_weighted: tuple  # (estimate, standard error) of int e^{rho phi} |alpha Y|^2
+    z_weighted: tuple  # same for int e^{rho phi} |Z|^2
+    sup_weighted: tuple  # same for sup e^{rho phi} |Y|^2
+    per_path: dict
+
+
+def weighted_norms(sol: SolutionEnsemble, clock: TimeChangeMap, rho: float) -> WeightedNormReport:
+    """Monte Carlo estimates of the exponentially weighted solution norms."""
+    grid = sol.grid
+    phi = np.asarray(clock.forward_at(grid.nodes))
+    a2 = np.asarray(clock.density_at(grid.nodes))
+    w = np.exp(rho * phi)
+    dt = grid.steps
+    P, n = sol.Y.shape
+    alive = np.arange(n)[None, :] < sol.stop_idx[:, None]
+    ynorm = np.sum(np.where(alive[:, :-1], (w * a2)[None, :-1] * sol.Y[:, :-1] ** 2, 0.0) * dt, axis=1)
+    z2 = np.sum(sol.Z**2, axis=2)
+    znorm = np.sum(np.where(alive[:, :-1], w[None, :-1] * z2[:, :-1], 0.0) * dt, axis=1)
+    upto = np.arange(n)[None, :] <= sol.stop_idx[:, None]
+    supnorm = np.max(np.where(upto, w[None, :] * sol.Y**2, -np.inf), axis=1)
+
+    def stat(v):
+        return (float(np.mean(v)), float(np.std(v) / math.sqrt(P)))
+
+    return WeightedNormReport(
+        rho=rho,
+        y_weighted=stat(ynorm),
+        z_weighted=stat(znorm),
+        sup_weighted=stat(supnorm),
+        per_path={"y": ynorm, "z": znorm, "sup": supnorm},
+    )
+
+
 def _manual_solution(grid, Y, Z, seed=0):
     from tcbsde.wiener import SolutionEnsemble
 
@@ -411,6 +448,18 @@ def test_comparison_rejects_undominated():
         comparison_experiment(prob_a, prob_b, W)
 
 
+def test_comparison_rejects_a_driver_dominated_on_part_of_the_box():
+    # -y < 0 only where y > 0: about half the probes see it
+    from dataclasses import replace
+
+    g = grid_uniform(1.0, 21)
+    prob_b = martingale_problem(g, (0.0,))
+    prob_a = replace(prob_b, driver=lambda t, w, y, z: -y)
+    W = simulate_brownian(g, 100, 1, seed=0)
+    with pytest.raises(PreconditionError, match="driver dominance"):
+        comparison_experiment(prob_a, prob_b, W)
+
+
 # ---------------------------------------------------------------------------
 # bounded_solution_check
 # ---------------------------------------------------------------------------
@@ -456,4 +505,15 @@ def test_bounded_solution_rejects_nonvanishing_driver():
     bad = replace(prob, driver=lambda t, w, y, z: 1.0 - y**3)
     W = simulate_brownian(g, 100, 1, seed=0)
     with pytest.raises(PreconditionError):
+        bounded_solution_check(bad, 1.0, W)
+
+
+def test_bounded_solution_rejects_increasing_driver():
+    from dataclasses import replace
+
+    g = grid_uniform(1.0, 21)
+    prob = _cubic_problem(g, lambda tau, w: np.zeros(tau.shape))
+    bad = replace(prob, driver=lambda t, w, y, z: y**3)
+    W = simulate_brownian(g, 100, 1, seed=0)
+    with pytest.raises(PreconditionError, match="monotone"):
         bounded_solution_check(bad, 1.0, W)

@@ -6,9 +6,9 @@ import pytest
 from tcbsde.errors import PreconditionError, SchemeError, StructuralError
 from tcbsde.timechange import IncreasingProcess, TimeChangeMap, TimeGrid, build_phi
 from tcbsde.wiener import (
+    TransformedProblem,
+    WienerBSDEProblem,
     check_uniform_lipschitz,
-    probe_mode_conditions,
-    probe_monotone_transform,
     simulate_brownian,
     transform_brownian,
     transform_driver,
@@ -170,6 +170,78 @@ def test_lipschitz_ratio_time_varying_never_exceeds_one():
         tp.problem.driver, 4000, 3.0, t_range=(0.0, float(horizon)), seed=9
     )
     assert ratio <= 1.0 + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# probe helpers
+# ---------------------------------------------------------------------------
+
+
+def probe_mode_conditions(
+    problem: WienerBSDEProblem, n_probes: int = 200, box: float = 2.0, seed: int = 0
+) -> dict:
+    """Spot-check the declared coefficient inequalities on random probes.
+
+    Returns the worst observed slack per condition; negative slack means a
+    violation.  This is a sanity screen, not a proof.
+    """
+    rng = np.random.default_rng(seed)
+    coeffs = problem.coeffs
+    grid = coeffs.grid
+    worst = {"y_lipschitz": math.inf, "z_lipschitz": math.inf, "monotone": math.inf}
+    for _ in range(n_probes):
+        t = float(rng.uniform(0.0, grid.t_end))
+        w = rng.uniform(-box, box, size=(1, problem.d))
+        y1, y2 = rng.uniform(-box, box, size=2)
+        z = rng.uniform(-box, box, size=(1, problem.d))
+        z2 = rng.uniform(-box, box, size=(1, problem.d))
+        rt = float(coeffs.r.at(t))
+        ut = float(coeffs.u.at(t))
+        f_y1 = float(np.asarray(problem.driver(t, w, np.array([y1]), z)).ravel()[0])
+        f_y2 = float(np.asarray(problem.driver(t, w, np.array([y2]), z)).ravel()[0])
+        f_z2 = float(np.asarray(problem.driver(t, w, np.array([y1]), z2)).ravel()[0])
+        dz = float(np.linalg.norm(z - z2))
+        if problem.mode == "lipschitz":
+            if abs(y1 - y2) > 1e-12:
+                worst["y_lipschitz"] = min(
+                    worst["y_lipschitz"], rt * abs(y1 - y2) - abs(f_y1 - f_y2)
+                )
+        else:
+            if abs(y1 - y2) > 1e-12:
+                worst["monotone"] = min(
+                    worst["monotone"],
+                    -rt * (y1 - y2) ** 2 - (y1 - y2) * (f_y1 - f_y2),
+                )
+        if dz > 1e-12:
+            worst["z_lipschitz"] = min(worst["z_lipschitz"], ut * dz - abs(f_y1 - f_z2))
+    return worst
+
+
+def probe_monotone_transform(
+    transformed: TransformedProblem, n_probes: int = 200, box: float = 2.0, seed: int = 0
+) -> tuple[float, float]:
+    """Worst probed monotonicity and growth constants of a transformed driver.
+
+    Both stay at or below 1 for drivers declared in monotone mode.
+    """
+    rng = np.random.default_rng(seed)
+    f = transformed.problem.driver
+    t_end = transformed.grid.t_end
+    mono = 0.0
+    growth = 0.0
+    for _ in range(n_probes):
+        t = float(rng.uniform(0.0, t_end))
+        w = rng.uniform(-box, box, size=(1, 1))
+        y1, y2 = rng.uniform(-box, box, size=2)
+        z = rng.uniform(-box, box, size=(1, 1))
+        f1 = float(np.asarray(f(t, w, np.array([y1]), z)).ravel()[0])
+        f2 = float(np.asarray(f(t, w, np.array([y2]), z)).ravel()[0])
+        f0 = float(np.asarray(f(t, w, np.zeros(1), z)).ravel()[0])
+        if abs(y1 - y2) > 1e-9:
+            mono = max(mono, (y1 - y2) * (f1 - f2) / (y1 - y2) ** 2)
+        if abs(y1) > 1e-9:
+            growth = max(growth, (abs(f1) - abs(f0)) / abs(y1))
+    return mono, growth
 
 
 def test_probe_mode_conditions_linear():
