@@ -25,7 +25,8 @@ state-dependent coefficients the dominating envelope ``max_x C(t, x)`` is
 used.
 
 Solvers: a backward ODE system on the state values for Markovian problems
-(explicit adaptive stepping, truncation tail reported), and a per-step
+(the Dormand-Prince 5(4) stepper of ``_rk45``, bit-equal to SciPy's
+``solve_ivp(method="RK45")``; truncation tail reported), and a per-step
 fixed-point scheme on simulated paths with state-indicator conditional
 expectations and Z regressed from Y-jumps against M-jumps.
 """
@@ -37,8 +38,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from ._rk45 import rk45
 from .errors import (
     ConfigError,
     DomainError,
@@ -644,8 +645,12 @@ def _ode_solve(problem: ChainBSDEProblem, grid: TimeGrid, rtol: float, atol: flo
     A clocked problem is solved as its base problem at ``s = inv(t)``, with
     rates and driver scaled by ``w = 1 / alpha^2(s)``: each call reads the
     clock once, for the rates, the driver and the terminal alike.  An
-    unclocked problem is its own base, with ``s = t`` and ``w = 1``.  Also
-    returns the number of right-hand-side evaluations.
+    unclocked problem is its own base, with ``s = t`` and ``w = 1``.
+
+    The integrator is ``_rk45.rk45``, the Dormand-Prince 5(4) stepper of
+    ``scipy.integrate.solve_ivp(method="RK45")`` repeated bit for bit.  Also
+    returns the number of right-hand-side evaluations and the numbers of
+    accepted and rejected steps.
     """
     if isinstance(problem, _ClockedChainProblem):
         base, inv, dens = problem.base, problem.clock.inverse_at, problem.clock.density_at
@@ -657,6 +662,13 @@ def _ode_solve(problem: ChainBSDEProblem, grid: TimeGrid, rtol: float, atol: flo
     if not free.size:
         raise PreconditionError("every state is terminal; nothing to solve")
     n_free, free_list = free.size, free.tolist()
+    # runs of consecutive free states as (state slice, position slice) pairs:
+    # basic slices gather and scatter them for less than an index array
+    firsts = [k for k, i in enumerate(free_list) if k == 0 or free_list[k - 1] != i - 1]
+    runs = [
+        (slice(free_list[a], free_list[b - 1] + 1), slice(a, b))
+        for a, b in zip(firsts, firsts[1:] + [n_free])
+    ]
     rates, f, g = base.model.rates, base.driver.f, base.terminal_fn
     T = grid.t_end
 
@@ -665,30 +677,36 @@ def _ode_solve(problem: ChainBSDEProblem, grid: TimeGrid, rtol: float, atol: flo
     def rhs(r, x):
         s = float(inv(T - r))
         w = float(1.0 / dens(s))
-        U[free] = x.reshape(2, n_free).T
+        X = x.reshape(2, n_free).T
+        for states, pos in runs:
+            U[states] = X[pos]
         for i in hit:
             U[i, 0] = g(s, i)
         u = U[:, 0].copy()
-        gen = ((rates(s) * w).T @ U)[free]
+        gen = (rates(s) * w).T.dot(U)
+        out = np.empty((2, n_free))  # fresh: the integrator keeps the last one it got
+        for states, pos in runs:
+            out[:, pos] = gen[states].T
         for k, i in enumerate(free_list):
-            gen[k, 0] += f(s, i, u[i], u) * w
-        return gen.T.ravel()  # fresh: the integrator keeps the last one it got; dx/dr = -dx/dt
+            out[0, k] += f(s, i, u[i], u) * w
+        return out.ravel()  # dx/dr = -dx/dt
 
     s_end = float(inv(T))
     x0 = np.concatenate(([g(s_end, i) for i in free_list], np.ones(n_free)))
     r_eval = T - grid.nodes[::-1]
-    sol = solve_ivp(rhs, (0.0, T), x0, t_eval=r_eval, rtol=rtol, atol=atol, method="RK45")
-    if not sol.success:
-        raise SchemeError(f"backward ODE integration failed: {sol.message}")
+    try:
+        y, nfev, steps, rejected = rk45(rhs, T, x0, r_eval, rtol, atol)
+    except SchemeError as exc:
+        raise SchemeError(f"backward ODE integration failed: {exc}") from None
     values = np.empty((grid.n_nodes, N))
-    values[:, free] = sol.y[:n_free].T[::-1]  # on the forward grid
+    values[:, free] = y[:n_free].T[::-1]  # on the forward grid
     for j, t in enumerate(grid.nodes):
         s = float(inv(t))
         for i in hit:
             values[j, i] = g(s, i)
     q = np.zeros(N)
-    q[free] = sol.y[n_free:, -1]
-    return values, float(q[int(base.model.initial)]), int(sol.nfev)
+    q[free] = y[n_free:, -1]
+    return values, float(q[int(base.model.initial)]), nfev, steps, rejected
 
 
 def solve_chain_bsde(
@@ -715,17 +733,22 @@ def solve_chain_bsde(
         if not problem.markovian:
             raise UnsupportedError("markov-ode needs a Markovian driver")
         for name, tol in (("rtol", rtol), ("atol", atol)):
-            # NaN never meets the step test and hangs the integrator; inf accepts any step
+            # NaN never meets the step test and fails every step; inf accepts any step
             if not (math.isfinite(tol) and tol > 0.0):
                 raise PreconditionError(f"{name} must be positive and finite, got {tol}")
-        values, tail, nfev = _ode_solve(problem, grid, rtol, atol)
+        values, tail, nfev, steps, rejected = _ode_solve(problem, grid, rtol, atol)
         z_values = np.repeat(values[:, None, :], problem.model.n_states, axis=1)
         sol = ChainSolution(
             grid=grid,
             state_values=values,
             z_values=z_values,
             scheme="markov-ode",
-            metadata={"tail_probability": tail, "rhs_evaluations": nfev},
+            metadata={
+                "tail_probability": tail,
+                "rhs_evaluations": nfev,
+                "steps": steps,
+                "rejected_steps": rejected,
+            },
         )
         if paths:
             log, _, _ = _thin(problem.model, grid.t_end, paths, seed)

@@ -468,7 +468,10 @@ def psi_properties(cfg: ExperimentConfig) -> ReportBundle:
     rng = np.random.default_rng(cfg.seed)
     worst_asym = 0.0
     worst_eig = 0.0
-    for _ in range(cfg.param("generators", 100)):
+    generators = cfg.param("generators", 100)
+    if generators < 1:  # no generator would pass both verdicts unchecked
+        raise ConfigError(f"generators must be at least 1, got {generators}")
+    for _ in range(generators):
         n = int(rng.integers(2, 7))
         A = rng.uniform(0.0, 3.0, size=(n, n))
         np.fill_diagonal(A, 0.0)

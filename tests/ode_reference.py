@@ -3,8 +3,10 @@
 ``reference_ode_solve`` evaluates a problem through its own ``model.rates``,
 ``driver.f`` and ``terminal_fn``, so a clocked problem reads its clock once
 in each callback: the rates, every free state's driver and every terminal
-value.  It builds the right-hand side from fresh arrays on every call.  The
-solver reads the clock once per call and must agree with it bit for bit.
+value.  It builds the right-hand side from fresh arrays on every call and
+integrates with ``scipy.integrate.solve_ivp``.  The solver reads the clock
+once per call, steps with its own copy of SciPy's RK45, and must agree with
+it bit for bit.
 """
 
 import numpy as np

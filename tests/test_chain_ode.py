@@ -6,8 +6,6 @@ problem closure by closure, and the two must agree bit for bit.
 """
 
 import math
-import signal
-from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -23,10 +21,11 @@ from tcbsde.chain import (
     solve_chain_bsde,
     transform_chain_problem,
 )
-from tcbsde.errors import PreconditionError
+from tcbsde.errors import PreconditionError, SchemeError
 from tcbsde.timechange import LINEAR, SampledPath, TimeGrid
 
 from ode_reference import reference_ode_solve
+from util import deadline
 
 RTOL, ATOL = 1e-8, 1e-10
 
@@ -86,6 +85,29 @@ def time_varying_terminal():
     return transform_chain_problem(problem, clock), clock.target_grid
 
 
+def split_free_states():
+    # the hitting set {1, 3} splits the free states 0, 2 and 4 into three runs
+    A = np.array([
+        [-2.0, 0.5, 0.3, 0.0, 0.4],
+        [0.8, -1.0, 0.6, 0.0, 0.3],
+        [0.7, 0.2, -1.5, 0.0, 0.5],
+        [0.2, 0.1, 0.4, 0.0, 0.2],
+        [0.3, 0.2, 0.2, 0.0, -1.4],
+    ])
+    grid = TimeGrid.uniform(2.0, 41)
+    problem = build_message_problem(
+        MarkovChainModel(5, lambda t: A * (1.0 + 0.3 * t), 0, rate_bound=3.0),
+        lambda t, i: 0.5 + 0.1 * i * t, target=3, horizon_grid=grid,
+    )
+    problem = replace(
+        problem,
+        hitting_set=frozenset({1, 3}),
+        terminal_fn=lambda t, i: (1.0 + t) * (i + 1.0),
+    )
+    clock = chain_clock(problem.driver.c_path, problem.driver.c2, target="image")
+    return transform_chain_problem(problem, clock), clock.target_grid
+
+
 CASES = {
     "constant-loss": lambda: clocked_message(lambda t, i: 1.0),
     "linear-loss": lambda: clocked_message(lambda t, i: 1.0 + t),
@@ -93,6 +115,7 @@ CASES = {
     "three-state-direct": three_state_direct,
     "twice-transformed": twice_transformed,
     "time-varying-terminal": time_varying_terminal,
+    "split-free-states": split_free_states,
 }
 
 
@@ -104,6 +127,9 @@ def test_ode_matches_closure_reference(case):
     assert np.array_equal(sol.state_values, values)
     assert sol.metadata["tail_probability"] == tail
     assert sol.metadata["rhs_evaluations"] == nfev
+    # the initial step takes two calls, and every step attempt six
+    steps, rejected = sol.metadata["steps"], sol.metadata["rejected_steps"]
+    assert steps > 0 and nfev == 2 + 6 * (steps + rejected)
 
 
 def test_clocked_rhs_reads_the_clock_twice(monkeypatch):
@@ -118,18 +144,18 @@ def test_clocked_rhs_reads_the_clock_twice(monkeypatch):
         reads[0] += 1
         return at(self, t)
 
-    def counting_solve_ivp(fun, *args, **kwargs):
+    def counting_rk45(fun, *args):
         def rhs(r, x):
             before = reads[0]
             out = fun(r, x)
             per_call.append(reads[0] - before)
             return out
 
-        return solve_ivp(rhs, *args, **kwargs)
+        return rk45(rhs, *args)
 
-    solve_ivp = chain.solve_ivp
+    rk45 = chain.rk45
     monkeypatch.setattr(SampledPath, "at", counting_at)
-    monkeypatch.setattr(chain, "solve_ivp", counting_solve_ivp)
+    monkeypatch.setattr(chain, "rk45", counting_rk45)
     sol = solve_chain_bsde(problem, "markov-ode", grid)
     assert len(per_call) == sol.metadata["rhs_evaluations"] > 0
     assert set(per_call) == {2}
@@ -149,20 +175,18 @@ def test_clocked_problem_views_follow_the_base():
     assert other.model is not problem.model
 
 
-@contextmanager
-def deadline(seconds):
-    """Fail with TimeoutError instead of hanging past ``seconds``."""
+def test_nan_driver_fails_without_hanging():
+    # the driver turns NaN halfway back from the horizon: the step size
+    # shrinks below the float spacing and the solve must say so
+    problem, grid = three_state_direct()
+    f = problem.driver.f
 
-    def expire(signum, frame):
-        raise TimeoutError(f"no answer within {seconds} s")
+    def f_nan(t, i, y, z):
+        return math.nan if t < 4.0 else f(t, i, y, z)
 
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    problem = replace(problem, driver=replace(problem.driver, f=f_nan))
+    with deadline(20), pytest.raises(SchemeError, match="backward ODE integration failed"):
+        solve_chain_bsde(problem, "markov-ode", grid)
 
 
 @pytest.mark.parametrize(

@@ -173,6 +173,8 @@ def test_cli_flags_pass_the_config_checks(tmp_path, capsys, command, flag):
         "[experiment]\nscenario = comparison-order\n[params]\nsteps = nan\n",
         "[experiment]\nscenario = comparison-order\n[params]\nsteps = 2.5\n",
         "[experiment]\nscenario = quadratic-clock-inverse\n[params]\nstep = 0\n",
+        "[experiment]\nscenario = psi-properties\n[params]\ngenerators = 0\n",
+        "[experiment]\nscenario = psi-properties\n[params]\ngenerators = -2\n",
     ],
 )
 def test_cli_rejects_unparsable_config_files(tmp_path, capsys, text):

@@ -1,5 +1,8 @@
 """Shared builders for the test suite."""
 
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 
 from tcbsde.timechange import (
@@ -49,3 +52,19 @@ def linear_problem(grid, r, u, payoff_coeffs, eps=0.05):
 
 def grid_uniform(t_end, n):
     return TimeGrid.uniform(t_end, n)
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail with TimeoutError instead of hanging past ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
