@@ -11,6 +11,7 @@ carrying the measured value and its threshold.
 from __future__ import annotations
 
 import configparser
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,15 +41,16 @@ def write_solution_csv(sol: SolutionEnsemble, path) -> None:
     """Flat per-path snapshot of a Wiener solution ensemble."""
     d = sol.Z.shape[2]
     header = ["path_id", "node_time", "Y_1"] + [f"Z_1{a + 1}" for a in range(d)] + ["stopped_flag"]
-    # Python floats format exactly like the NumPy scalars they come from, faster
+    # "%.12g" prints a Python float as format_float does, and a Python float
+    # prints like the NumPy scalar it came from; one template fills a row
+    row = "%d,%s," + "%.12g," * (1 + d) + "%d"
     times = [format_float(t) for t in sol.grid.nodes.tolist()]
+    n = len(times)
     Y, Z, stops = sol.Y.tolist(), sol.Z.tolist(), sol.stop_idx.tolist()
     lines = [",".join(header)]
     for p in range(sol.paths):
-        pid, y_p, z_p, stop = str(p), Y[p], Z[p], stops[p]
-        for j, t in enumerate(times):
-            flag = "1" if j >= stop else "0"
-            lines.append(",".join([pid, t, format_float(y_p[j]), *map(format_float, z_p[j]), flag]))
+        flags = [0] * stops[p] + [1] * (n - stops[p])  # zip drops what runs past n
+        lines.extend([row % (p, t, y, *z, f) for t, y, z, f in zip(times, Y[p], Z[p], flags)])
     _write_lines(path, lines)
 
 
@@ -57,17 +59,19 @@ def read_solution_csv(path) -> dict:
 
     The file must hold exactly one row per (path, node) pair.
     """
-    header, _, body = Path(path).read_text().partition("\n")
-    names = header.split(",")
-    width, n_z = len(names), sum(1 for h in names if h.startswith("Z_"))
-    lines = body.split()
-    try:
-        data = np.array(",".join(lines).split(",") if lines else [], dtype=float)
-    except ValueError as e:
-        raise StructuralError(f"non-numeric cell in {path}") from e
-    if data.size != len(lines) * width:
+    with open(path) as fh:
+        names = fh.readline().rstrip("\n").split(",")
+        width, n_z = len(names), sum(1 for h in names if h.startswith("Z_"))
+        try:
+            with warnings.catch_warnings():
+                # a header-only file is an empty snapshot
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError as e:
+            raise StructuralError(f"malformed row in {path}: {e}") from e
+    if data.size and data.shape[1] != width:
         raise StructuralError(f"rows of {path} do not all have {width} cells")
-    data = data.reshape(len(lines), width)
+    data = data.reshape(-1, width)
     pids, p_rank = np.unique(data[:, 0], return_inverse=True)
     times, t_rank = np.unique(data[:, 1], return_inverse=True)
     P, n = pids.size, times.size

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -582,6 +582,41 @@ def _expectation_operator(xs, coef, gh_x, gh_w, var: float) -> np.ndarray:
     return weights @ coef
 
 
+# The oracle's grid-only work is memoised process-wide, so a later solve on
+# the same state grid builds none of it; the bounds are stated in
+# solve_picard_oracle's docstring.  Keys are the exact floats a solve
+# computes, so a hit is the array a fresh build would give, bit for bit.
+@lru_cache(maxsize=2)
+def _identity_spline(n_space: int, span: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only spline coefficients and gradient matrix of the identity on the state grid.
+
+    The coefficients are those :func:`_expectation_operator` takes; the
+    gradient matrix is ``np.gradient`` of the identity along the grid.
+    """
+    xs = np.linspace(-span, span, n_space)
+    # cubic evaluation: linear interpolation systematically inflates convex
+    # fields and the bias accumulates linearly in the step count
+    coef = CubicSpline(xs, np.eye(n_space), axis=0).c.reshape(4 * (n_space - 1), n_space)
+    # E[y(x + dX) dX] = var * d/dx E[y(x + dX)] (Gaussian integration by
+    # parts); the convolved field is smooth, so its grid gradient is far more
+    # accurate than the raw odd quadrature moment.  np.gradient is linear.
+    grad = np.gradient(np.eye(n_space), xs, axis=0)
+    coef.setflags(write=False)
+    grad.setflags(write=False)
+    return coef, grad
+
+
+@lru_cache(maxsize=32)
+def _grid_operator(n_space: int, span: float, n_quad: int, var: float) -> np.ndarray:
+    """Read-only :func:`_expectation_operator` of step variance ``var`` on the state grid."""
+    xs = np.linspace(-span, span, n_space)
+    gh_x, gh_w = np.polynomial.hermite_e.hermegauss(n_quad)
+    gh_w = gh_w / math.sqrt(2.0 * math.pi)
+    op = _expectation_operator(xs, _identity_spline(n_space, span)[0], gh_x, gh_w, var)
+    op.setflags(write=False)
+    return op
+
+
 def solve_picard_oracle(
     problem_or_transformed,
     ensemble: BrownianEnsemble | None = None,
@@ -608,9 +643,14 @@ def solve_picard_oracle(
     weight matrix with those coefficients; the weight matrix lives only
     while its operator is built (``4 n_quad`` entries a row, 0.2 MB at the
     defaults).  Every sweep step is then one matrix-vector product.
-    The operators are kept for the solve, keyed by the exact variance, so a
-    grid whose step variances all differ builds one per step
-    (``8 n_space^2`` bytes each).
+    The spline coefficients and the operators are kept process-wide, keyed
+    by ``(n_space, span)`` and ``(n_space, span, n_quad, var)`` with the exact
+    floats the solve computes, so a later solve on the same state grid builds
+    none of them.  The memo is bounded: at most 32 operators (``8 n_space^2``
+    bytes each, 10.3 MB at ``n_space = 201``) and the coefficients and
+    gradient matrix of at most 2 state grids (``40 n_space^2`` bytes each,
+    1.6 MB).  One solve still holds an operator for each distinct step
+    variance, so a grid whose step variances all differ builds one per step.
     """
     problem, ensemble, state, state_var = _unpack(problem_or_transformed, ensemble)
     if problem.k != 1 or problem.d != 1:
@@ -623,8 +663,6 @@ def solve_picard_oracle(
     total_sd = math.sqrt(float(np.sum(state_var)))
     span = span_sigmas * max(total_sd, 1e-8)
     xs = np.linspace(-span, span, n_space)
-    gh_x, gh_w = np.polynomial.hermite_e.hermegauss(n_quad)
-    gh_w = gh_w / math.sqrt(2.0 * math.pi)
 
     rule = problem.terminal
     if rule.kind == "first_exit" and rule.coord != 0:
@@ -638,17 +676,10 @@ def solve_picard_oracle(
     def payoff_on(tnode, x):
         return np.asarray(problem.payoff(np.full(x.shape, tnode), x[:, None]), dtype=float)
 
-    # cubic evaluation: linear interpolation systematically inflates convex
-    # fields and the bias accumulates linearly in the step count
-    coef = CubicSpline(xs, np.eye(n_space), axis=0).c.reshape(4 * (n_space - 1), n_space)
-
+    _, grad = _identity_spline(n_space, span)
     expect_ops = {
-        var: _expectation_operator(xs, coef, gh_x, gh_w, var) for var in set(state_var.tolist())
+        var: _grid_operator(n_space, span, n_quad, var) for var in set(state_var.tolist())
     }
-    # E[y(x + dX) dX] = var * d/dx E[y(x + dX)] (Gaussian integration by
-    # parts); the convolved field is smooth, so its grid gradient is far more
-    # accurate than the raw odd quadrature moment.  np.gradient is linear.
-    grad = np.gradient(np.eye(n_space), xs, axis=0)
     mask = absorbed(xs)
 
     y_field = np.zeros((n, n_space))

@@ -100,7 +100,7 @@ def test_read_solution_csv_matches_reference_reader(tmp_path, make_sol):
         assert np.array_equal(fast[key], ref[key]), key
 
 
-@pytest.mark.parametrize("edit", ["drop", "duplicate", "ragged", "text"])
+@pytest.mark.parametrize("edit", ["drop", "duplicate", "ragged", "text", "comment"])
 def test_read_solution_csv_rejects_malformed_files(tmp_path, edit):
     p = tmp_path / "sol.csv"
     write_solution_csv(small_solution(), p)
@@ -111,11 +111,33 @@ def test_read_solution_csv_rejects_malformed_files(tmp_path, edit):
         lines.insert(5, lines[5])
     elif edit == "ragged":
         lines[5] += ",0"
+    elif edit == "comment":
+        lines.insert(5, "# a comment line is no row")
     else:
         lines[5] = lines[5].replace(",0", ",x", 1)
     p.write_text("\n".join(lines) + "\n")
     with pytest.raises(StructuralError):
         read_solution_csv(p)
+
+
+@pytest.mark.filterwarnings("error")
+def test_read_header_only_solution_csv(tmp_path):
+    p = tmp_path / "sol.csv"
+    p.write_text("path_id,node_time,Y_1,Z_11,Z_12,stopped_flag\n")
+    back = read_solution_csv(p)
+    shapes = {"times": (0,), "Y": (0, 0), "Z": (0, 0, 2), "stopped": (0, 0)}
+    assert {k: v.shape for k, v in back.items()} == shapes
+    assert back["times"].dtype == float and back["stopped"].dtype == int
+
+
+def test_read_solution_csv_with_crlf_endings(tmp_path):
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    write_solution_csv(_odd_solution(), lf)
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    want, got = read_solution_csv(lf), read_solution_csv(crlf)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key].dtype == want[key].dtype and np.array_equal(got[key], want[key]), key
 
 
 def reference_write_solution_csv(sol, path):

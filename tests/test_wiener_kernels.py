@@ -18,6 +18,7 @@ from tcbsde.timechange import (
     CoefficientProcesses,
     IncreasingProcess,
     SampledPath,
+    TimeGrid,
     build_phi,
 )
 from tcbsde.wiener import (
@@ -146,8 +147,13 @@ def test_rank_deficient_design_matches_reference():
     assert_agree(fast, ref)
 
 
+def _clear_oracle_memo():
+    wiener._identity_spline.cache_clear()
+    wiener._grid_operator.cache_clear()
+
+
 def test_oracle_builds_one_spline_per_solve(monkeypatch):
-    built, calls = [], []
+    built, calls, operators = [], [], []
 
     class CountingSpline(wiener.CubicSpline):
         def __init__(self, *args, **kwargs):
@@ -158,13 +164,65 @@ def test_oracle_builds_one_spline_per_solve(monkeypatch):
             calls.append(1)
             return super().__call__(*args, **kwargs)
 
+    def counting_operator(*args):
+        operators.append(1)
+        return build(*args)
+
+    build = wiener._expectation_operator
     monkeypatch.setattr(wiener, "CubicSpline", CountingSpline)
+    monkeypatch.setattr(wiener, "_expectation_operator", counting_operator)
+    _clear_oracle_memo()
     g = grid_uniform(1.0, 51)
     prob = linear_problem(g, 0.3, 0.4, (1.0, 2.0, 1.0))
-    sol = solve_picard_oracle(prob, simulate_brownian(g, 100, 1, seed=8), iterations=8)
+    W = simulate_brownian(g, 100, 1, seed=8)
+    sol = solve_picard_oracle(prob, W, iterations=8)
     assert len(sol.metadata["iterate_distances"]) == 8
     assert len(built) == 1
+    assert len(operators) == len(set(g.steps.tolist()))
+    # a second solve on the same state grid reuses both
+    built.clear()
+    operators.clear()
+    again = solve_picard_oracle(prob, W, iterations=8)
+    assert len(built) == 0
+    assert len(operators) == 0
     assert len(calls) == 0
+    np.testing.assert_array_equal(again.Y, sol.Y)
+    np.testing.assert_array_equal(again.Z, sol.Z)
+
+
+def test_memoised_operator_is_a_read_only_fresh_build():
+    _clear_oracle_memo()
+    n_space, span, n_quad, var = 61, 3.0, 21, 0.04
+    cached = wiener._grid_operator(n_space, span, n_quad, var)
+    assert wiener._grid_operator(n_space, span, n_quad, var) is cached
+    xs = np.linspace(-span, span, n_space)
+    coef = CubicSpline(xs, np.eye(n_space), axis=0).c.reshape(4 * (n_space - 1), n_space)
+    gh_x, gh_w = np.polynomial.hermite_e.hermegauss(n_quad)
+    fresh = wiener._expectation_operator(xs, coef, gh_x, gh_w / math.sqrt(2.0 * math.pi), var)
+    np.testing.assert_array_equal(cached, fresh)
+    cached_coef, cached_grad = wiener._identity_spline(n_space, span)
+    np.testing.assert_array_equal(cached_coef, coef)
+    np.testing.assert_array_equal(cached_grad, np.gradient(np.eye(n_space), xs, axis=0))
+    for a in (cached, cached_coef, cached_grad):
+        assert not a.flags.writeable
+
+
+def test_solve_with_more_variances_than_the_memo_keeps_is_unchanged():
+    # steps that grow along the grid: every step variance differs
+    g = TimeGrid(np.linspace(0.0, 1.0, 41) ** 1.5)
+    prob = linear_problem(g, 0.3, 0.4, (1.0, 2.0, 1.0))
+    W = simulate_brownian(g, 200, 1, seed=9)
+    bound = wiener._grid_operator.cache_info().maxsize
+    assert len(set(g.steps.tolist())) > bound
+    _clear_oracle_memo()
+    cold = solve_picard_oracle(prob, W, iterations=4)
+    assert wiener._grid_operator.cache_info().currsize == bound
+    warm = solve_picard_oracle(prob, W, iterations=4)
+    assert wiener._grid_operator.cache_info().currsize == bound
+    np.testing.assert_array_equal(warm.Y, cold.Y)
+    np.testing.assert_array_equal(warm.Z, cold.Z)
+    np.testing.assert_array_equal(warm.metadata["state_values"][1], cold.metadata["state_values"][1])
+    assert warm.metadata["iterate_distances"] == cold.metadata["iterate_distances"]
 
 
 def _operator_by_evaluation(xs, gh_x, gh_w, var):
