@@ -28,7 +28,6 @@ from .timechange import (
     TimeGrid,
     build_clock_from_density,
     build_phi,
-    default_tolerance,
     generalized_inverse,
     integrate_stieltjes,
     normalize_terminal_time,

@@ -10,9 +10,12 @@ evaluation count are bit-equal to SciPy's; it leaves out the solver objects,
 the wrapped right-hand side and the per-step interpolant objects.
 
 Every stage sum, error estimate and interpolant stays the NumPy ``dot`` that
-SciPy makes (a pure-Python stage sum rounds differently); only scalar time
-and step-size arithmetic runs on Python floats, where each operation is
-rounded once exactly as in NumPy.  The tableau is SciPy's own.
+SciPy makes (a pure-Python stage sum rounds differently), called as the
+array method; only scalar time and step-size arithmetic runs on Python
+floats, where each operation is rounded once exactly as in NumPy.  The
+tableau is SciPy's own.  Work whose result SciPy recomputes is done once:
+the accepted step's ``abs(y_new)`` is the next step's ``abs(y)``, and
+``t_eval`` is searched only in a step that holds an evaluation time.
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ def rk45(fun, t_end: float, y0: np.ndarray, t_eval: np.ndarray, rtol: float, ato
     rtol = max(rtol, _RTOL_FLOOR)
     y, f = y0, fun(0.0, y0)
 
-    scale = atol + np.abs(y) * rtol
+    abs_y = np.abs(y)
+    scale = atol + abs_y * rtol
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_end)
@@ -64,7 +68,8 @@ def rk45(fun, t_end: float, y0: np.ndarray, t_eval: np.ndarray, rtol: float, ato
     nfev, accepted, rejected = 2, 0, 0
 
     t_list = t_eval.tolist()
-    out = np.empty((y.size, len(t_list)))
+    n_eval = len(t_list)
+    out = np.empty((y.size, n_eval))
     K = np.empty((RK45.n_stages + 1, y.size))
     # transposed views of K, made once: the stages fill K in place
     KT, KT_stages = K.T, K[:-1].T
@@ -82,12 +87,13 @@ def rk45(fun, t_end: float, y0: np.ndarray, t_eval: np.ndarray, rtol: float, ato
             h_abs = h
             K[0] = f
             for s, (c, Ks, a) in enumerate(stages, start=1):
-                K[s] = fun(t + c * h, y + np.dot(Ks, a) * h)
-            y_new = y + h * np.dot(KT_stages, _B)
+                K[s] = fun(t + c * h, y + Ks.dot(a) * h)
+            y_new = y + h * KT_stages.dot(_B)
             f_new = K[-1] = fun(t + h, y_new)  # not t_new: SciPy rounds t + h again
             nfev += 6
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _rms(np.dot(KT, _E) * h / scale)
+            abs_y_new = np.abs(y_new)
+            scale = atol + np.maximum(abs_y, abs_y_new) * rtol
+            error_norm = _rms(KT.dot(_E) * h / scale)
             if error_norm < 1:
                 factor = _MAX_FACTOR
                 if error_norm:
@@ -99,11 +105,11 @@ def rk45(fun, t_end: float, y0: np.ndarray, t_eval: np.ndarray, rtol: float, ato
             step_rejected = True
             rejected += 1
 
-        upto = bisect_right(t_list, t_new)
-        if upto > done:
+        if done < n_eval and t_list[done] <= t_new:  # an evaluation time in this step
+            upto = bisect_right(t_list, t_new, done)
             x = (t_eval[done:upto] - t) / h
-            powers = np.cumprod(np.tile(x, (_P.shape[1], 1)), axis=0)
-            out[:, done:upto] = h * np.dot(KT.dot(_P), powers) + y[:, None]
+            powers = np.cumprod(x[None, :].repeat(_P.shape[1], axis=0), axis=0)
+            out[:, done:upto] = h * KT.dot(_P).dot(powers) + y[:, None]
             done = upto
-        t, y, f = t_new, y_new, f_new
+        t, y, f, abs_y = t_new, y_new, f_new, abs_y_new
     return out, nfev, accepted, rejected

@@ -485,9 +485,9 @@ def _require_contracting_clock(clock: TimeChangeMap) -> None:
 class _ClockedChainModel(MarkovChainModel):
     """A model read through a clock: ``A~(u) = A(s) / alpha^2(s)`` with ``s = inv(u)``.
 
-    ``rates`` reads the clock once per call, for one time or a stack of them;
-    ``rate_fn`` is ``rates`` itself, so a copy made by ``dataclasses.replace``
-    keeps the clock.
+    ``rates`` reads the clock once per call, for one time (through
+    ``inverse_density_at``) or a stack of them; ``rate_fn`` is ``rates``
+    itself, so a copy made by ``dataclasses.replace`` keeps the clock.
     """
 
     base: MarkovChainModel
@@ -501,8 +501,8 @@ class _ClockedChainModel(MarkovChainModel):
         if isinstance(u, np.ndarray) and u.ndim:
             s = np.asarray(self.clock.inverse_at(u), dtype=float)
             return self.base.rates(s) * (1.0 / np.asarray(self.clock.density_at(s)))[:, None, None]
-        s = float(self.clock.inverse_at(u))
-        return self.base.rates(s) * float(1.0 / self.clock.density_at(s))
+        s, a2 = self.clock.inverse_density_at(u)
+        return self.base.rates(s) * (1.0 / a2)
 
 
 def transform_chain(model: MarkovChainModel, clock: TimeChangeMap) -> MarkovChainModel:
@@ -530,24 +530,24 @@ def transform_chain_driver(
     Both ``f`` and ``eta`` pick up the factor ``inv'(u)``, so the component
     ratios against the transformed compensator cancel exactly; the transformed
     y-coefficient is ``C(inv(u)) inv'(u) <= 1`` and the zero-argument growth
-    constant drops to 1.
+    constant drops to 1.  Each scalar callback reads the clock once, through
+    ``inverse_density_at``.
     """
     _require_contracting_clock(clock)
-    inv = clock.inverse_at
-    dens = clock.density_at
+    read = clock.inverse_density_at
     base_f, base_eta = driver.f, driver.eta
 
     def tilde_f(u, x, y, z):
-        s = float(inv(u))
-        return base_f(s, x, y, z) * float(1.0 / dens(s))
+        s, a2 = read(u)
+        return base_f(s, x, y, z) * (1.0 / a2)
 
     def tilde_eta(u, x, z, zp):
-        s = float(inv(u))
-        return np.asarray(base_eta(s, x, z, zp), dtype=float) * float(1.0 / dens(s))
+        s, a2 = read(u)
+        return np.asarray(base_eta(s, x, z, zp), dtype=float) * (1.0 / a2)
 
     tgt = clock.target_grid
     s_nodes = clock.inverse.values
-    c_vals = np.asarray(driver.c_path.at(s_nodes)) * (1.0 / np.asarray(dens(s_nodes)))
+    c_vals = np.asarray(driver.c_path.at(s_nodes)) * (1.0 / np.asarray(clock.density_at(s_nodes)))
     base_k1, base_k2 = driver.k1, driver.k2
     return GammaBalancedDriver(
         f=tilde_f,
@@ -559,8 +559,8 @@ def transform_chain_driver(
         beta_hat=driver.beta_hat,
         beta=driver.beta,
         beta_tilde=driver.beta_tilde,
-        k1=lambda t: base_k1(float(inv(t))),
-        k2=lambda t: base_k2(float(inv(t))),
+        k1=lambda t: base_k1(read(t)[0]),
+        k2=lambda t: base_k2(read(t)[0]),
     )
 
 
@@ -585,12 +585,12 @@ class _ClockedChainProblem(ChainBSDEProblem):
     markovian: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        base, inv = self.base, self.clock.inverse_at
+        base, read = self.base, self.clock.inverse_density_at
         base_g = base.terminal_fn
         self.model = transform_chain(base.model, self.clock)
         self.driver = transform_chain_driver(base.driver, self.clock)
         self.hitting_set = base.hitting_set
-        self.terminal_fn = lambda t, i: base_g(float(inv(t)), i)
+        self.terminal_fn = lambda t, i: base_g(read(t)[0], i)
         self.markovian = base.markovian
 
 
@@ -643,9 +643,13 @@ def _ode_solve(problem: ChainBSDEProblem, grid: TimeGrid, rtol: float, atol: flo
     0 on it, no driver term).  Both share one rate evaluation per call.
 
     A clocked problem is solved as its base problem at ``s = inv(t)``, with
-    rates and driver scaled by ``w = 1 / alpha^2(s)``: each call reads the
-    clock once, for the rates, the driver and the terminal alike.  An
-    unclocked problem is its own base, with ``s = t`` and ``w = 1``.
+    rates and driver scaled by ``w = 1 / alpha^2(s)``: each call makes one
+    scalar clock read (``inverse_density_at``) for the rates, the driver and
+    the terminal alike.  An unclocked problem is its own base, with
+    ``s = t`` and ``w = 1``.  The right-hand side writes the free states
+    into the state-by-column buffer one slice per run of consecutive free
+    states; its output is one copy of the generator product's free rows,
+    plus the driver terms.
 
     The integrator is ``_rk45.rk45``, the Dormand-Prince 5(4) stepper of
     ``scipy.integrate.solve_ivp(method="RK45")`` repeated bit for bit.  Also
@@ -653,9 +657,9 @@ def _ode_solve(problem: ChainBSDEProblem, grid: TimeGrid, rtol: float, atol: flo
     accepted and rejected steps.
     """
     if isinstance(problem, _ClockedChainProblem):
-        base, inv, dens = problem.base, problem.clock.inverse_at, problem.clock.density_at
+        base, read = problem.base, problem.clock.inverse_density_at
     else:
-        base, inv, dens = problem, float, lambda s: 1.0
+        base, read = problem, lambda t: (float(t), 1.0)
     N = base.model.n_states
     hit = sorted(base.hitting_set)
     free = np.array([i for i in range(N) if i not in base.hitting_set], dtype=int)
@@ -669,30 +673,28 @@ def _ode_solve(problem: ChainBSDEProblem, grid: TimeGrid, rtol: float, atol: flo
         (slice(free_list[a], free_list[b - 1] + 1), slice(a, b))
         for a, b in zip(firsts, firsts[1:] + [n_free])
     ]
+    rows = runs[0][0] if len(runs) == 1 else free  # the free rows of the product
     rates, f, g = base.model.rates, base.driver.f, base.terminal_fn
     T = grid.t_end
 
     U = np.zeros((N, 2))  # columns u and q; C order fixes how the product below sums
 
     def rhs(r, x):
-        s = float(inv(T - r))
-        w = float(1.0 / dens(s))
+        s, a2 = read(T - r)
+        w = 1.0 / a2
         X = x.reshape(2, n_free).T
         for states, pos in runs:
             U[states] = X[pos]
         for i in hit:
             U[i, 0] = g(s, i)
         u = U[:, 0].copy()
-        gen = (rates(s) * w).T.dot(U)
-        out = np.empty((2, n_free))  # fresh: the integrator keeps the last one it got
-        for states, pos in runs:
-            out[:, pos] = gen[states].T
+        # fresh on every call, as the integrator keeps the last one it got
+        out = (rates(s) * w).T.dot(U)[rows].T.ravel()
         for k, i in enumerate(free_list):
-            out[0, k] += f(s, i, u[i], u) * w
-        return out.ravel()  # dx/dr = -dx/dt
+            out[k] += f(s, i, u[i], u) * w
+        return out  # dx/dr = -dx/dt
 
-    s_end = float(inv(T))
-    x0 = np.concatenate(([g(s_end, i) for i in free_list], np.ones(n_free)))
+    x0 = np.concatenate(([g(read(T)[0], i) for i in free_list], np.ones(n_free)))
     r_eval = T - grid.nodes[::-1]
     try:
         y, nfev, steps, rejected = rk45(rhs, T, x0, r_eval, rtol, atol)
@@ -700,8 +702,8 @@ def _ode_solve(problem: ChainBSDEProblem, grid: TimeGrid, rtol: float, atol: flo
         raise SchemeError(f"backward ODE integration failed: {exc}") from None
     values = np.empty((grid.n_nodes, N))
     values[:, free] = y[:n_free].T[::-1]  # on the forward grid
-    for j, t in enumerate(grid.nodes):
-        s = float(inv(t))
+    for j, t in enumerate(grid.nodes.tolist()):
+        s = read(t)[0]
         for i in hit:
             values[j, i] = g(s, i)
     q = np.zeros(N)

@@ -87,11 +87,6 @@ class TimeGrid:
         return self.nodes.shape == other.nodes.shape and np.array_equal(self.nodes, other.nodes)
 
 
-def default_tolerance(grid: TimeGrid) -> float:
-    """Interpolation/round-trip slack tied to the discretization, not a magic number."""
-    return 10.0 * grid.max_step
-
-
 @dataclass(frozen=True)
 class SampledPath:
     """One value per grid node plus the rule for evaluating between nodes.
@@ -117,49 +112,55 @@ class SampledPath:
         return self.values.ndim == 1
 
     @cached_property
-    def _scalar_table(self) -> tuple[list, list | None] | None:
+    def _scalar_table(self) -> tuple[list, list] | None:
         """Nodes and values as Python floats, for scalar lookups.
 
-        ``None`` for a vector-valued linear path, which has no scalar lookup,
-        and no values for a ``PREVIOUS`` path, which returns its node's row.
+        ``None`` for a vector-valued path, which has no scalar lookup.
         ``values`` is read-only, and a new path (``with_values``,
         ``dataclasses.replace``) starts with no table, so it never goes stale.
         """
-        if self.interpolation == PREVIOUS:
-            return self.grid.nodes.tolist(), None
         if self.is_scalar:
             return self.grid.nodes.tolist(), self.values.tolist()
         return None
 
+    def _lookup(self, t: float) -> float:
+        """Value of a scalar path at the Python float ``t``, as a Python float.
+
+        The array path of ``at`` without NumPy: ``bisect_right`` finds the
+        interval in the cached ``_scalar_table``, and a linear path
+        interpolates with ``np.interp``'s own arithmetic, so the bits and the
+        ``DomainError`` messages are the array path's.
+        """
+        xs, ys = self._scalar_table
+        if not xs[0] - 1e-12 <= t <= xs[-1] + 1e-12:
+            if not math.isfinite(t):
+                raise DomainError("evaluation at non-finite time")
+            raise DomainError(f"evaluation outside grid range [{xs[0]}, {xs[-1]}]")
+        k = bisect_right(xs, t)  # how many nodes lie at or before t
+        if not k:  # inside the slack below the grid
+            return ys[0]
+        x0, y0 = xs[k - 1], ys[k - 1]
+        if t == x0 or t >= xs[-1] or self.interpolation == PREVIOUS:
+            return y0
+        x1, y1 = xs[k], ys[k]
+        slope = (y1 - y0) / (x1 - x0)
+        y = slope * (t - x0) + y0
+        if y != y:  # NaN: np.interp tries the other end, then a flat step
+            y = slope * (t - x1) + y1
+            if y != y and y0 == y1:
+                y = y0
+        return y
+
     def at(self, t) -> np.ndarray:
         """Evaluate the path at time(s) ``t`` under the declared rule.
 
-        A scalar time (Python or NumPy float or int) on a scalar path, or on
-        any path with the ``PREVIOUS`` rule, is looked up without NumPy in the
-        cached ``_scalar_table``: ``bisect_right`` finds the interval, and a
-        linear path interpolates with ``np.interp``'s own arithmetic.  It
-        returns a NumPy scalar, or one node's row for a vector-valued path,
-        with the same bits and the same errors as the array path;
-        transformed coefficients call it once per solver step.
+        A scalar time (Python or NumPy float or int) on a scalar path is
+        ``_lookup`` wrapped in a NumPy scalar, with the same bits and the
+        same errors as the array path; transformed coefficients call it once
+        per solver step.
         """
-        if isinstance(t, _SCALAR_TIMES) and (table := self._scalar_table) is not None:
-            xs, ys = table
-            t = float(t)
-            if not xs[0] - 1e-12 <= t <= xs[-1] + 1e-12:
-                if not math.isfinite(t):
-                    raise DomainError("evaluation at non-finite time")
-                raise DomainError(f"evaluation outside grid range [{xs[0]}, {xs[-1]}]")
-            # the last node at or before t, clamped to the grid
-            j = max(bisect_right(xs, t) - 1, 0)
-            if ys is None or j == len(xs) - 1 or t <= xs[j]:
-                return self.values[j]
-            slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
-            y = slope * (t - xs[j]) + ys[j]
-            if y != y:  # NaN: np.interp tries the other end, then a flat step
-                y = slope * (t - xs[j + 1]) + ys[j + 1]
-                if y != y and ys[j] == ys[j + 1]:
-                    y = ys[j]
-            return np.float64(y)
+        if isinstance(t, _SCALAR_TIMES) and self._scalar_table is not None:
+            return np.float64(self._lookup(float(t)))
         nodes = self.grid.nodes
         t = np.asarray(t, dtype=float)
         if np.any(~np.isfinite(t)):
@@ -263,6 +264,16 @@ class TimeChangeMap:
 
     def density_at(self, t):
         return self.density.at(t)
+
+    def inverse_density_at(self, u) -> tuple[float, float]:
+        """``(s, alpha_sq(s))`` with ``s = inverse(u)``, for one time, as Python floats.
+
+        One scalar clock read for the transformed coefficients, which are the
+        base ones at ``s`` scaled by ``1 / alpha_sq(s)``.  Same bits and same
+        ``DomainError`` as ``inverse_at`` followed by ``density_at``.
+        """
+        s = self.inverse._lookup(float(u))
+        return s, self.density._lookup(s)
 
     @classmethod
     def identity(cls, grid: TimeGrid) -> "TimeChangeMap":

@@ -286,12 +286,10 @@ def transform_driver(
         raise StructuralError("clock and problem coefficients live on different grids")
 
     base_driver = problem.driver
-    inverse_at = clock.inverse_at
-    density_at = clock.density_at
+    read = clock.inverse_density_at
 
     def tilde_driver(s, w, y, z):
-        t = float(inverse_at(s))
-        a2 = float(density_at(t))
+        t, a2 = read(s)
         return base_driver(t, w, y, z * math.sqrt(a2)) / a2
 
     base_payoff = problem.payoff
@@ -606,8 +604,7 @@ def _identity_spline(n_space: int, span: float) -> tuple[np.ndarray, np.ndarray]
     return coef, grad
 
 
-@lru_cache(maxsize=32)
-def _grid_operator(n_space: int, span: float, n_quad: int, var: float) -> np.ndarray:
+def _build_operator(n_space: int, span: float, n_quad: int, var: float) -> np.ndarray:
     """Read-only :func:`_expectation_operator` of step variance ``var`` on the state grid."""
     xs = np.linspace(-span, span, n_space)
     gh_x, gh_w = np.polynomial.hermite_e.hermegauss(n_quad)
@@ -615,6 +612,10 @@ def _grid_operator(n_space: int, span: float, n_quad: int, var: float) -> np.nda
     op = _expectation_operator(xs, _identity_spline(n_space, span)[0], gh_x, gh_w, var)
     op.setflags(write=False)
     return op
+
+
+_MEMO_OPERATORS = 32
+_grid_operator = lru_cache(maxsize=_MEMO_OPERATORS)(_build_operator)
 
 
 def solve_picard_oracle(
@@ -649,8 +650,11 @@ def solve_picard_oracle(
     none of them.  The memo is bounded: at most 32 operators (``8 n_space^2``
     bytes each, 10.3 MB at ``n_space = 201``) and the coefficients and
     gradient matrix of at most 2 state grids (``40 n_space^2`` bytes each,
-    1.6 MB).  One solve still holds an operator for each distinct step
-    variance, so a grid whose step variances all differ builds one per step.
+    1.6 MB).  A solve with more distinct step variances than that keeps the
+    32 smallest in the memo and builds the others for itself, so solving
+    that grid again reuses those 32.  One solve still holds an operator for
+    each distinct step variance, so a grid whose step variances all differ
+    builds one per step.
     """
     problem, ensemble, state, state_var = _unpack(problem_or_transformed, ensemble)
     if problem.k != 1 or problem.d != 1:
@@ -677,8 +681,14 @@ def solve_picard_oracle(
         return np.asarray(problem.payoff(np.full(x.shape, tnode), x[:, None]), dtype=float)
 
     _, grad = _identity_spline(n_space, span)
+    # only the smallest variances go through the memo: a least-recently-used
+    # memo asked for more than it keeps in a fixed order would evict each
+    # operator before a repeated solve asks for it again
     expect_ops = {
-        var: _grid_operator(n_space, span, n_quad, var) for var in set(state_var.tolist())
+        var: (_grid_operator if k < _MEMO_OPERATORS else _build_operator)(
+            n_space, span, n_quad, var
+        )
+        for k, var in enumerate(sorted(set(state_var.tolist())))
     }
     mask = absorbed(xs)
 

@@ -9,6 +9,7 @@ from tcbsde.errors import InvariantError, PreconditionError, StructuralError
 from tcbsde.timechange import LINEAR, SampledPath, TimeChangeMap, TimeGrid
 from tcbsde.chain import (
     BalanceReport,
+    ChainBSDEProblem,
     ChainPath,
     GammaBalancedDriver,
     MarkovChainModel,
@@ -20,6 +21,7 @@ from tcbsde.chain import (
     simulate_chain,
     transform_chain,
     transform_chain_driver,
+    transform_chain_problem,
 )
 
 
@@ -383,30 +385,45 @@ def test_balance_survives_transform_with_same_gamma():
 
 
 def test_clocked_callbacks_read_the_clock_once(monkeypatch):
-    # one inverse read and one density read per scalar evaluation
+    # one scalar clock read per evaluation, for the inverse and the density
+    # alike, and no SampledPath.at
+    reads, calls = [], []
+    orig_read, orig_at = TimeChangeMap.inverse_density_at, SampledPath.at
+
+    def counted_read(self, u):
+        reads.append(u)
+        return orig_read(self, u)
+
+    def counted_at(self, t):
+        calls.append(t)
+        return orig_at(self, t)
+
+    # patched first: the callbacks bind the read when they are built
+    monkeypatch.setattr(TimeChangeMap, "inverse_density_at", counted_read)
     grid = TimeGrid.uniform(2.0, 81)
     model = two_state_model(1.0, 2.0)
     drv = flat_driver(grid, model, c=0.5)
     clock = chain_clock(SampledPath(grid, 1.0 + grid.nodes, LINEAR), c2=0.0)
     tilde_model = transform_chain(model, clock)
     tilde_drv = transform_chain_driver(drv, clock)
-    calls = []
-    orig_at = SampledPath.at
-
-    def counted_at(self, t):
-        calls.append(t)
-        return orig_at(self, t)
-
+    problem = transform_chain_problem(
+        ChainBSDEProblem(model, drv, frozenset({1}), lambda t, i: t + i), clock
+    )
     monkeypatch.setattr(SampledPath, "at", counted_at)
     z = np.array([0.3, -0.2])
     for evaluate in (
         lambda u: tilde_model.rates(u),
         lambda u: tilde_drv.f(u, 0, 0.7, z),
         lambda u: tilde_drv.eta(u, 1, z, z),
+        lambda u: tilde_drv.k1(u),
+        lambda u: tilde_drv.k2(u),
+        lambda u: problem.terminal_fn(u, 1),
     ):
+        reads.clear()
         calls.clear()
         evaluate(1.3)
-        assert len(calls) == 2
+        assert reads == [1.3]
+        assert calls == []
 
 
 def test_rerooted_clocked_model_keeps_its_clock(monkeypatch):

@@ -22,7 +22,7 @@ from tcbsde.chain import (
     transform_chain_problem,
 )
 from tcbsde.errors import PreconditionError, SchemeError
-from tcbsde.timechange import LINEAR, SampledPath, TimeGrid
+from tcbsde.timechange import LINEAR, SampledPath, TimeChangeMap, TimeGrid
 
 from ode_reference import reference_ode_solve
 from util import deadline
@@ -132,16 +132,22 @@ def test_ode_matches_closure_reference(case):
     assert steps > 0 and nfev == 2 + 6 * (steps + rejected)
 
 
-def test_clocked_rhs_reads_the_clock_twice(monkeypatch):
-    # the inverse once and the density once per call; the closures read the
+def test_clocked_rhs_reads_the_clock_once(monkeypatch):
+    # one scalar clock read per call, for the inverse and the density alike,
+    # and no SampledPath.at anywhere in the solve; the closures read the
     # clock five times: rates twice, the driver twice and the terminal once
     problem, grid = CASES["linear-loss"]()
     reads = [0]
     per_call = []
-    at = SampledPath.at
+    at_calls = []
+    read, at = TimeChangeMap.inverse_density_at, SampledPath.at
+
+    def counting_read(self, u):
+        reads[0] += 1
+        return read(self, u)
 
     def counting_at(self, t):
-        reads[0] += 1
+        at_calls.append(t)
         return at(self, t)
 
     def counting_rk45(fun, *args):
@@ -154,11 +160,13 @@ def test_clocked_rhs_reads_the_clock_twice(monkeypatch):
         return rk45(rhs, *args)
 
     rk45 = chain.rk45
+    monkeypatch.setattr(TimeChangeMap, "inverse_density_at", counting_read)
     monkeypatch.setattr(SampledPath, "at", counting_at)
     monkeypatch.setattr(chain, "rk45", counting_rk45)
     sol = solve_chain_bsde(problem, "markov-ode", grid)
     assert len(per_call) == sol.metadata["rhs_evaluations"] > 0
-    assert set(per_call) == {2}
+    assert set(per_call) == {1}
+    assert at_calls == []
 
 
 def test_clocked_problem_views_follow_the_base():

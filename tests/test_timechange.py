@@ -15,8 +15,8 @@ from tcbsde.timechange import (
     SampledPath,
     TimeChangeMap,
     TimeGrid,
+    build_clock_from_density,
     build_phi,
-    default_tolerance,
     generalized_inverse,
     integrate_stieltjes,
     normalize_terminal_time,
@@ -26,6 +26,11 @@ from tcbsde.timechange import (
     terminal_clock_inverse,
     time_change_path,
 )
+
+
+def default_tolerance(grid: TimeGrid) -> float:
+    """Interpolation/round-trip slack tied to the discretization, not a magic number."""
+    return 10.0 * grid.max_step
 
 
 def identity_process(grid):
@@ -183,6 +188,53 @@ def test_scalar_lookup_never_reads_a_stale_table():
     wide = SampledPath(grid, np.array([[0.0, 1.0], [2.0, 1.0], [6.0, 1.0]]), LINEAR)
     assert np.array_equal(wide.at(1.5), [4.0, 1.0])
     assert np.array_equal(replace(wide, interpolation=PREVIOUS).at(1.5), [2.0, 1.0])
+
+
+def _read_or_error(read, u):
+    try:
+        return read(u)
+    except DomainError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    steps=st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=30),
+    density=st.lists(st.floats(1.0, 50.0), min_size=31, max_size=31),
+    target=st.sampled_from(["image", 1.0, 1.5]),
+    m=st.integers(2, 40),
+    data=st.data(),
+)
+def test_inverse_density_read_matches_two_lookups(steps, density, target, m, data):
+    # the fused scalar read against inverse.at then density.at: same bits as
+    # Python floats, and the same DomainError message, at every node, both
+    # ends, the 1e-12 slack on either side, beyond it and at non-finite times;
+    # a uniform target past the clock's top sends the inverse to +inf there
+    grid = TimeGrid(np.concatenate([[0.0], np.cumsum(steps)]))
+    a2 = np.array(density[: grid.n_nodes])
+    v = IncreasingProcess.identity(grid)
+    phi_end = float(np.sum(a2[:-1] * grid.steps))
+    tgt = target if target == "image" else TimeGrid.uniform(target * phi_end, m)
+    clock = build_clock_from_density(SampledPath(grid, a2, LINEAR), v, 1.0, target=tgt)
+    end = clock.target_grid.t_end
+    us = [float(x) for x in clock.target_grid.nodes]
+    us += [-1e-12, -5e-13, end + 5e-13, end + 1e-12, -2e-12, 2.0 * end + 1.0]
+    us += [math.nan, math.inf, -math.inf]
+    us += data.draw(st.lists(st.floats(0.0, end), min_size=1, max_size=10))
+
+    def two_lookups(u):
+        s = clock.inverse.at(u)
+        return s, clock.density.at(s)
+
+    for u in us:
+        for cast in (float, np.float64):
+            got = _read_or_error(clock.inverse_density_at, cast(u))
+            ref = _read_or_error(two_lookups, cast(u))
+            if isinstance(ref, str):
+                assert got == ref
+                continue
+            assert type(got) is tuple and [type(x) for x in got] == [float, float]
+            assert same_bits(got[0], ref[0]) and same_bits(got[1], ref[1])
 
 
 def test_increasing_process_floor():

@@ -217,8 +217,12 @@ def test_solve_with_more_variances_than_the_memo_keeps_is_unchanged():
     _clear_oracle_memo()
     cold = solve_picard_oracle(prob, W, iterations=4)
     assert wiener._grid_operator.cache_info().currsize == bound
+    assert wiener._grid_operator.cache_info().misses == bound
     warm = solve_picard_oracle(prob, W, iterations=4)
+    # the memo keeps its operators for the next solve instead of churning
     assert wiener._grid_operator.cache_info().currsize == bound
+    assert wiener._grid_operator.cache_info().hits == bound
+    assert wiener._grid_operator.cache_info().misses == bound
     np.testing.assert_array_equal(warm.Y, cold.Y)
     np.testing.assert_array_equal(warm.Z, cold.Z)
     np.testing.assert_array_equal(warm.metadata["state_values"][1], cold.metadata["state_values"][1])
