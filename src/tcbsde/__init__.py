@@ -67,7 +67,6 @@ from .chain import (
     map_chain_solution,
     message_transmission,
     psi_matrix,
-    semi_norm,
     simulate_chain,
     solve_chain_bsde,
     transform_chain,

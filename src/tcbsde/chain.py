@@ -333,15 +333,6 @@ def psi_matrix(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.diag(A @ x) - C - C.T
 
 
-def semi_norm(z: np.ndarray, psi: np.ndarray) -> float:
-    """Quadratic form ``z^T psi z``; vanishes on constant shifts of z."""
-    psi = np.asarray(psi, dtype=float)
-    if not np.allclose(psi, psi.T, atol=1e-12):
-        raise PreconditionError("psi must be symmetric")
-    val = float(np.asarray(z) @ psi @ np.asarray(z))
-    return max(val, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # balanced drivers
 # ---------------------------------------------------------------------------
@@ -608,15 +599,14 @@ def transform_chain_problem(problem: ChainBSDEProblem, clock: TimeChangeMap) -> 
 class ChainSolution:
     """State-value representation of a chain solution, optional path ensemble.
 
-    ``state_values[j, i]`` is Y at node j in state i; ``z_values[j, i]`` the
-    canonical z-vector there (defined up to constant shifts).  When the solve
-    ran on simulated paths, ``path_states``/``path_Y``/``stop_idx`` carry the
-    per-path view.
+    ``state_values[j, i]`` is Y at node j in state i.  A ``picard`` solve,
+    which runs on simulated paths, also carries the per-path view in
+    ``path_states``/``path_Y``/``stop_idx``; a ``markov-ode`` solve and a
+    mapped solution leave them ``None``.
     """
 
     grid: TimeGrid
     state_values: np.ndarray  # (n_nodes, N)
-    z_values: np.ndarray | None
     scheme: str
     metadata: dict = field(default_factory=dict)
     path_states: np.ndarray | None = None
@@ -724,26 +714,29 @@ def solve_chain_bsde(
 ) -> ChainSolution:
     """Backward solution on a truncated horizon with the hitting set as boundary.
 
-    ``markov-ode``: value function from the backward ODE system; requires the
-    Markovian flag and deterministic rates; the no-hit tail probability at the
-    horizon is estimated and reported.  ``picard``: per-step fixed point on
-    simulated paths, conditional expectations by state-indicator averaging,
-    Z from least squares of Y-jumps on M-jumps (identified up to the bracket's
-    null direction).
+    ``markov-ode``: value function from the backward ODE system, integrated
+    to ``rtol``/``atol``; requires the Markovian flag and deterministic rates,
+    and takes no path count: it simulates nothing and returns no per-path
+    view.  The no-hit tail probability at the horizon is reported in the
+    metadata.  ``picard``: per-step fixed point to ``fixed_point_tol`` on
+    ``paths`` simulated paths drawn from ``seed``, conditional expectations
+    by state-indicator averaging, Z from least squares of Y-jumps on M-jumps
+    (identified up to the bracket's null direction), which feeds the driver
+    and is not kept.
     """
     if scheme == "markov-ode":
         if not problem.markovian:
             raise UnsupportedError("markov-ode needs a Markovian driver")
+        if paths is not None:
+            raise PreconditionError("markov-ode simulates no paths; pass no path count")
         for name, tol in (("rtol", rtol), ("atol", atol)):
             # NaN never meets the step test and fails every step; inf accepts any step
             if not (math.isfinite(tol) and tol > 0.0):
                 raise PreconditionError(f"{name} must be positive and finite, got {tol}")
         values, tail, nfev, steps, rejected = _ode_solve(problem, grid, rtol, atol)
-        z_values = np.repeat(values[:, None, :], problem.model.n_states, axis=1)
-        sol = ChainSolution(
+        return ChainSolution(
             grid=grid,
             state_values=values,
-            z_values=z_values,
             scheme="markov-ode",
             metadata={
                 "tail_probability": tail,
@@ -752,12 +745,6 @@ def solve_chain_bsde(
                 "rejected_steps": rejected,
             },
         )
-        if paths:
-            log, _, _ = _thin(problem.model, grid.t_end, paths, seed)
-            sol.path_states = log.states_at(grid.nodes)
-            sol.path_Y = values[np.arange(grid.n_nodes)[None, :], sol.path_states]
-            sol.stop_idx = _stop_indices(sol.path_states, problem.hitting_set, grid)
-        return sol
     if scheme != "picard":
         raise PreconditionError(f"unknown scheme {scheme!r}")
     if not paths:
@@ -815,7 +802,6 @@ def _picard_solve(problem, grid, paths, seed, fp_tol):
     eye = np.eye(N)
     Y = np.where(np.arange(n)[None, :] >= stop[:, None], xi[:, None], 0.0)
     values = np.zeros((n, N))
-    z_values = np.zeros((n, N, N))
     values[n - 1] = [g(grid.t_end, i) for i in range(N)]
 
     f = problem.driver.f
@@ -828,7 +814,6 @@ def _picard_solve(problem, grid, paths, seed, fp_tol):
             sel = active & (S[:, j] == i)
             if not np.any(sel):
                 values[j, i] = values[j + 1, i]
-                z_values[j, i] = z_values[j + 1, i]
                 continue
             cond = float(np.mean(y_next[sel]))
             # Z from regressing Y-jumps on M-jumps; bracket-null directions
@@ -858,7 +843,6 @@ def _picard_solve(problem, grid, paths, seed, fp_tol):
                             f"in {k} iterations: last residual {residual:.3g} at y={y:.6g}"
                         )
             values[j, i] = y
-            z_values[j, i] = z
         for i in sorted(problem.hitting_set):
             values[j, i] = g(t, i)
         Y[:, j] = np.where(active, values[j, S[:, j]], xi)
@@ -866,7 +850,6 @@ def _picard_solve(problem, grid, paths, seed, fp_tol):
     return ChainSolution(
         grid=grid,
         state_values=values,
-        z_values=z_values,
         scheme="picard",
         metadata={"truncated_fraction": truncated},
         path_states=S,
@@ -876,16 +859,20 @@ def _picard_solve(problem, grid, paths, seed, fp_tol):
 
 
 def map_chain_solution(sol: ChainSolution, clock: TimeChangeMap) -> ChainSolution:
-    """Value function carried back to the original time scale: ``u(t) = u~(phi(t))``."""
+    """Value function carried back to the original time scale: ``u(t) = u~(phi(t))``.
+
+    The solution grid must reach ``phi(T)``, up to ``1e-9``.
+    """
     src = clock.source_grid
     phi = np.asarray(clock.forward.values)
+    if phi[-1] > sol.grid.t_end + 1e-9:
+        raise StructuralError("solution grid does not cover the clock range")
     values = np.empty((src.n_nodes, sol.state_values.shape[1]))
     for i in range(sol.state_values.shape[1]):
         values[:, i] = np.interp(phi, sol.grid.nodes, sol.state_values[:, i])
     return ChainSolution(
         grid=src,
         state_values=values,
-        z_values=None,
         scheme=sol.scheme,
         metadata=dict(sol.metadata),
     )

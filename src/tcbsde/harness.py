@@ -154,7 +154,7 @@ class ScenarioSpec:
     description: str
     anchor: str  # the mathematical property the scenario exercises
     module: str  # timechange | wiener | chain
-    fn: object
+    fn: object  # fn(config, bundle) fills the bundle made under ``name``
     budget_s: float  # wall-clock limit of one run, gated as ``runtime_seconds``
 
 
@@ -178,8 +178,9 @@ def run_scenario(config: ExperimentConfig, write: bool = True) -> ReportBundle:
             f"unknown scenario {config.scenario!r}; known: {', '.join(sorted(reg))}"
         )
     spec = reg[config.scenario]
+    bundle = ReportBundle(scenario=spec.name)
     t0 = time.perf_counter()
-    bundle = spec.fn(config)
+    spec.fn(config, bundle)
     elapsed = time.perf_counter() - t0
     bundle.verdicts.append(Verdict.check("runtime_seconds", elapsed, spec.budget_s))
     bundle.metadata.setdefault("seed", str(config.seed))

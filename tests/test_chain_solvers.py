@@ -6,7 +6,13 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from tcbsde.errors import DomainError, PreconditionError, SchemeError, UnsupportedError
+from tcbsde.errors import (
+    DomainError,
+    PreconditionError,
+    SchemeError,
+    StructuralError,
+    UnsupportedError,
+)
 from tcbsde.timechange import (
     LINEAR,
     IncreasingProcess,
@@ -309,6 +315,32 @@ def test_verify_bound_message_variants():
     assert ok_dbl and ok_tight
     # the two bound profiles differ exactly by the factor 2
     assert r_tight == pytest.approx(2.0 * r_dbl, rel=1e-12)
+
+
+def test_map_chain_solution_rejects_a_grid_short_of_the_clock_range():
+    # the solve stops on the 21st of 41 target nodes (3.9, against phi(T) =
+    # 11.8): mapping back must refuse, not hold the last row for every t with
+    # phi(t) past the grid end
+    model = line_model(1.0)
+    grid = TimeGrid.uniform(4.0, 41)
+    problem = build_message_problem(model, lambda t, i: 1.0 + t, target=1, horizon_grid=grid)
+    clock = chain_clock(problem.driver.c_path, problem.driver.c2, target="image")
+    tilde = transform_chain_problem(problem, clock)
+    short = TimeGrid(clock.target_grid.nodes[:21])
+    assert clock.forward.values[-1] > short.t_end + 1.0
+    with pytest.raises(StructuralError, match="does not cover the clock range"):
+        map_chain_solution(solve_chain_bsde(tilde, "markov-ode", short), clock)
+    full = map_chain_solution(solve_chain_bsde(tilde, "markov-ode", clock.target_grid), clock)
+    assert full.grid is clock.source_grid
+
+
+def test_markov_ode_takes_no_path_count():
+    grid = TimeGrid.uniform(5.0, 51)
+    problem = constant_terminal_problem(line_model(), grid)
+    with pytest.raises(PreconditionError, match="no path count"):
+        solve_chain_bsde(problem, "markov-ode", grid, paths=100)
+    sol = solve_chain_bsde(problem, "markov-ode", grid)
+    assert sol.path_states is None and sol.path_Y is None and sol.stop_idx is None
 
 
 def test_verify_bound_profile_factors():

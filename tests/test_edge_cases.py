@@ -19,7 +19,7 @@ def test_lsmc_rank_deficiency_falls_back_to_mean():
     g = grid_uniform(1.0, 11)
     prob = linear_problem(g, 0.0, 0.0, (0.0, 1.0), eps=0.05)
     W = simulate_brownian(g, 3, 1, seed=1)
-    sol = solve_lsmc(prob, W, degree=3)
+    sol = solve_lsmc(prob, W)
     assert sol.metadata["rank_deficient"] is True
     assert np.isfinite(sol.y0())
 
@@ -64,7 +64,6 @@ def test_exit_problem_cross_scheme_agreement():
         coeffs=coeffs_on(g, 0.0, 0.0, eps=0.05),
         terminal=TerminalRule(kind="first_exit", coord=0, lower=-0.5, upper=0.5),
         payoff=lambda tau, w: (w[..., 0] >= 0.5).astype(float),
-        mode="lipschitz",
     )
     W = simulate_brownian(g, 10_000, 1, seed=3)
     lsmc = solve_lsmc(prob, W, basis="bins")

@@ -180,7 +180,6 @@ def test_chain_solution_csv(tmp_path):
     sol = ChainSolution(
         grid=g,
         state_values=np.array([[0.1, 0.9], [0.2, 0.8], [0.3, 0.7]]),
-        z_values=None,
         scheme="picard",
         path_states=np.array([[0, 0, 1]]),
         path_Y=np.array([[0.1, 0.2, 0.7]]),
@@ -198,7 +197,7 @@ def test_chain_solution_csv(tmp_path):
 
 def test_chain_solution_csv_needs_paths(tmp_path):
     g = TimeGrid.uniform(1.0, 3)
-    sol = ChainSolution(grid=g, state_values=np.zeros((3, 2)), z_values=None, scheme="markov-ode")
+    sol = ChainSolution(grid=g, state_values=np.zeros((3, 2)), scheme="markov-ode")
     with pytest.raises(StructuralError):
         write_chain_solution_csv(sol, tmp_path / "x.csv")
 

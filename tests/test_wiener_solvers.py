@@ -4,7 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from tcbsde.errors import PreconditionError, SchemeError, UnsupportedError
+from tcbsde.errors import PreconditionError, SchemeError, StructuralError, UnsupportedError
 from tcbsde.timechange import IncreasingProcess, TimeChangeMap, TimeGrid, build_phi
 from tcbsde.wiener import (
     PolynomialPayoff,
@@ -77,7 +77,6 @@ def test_lsmc_first_exit_freezes_payoff():
         coeffs=coeffs_on(g, 0.0, 0.0, eps=0.05),
         terminal=TerminalRule(kind="first_exit", coord=0, lower=-0.5, upper=0.5),
         payoff=lambda tau, w: np.ones(tau.shape),
-        mode="lipschitz",
     )
     W = simulate_brownian(g, 2000, 1, seed=9)
     sol = solve_lsmc(prob, W)
@@ -258,6 +257,29 @@ def test_transform_solve_map_equivalence():
     scale = float(np.max(np.abs(direct.Y)))
     gap = float(np.max(np.abs(direct.Y - mapped.Y)))
     assert gap <= 0.03 * scale
+
+
+@pytest.mark.parametrize("solve", [solve_lsmc, solve_picard_oracle], ids=["lsmc", "oracle"])
+def test_transformed_problem_is_solved_on_its_own_noise_only(solve):
+    # a transformed problem's Markov state is the noise it was transformed
+    # with: increments from any other ensemble, or an ensemble standing in for
+    # the state, would mix two noises, so both are structural errors
+    g = grid_uniform(1.0, 21)
+    prob = linear_problem(g, 0.5 + g.nodes, 0.3, (0.0, 1.0), eps=0.05)
+    clock = build_phi(prob.coeffs, IncreasingProcess.identity(g), target="image")
+    W1 = simulate_brownian(g, 500, 1, seed=1)
+    other = simulate_brownian(clock.target_grid, 500, 1, seed=2)
+    tp = transform_driver(prob, clock, W=W1)
+    with pytest.raises(StructuralError, match="noise it carries"):
+        solve(tp, other)
+    with pytest.raises(StructuralError, match="noise it carries"):
+        solve(tp, simulate_brownian(clock.target_grid, 300, 1, seed=2))
+    with pytest.raises(StructuralError, match="noise it carries"):
+        solve(transform_driver(prob, clock), other)
+    with pytest.raises(StructuralError, match="carries no noise"):
+        solve(transform_driver(prob, clock))
+    own = solve(tp)
+    assert own.grid is clock.target_grid and own.paths == 500
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +495,6 @@ def _cubic_problem(grid, payoff):
         coeffs=coeffs_on(grid, 0.0, 0.0, eps=0.05),
         terminal=TerminalRule(kind="fixed"),
         payoff=payoff,
-        mode="monotone",
     )
 
 

@@ -201,7 +201,7 @@ def probe_mode_conditions(
         f_y2 = float(np.asarray(problem.driver(t, w, np.array([y2]), z)).ravel()[0])
         f_z2 = float(np.asarray(problem.driver(t, w, np.array([y1]), z2)).ravel()[0])
         dz = float(np.linalg.norm(z - z2))
-        if problem.mode == "lipschitz":
+        if problem.coeffs.mode == "lipschitz":
             if abs(y1 - y2) > 1e-12:
                 worst["y_lipschitz"] = min(
                     worst["y_lipschitz"], rt * abs(y1 - y2) - abs(f_y1 - f_y2)
@@ -267,7 +267,6 @@ def test_monotone_transform_constants():
     prob = WienerBSDEProblem(
         k=1, d=1, driver=driver, coeffs=c,
         terminal=TerminalRule(kind="fixed"), payoff=PolynomialPayoff((1.0,)),
-        mode="monotone",
     )
     clock = build_phi(c, IncreasingProcess.identity(g))
     tp = transform_driver(prob, clock)

@@ -46,7 +46,6 @@ def linear_problem(grid, r, u, payoff_coeffs, eps=0.05):
         coeffs=c,
         terminal=TerminalRule(kind="fixed"),
         payoff=PolynomialPayoff(tuple(payoff_coeffs)),
-        mode="lipschitz",
     )
 
 
