@@ -843,7 +843,8 @@ def map_solution(
     ``from_transformed``: ``Y_t = y(phi(t))``, ``Z_t = z(phi(t)) sqrt(phi'(t))``
     onto the clock's source grid.  ``to_transformed`` applies the reciprocal
     scaling onto the target grid.  The two directions compose to the identity
-    up to interpolation tolerance.
+    up to interpolation tolerance.  The solution grid must reach the top of
+    the clock range it reads, ``phi(T)`` or ``inv(phi(T))``, up to ``1e-9``.
     """
     if direction == "from_transformed":
         out_grid = clock.source_grid
@@ -857,6 +858,8 @@ def map_solution(
         scale = np.sqrt(np.asarray(clock.derivative_at(out_grid.nodes)))
         if np.any(~np.isfinite(times)):
             raise StructuralError("clock inverse leaves the solution grid")
+        if times[-1] > sol.grid.t_end + 1e-9:
+            raise StructuralError("solution grid does not cover the clock range")
     else:
         raise PreconditionError(f"unknown direction {direction!r}")
 

@@ -303,6 +303,33 @@ def test_sum_violation_reported_with_magnitude_one():
     assert rep.worst_sum == pytest.approx(1.0)
 
 
+def test_nan_driver_fails_the_balance_check():
+    # NaN from f and eta everywhere: every worst value is NaN, and NaN is no pass
+    grid = TimeGrid.uniform(1.0, 11)
+    model = two_state_model(1.0, 2.0)
+    base = flat_driver(grid, model)
+    nan = GammaBalancedDriver(
+        f=lambda t, i, y, z: float("nan"), eta=lambda t, i, z, zp: np.full(2, np.nan),
+        gamma=1.0, c_path=base.c_path,
+        c1=0.0, c2=0.0, beta_hat=0.0, beta=1.0, beta_tilde=1.0,
+        k1=base.k1, k2=base.k2,
+    )
+    rep = check_gamma_balanced(nan, model, probes=20, seed=1)
+    fields = (rep.worst_difference_identity, rep.worst_ratio_deviation, rep.worst_sum,
+              rep.worst_shift_invariance)
+    assert all(type(v) is float and math.isnan(v) for v in fields)
+    assert rep.passed is False
+
+
+def test_balance_report_holds_python_scalars():
+    grid = TimeGrid.uniform(1.0, 11)
+    model = two_state_model(1.0, 2.0)
+    rep = check_gamma_balanced(flat_driver(grid, model), model, probes=20, seed=1)
+    assert rep.passed is True
+    assert all(type(v) is float for v in (rep.worst_difference_identity, rep.worst_ratio_deviation,
+                                          rep.worst_sum, rep.worst_shift_invariance))
+
+
 # ---------------------------------------------------------------------------
 # chain transforms
 # ---------------------------------------------------------------------------

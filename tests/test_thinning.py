@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 from scipy.stats import kstest
 
@@ -25,10 +26,15 @@ from tcbsde.chain import (
     solve_chain_bsde,
     transform_chain,
 )
+from tcbsde.chain import _check_rate_batch, _column_sums
 from tcbsde.errors import InvariantError, PreconditionError
 from tcbsde.timechange import LINEAR, SampledPath, TimeGrid
 
-from thinning_reference import reference_killed_chain, reference_simulate_chain
+from thinning_reference import (
+    reference_check_rate_batch,
+    reference_killed_chain,
+    reference_simulate_chain,
+)
 
 
 def two_state(lam=1.0, mu=1.0):
@@ -357,3 +363,76 @@ def test_killed_chain_rejects_intensity_above_bound():
     # exit 1 plus kill 2 against a thinning bound of 1 + 1
     with pytest.raises(InvariantError, match="exceeds the thinning bound"):
         simulate_killed_chain(line(), lambda t, i: 2.0, 1, 5.0, 100, seed=0, loss_bound=1.0)
+
+
+# magnitudes far apart, so that adding the rows in another order changes the bits
+_ORDER_SENSITIVE = st.one_of(
+    st.floats(-1e16, 1e16), st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0, 3e-17])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 12).flatmap(
+        lambda N: arrays(float, st.tuples(st.integers(1, 40), st.just(N), st.just(N)), elements=_ORDER_SENSITIVE)
+    )
+)
+def test_column_sums_by_row_adds_are_bit_equal_to_the_reduction(A):
+    assert _column_sums(A).tobytes() == A.sum(axis=1).tobytes()
+
+
+_DEFECTS = {
+    "not-finite": "rate matrix is not finite",
+    "negative": "negative off-diagonal rate",
+    "column-sum": "columns do not sum to zero",
+    "bound": "exceeds the thinning bound",
+}
+
+
+@st.composite
+def defective_batches(draw, kind):
+    # a stack of valid generators with the given defect and up to two others
+    # injected at random matrices; column-sum defects sit near the 1e-9 limit
+    N, m = draw(st.integers(2, 5)), draw(st.integers(1, 30))
+    A = draw(arrays(float, (m, N, N), elements=st.floats(0.0, 3.0)))
+    diag = np.arange(N)
+    A[:, diag, diag] = 0.0
+    A[:, diag, diag] = -A.sum(axis=1)
+    t = np.sort(draw(arrays(float, m, elements=st.floats(0.0, 10.0))))
+    bound = float(np.max(-A[:, diag, diag])) * 1.5 + 0.1
+    kinds = draw(st.lists(st.sampled_from(sorted(_DEFECTS)), max_size=2)) + [kind]  # last, so it stays
+    for k in kinds:
+        i, r, c = draw(st.integers(0, m - 1)), draw(st.integers(0, N - 1)), draw(st.integers(0, N - 1))
+        if k == "not-finite":
+            A[i, r, c] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        elif k == "negative":
+            c = (r + 1) % N
+            A[i, r, c] = -draw(st.floats(1e-11, 2.0))
+        elif k == "column-sum":
+            A[i, r, c] += draw(st.sampled_from([1.0, -1.0])) * draw(st.floats(5e-10, 2e-9))
+        else:
+            exit_rate = draw(st.floats(bound * 1.001, bound * 3.0))
+            A[i, :, c] = 0.0
+            A[i, (c + 1) % N, c], A[i, c, c] = exit_rate, -exit_rate
+    total = np.max(-np.diagonal(A, axis1=1, axis2=2), axis=1)
+    return A, t, total, bound
+
+
+def _failure(check, batch):
+    try:
+        check(*batch)
+    except InvariantError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("kind", sorted(_DEFECTS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rate_check_fails_as_the_reduction_reference_does(kind, data):
+    # the same message at the same t as the check that sums with A.sum(axis=1)
+    batch = data.draw(defective_batches(kind))
+    got = _failure(_check_rate_batch, batch)
+    assert got == _failure(reference_check_rate_batch, batch)
+    if kind != "column-sum":  # a sum defect may cancel or stay under 1e-9
+        assert got is not None

@@ -238,6 +238,20 @@ def test_map_solution_roundtrip():
     assert float(np.max(np.abs(back.Y - sol.Y))) <= tol * max(1.0, float(np.max(np.abs(sol.Y))))
 
 
+def test_map_solution_to_transformed_rejects_a_grid_short_of_the_clock_range():
+    # a solution on the first 11 of 21 nodes ends at 0.5, and the clock's
+    # inverse reaches 1.0: the target nodes past 0.5 have nothing to read
+    g = grid_uniform(1.0, 21)
+    prob = linear_problem(g, 0.5 + g.nodes, 0.3, (0.0, 1.0), eps=0.05)
+    clock = build_phi(prob.coeffs, IncreasingProcess.identity(g), target="image")
+    short = grid_uniform(0.5, 11)
+    sol = solve_lsmc(martingale_problem(short, (0.0, 1.0)), simulate_brownian(short, 200, 1, seed=1))
+    with pytest.raises(StructuralError, match="does not cover the clock range"):
+        map_solution(sol, clock, "to_transformed")
+    full = solve_lsmc(martingale_problem(g, (0.0, 1.0)), simulate_brownian(g, 200, 1, seed=1))
+    assert map_solution(full, clock, "to_transformed").grid is clock.target_grid
+
+
 def test_transform_solve_map_equivalence():
     # time-varying r: solve directly and through the clock; the two value
     # processes agree after mapping back (the equivalence exercised end to end)

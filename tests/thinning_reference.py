@@ -3,7 +3,8 @@
 Lewis-Shedler thinning with one Python iteration per candidate event and one
 scalar ``model.rates(t)`` call each; the law is the same as the kernel's, the
 random stream is not.  The K-function probe reads its hitting times path by
-path through ``ChainPath.state_at``.
+path through ``ChainPath.state_at``.  The generator check sums the columns of
+a rate stack with NumPy's middle-axis reduction ``A.sum(axis=1)``.
 """
 
 import math
@@ -12,6 +13,30 @@ import numpy as np
 
 from tcbsde.chain import ChainPaths, MarkovChainModel, simulate_chain
 from tcbsde.errors import InvariantError
+
+
+def reference_check_rate_batch(A, t, total, bound):
+    m, N = A.shape[:2]
+    finite = np.isfinite(A)
+    if not finite.all():
+        k = np.argmin(finite.reshape(m, -1).all(axis=1))
+        raise InvariantError(f"rate matrix is not finite at t={t[k]}")
+    negative = A < -1e-12
+    diag = np.arange(N)
+    negative[:, diag, diag] = False
+    if negative.any():
+        k = np.argmax(negative.reshape(m, -1).any(axis=1))
+        raise InvariantError(f"negative off-diagonal rate at t={t[k]}")
+    unbalanced = np.abs(A.sum(axis=1)) > 1e-9
+    if unbalanced.any():
+        k = np.argmax(unbalanced.any(axis=1))
+        raise InvariantError(f"columns do not sum to zero at t={t[k]}")
+    bad = np.flatnonzero(total > bound * (1.0 + 1e-9))
+    if bad.size:
+        k = bad[0]
+        raise InvariantError(
+            f"exit plus kill rate {total[k]} exceeds the thinning bound {bound} at t={t[k]}"
+        )
 
 
 def _next_state(A, state, exit_rate, rng):
