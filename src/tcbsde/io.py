@@ -11,6 +11,7 @@ carrying the measured value and its threshold.
 from __future__ import annotations
 
 import configparser
+import itertools
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,19 +40,22 @@ def _write_lines(path, lines) -> None:
 
 def write_solution_csv(sol: SolutionEnsemble, path) -> None:
     """Flat per-path snapshot of a Wiener solution ensemble."""
-    d = sol.Z.shape[2]
+    P, n, d = sol.Z.shape
     header = ["path_id", "node_time", "Y_1"] + [f"Z_1{a + 1}" for a in range(d)] + ["stopped_flag"]
-    # "%.12g" prints a Python float as format_float does, and a Python float
-    # prints like the NumPy scalar it came from; one template fills a row
-    row = "%d,%s," + "%.12g," * (1 + d) + "%d"
     times = [format_float(t) for t in sol.grid.nodes.tolist()]
-    n = len(times)
-    Y, Z, stops = sol.Y.tolist(), sol.Z.tolist(), sol.stop_idx.tolist()
-    lines = [",".join(header)]
-    for p in range(sol.paths):
-        flags = [0] * stops[p] + [1] * (n - stops[p])  # zip drops what runs past n
-        lines.extend([row % (p, t, y, *z, f) for t, y, z, f in zip(times, Y[p], Z[p], flags)])
-    _write_lines(path, lines)
+    prefixes, flags = [], []
+    for p, stop in enumerate(np.clip(sol.stop_idx, 0, n).tolist()):
+        head = f"{p},"
+        prefixes += [head + t for t in times]
+        flags += ["0"] * stop + ["1"] * (n - stop)
+    columns = [prefixes, sol.Y.ravel().tolist()]
+    columns += [sol.Z[:, :, a].ravel().tolist() for a in range(d)]
+    columns.append(flags)
+    # "%.12g" prints a Python float as format_float does, and a Python float
+    # prints like the NumPy scalar it came from; one template fills every row
+    row = "%s," + "%.12g," * (1 + d) + "%s\n"
+    cells = tuple(itertools.chain.from_iterable(zip(*columns)))
+    Path(path).write_text(",".join(header) + "\n" + (row * (P * n)) % cells, newline="\n")
 
 
 def read_solution_csv(path) -> dict:

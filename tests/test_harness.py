@@ -150,6 +150,17 @@ def test_cli_config_file(tmp_path):
     assert (tmp_path / "psi-properties" / "report.txt").exists()
 
 
+def test_cli_rejects_a_linear_equivalence_config_with_grids_that_are_not_nested(tmp_path, capsys):
+    # 7 steps read from an 11-node simulation: the direct noise would come
+    # from nodes up to 0.043 away, with increments of the wrong variance
+    from tcbsde.cli import main
+
+    p = tmp_path / "exp.ini"
+    p.write_text("[experiment]\nscenario = linear-equivalence\n[params]\nsteps = 7\nsource_nodes = 11\n")
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert "not nested" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize(
     "flag",

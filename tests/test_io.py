@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcbsde.errors import ConfigError, InvariantError, StructuralError
 from tcbsde.io import (
+    _write_lines,
     format_float,
     load_chain_model,
     read_solution_csv,
@@ -162,6 +165,56 @@ def test_solution_csv_bytes_match_reference_writer(tmp_path):
     fast = (tmp_path / "fast.csv").read_bytes()
     assert b",-0," in fast and b",1e-300," in fast and b",1.23456789012e+14," in fast
     assert fast == (tmp_path / "ref.csv").read_bytes()
+
+
+def template_write_solution_csv(sol, path):
+    # one "%" template per row: the reference for the writer's single
+    # template over every row
+    d = sol.Z.shape[2]
+    header = ["path_id", "node_time", "Y_1"] + [f"Z_1{a + 1}" for a in range(d)] + ["stopped_flag"]
+    # "%.12g" prints a Python float as format_float does, and a Python float
+    # prints like the NumPy scalar it came from; one template fills a row
+    row = "%d,%s," + "%.12g," * (1 + d) + "%d"
+    times = [format_float(t) for t in sol.grid.nodes.tolist()]
+    n = len(times)
+    Y, Z, stops = sol.Y.tolist(), sol.Z.tolist(), sol.stop_idx.tolist()
+    lines = [",".join(header)]
+    for p in range(sol.paths):
+        flags = [0] * stops[p] + [1] * (n - stops[p])  # zip drops what runs past n
+        lines.extend([row % (p, t, y, *z, f) for t, y, z, f in zip(times, Y[p], Z[p], flags)])
+    _write_lines(path, lines)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    paths=st.integers(0, 12),
+    n=st.integers(2, 9),
+    d=st.sampled_from([1, 2]),
+    t_end=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+    layout=st.sampled_from(["C", "transposed"]),
+)
+def test_solution_csv_bytes_match_template_writer(tmp_path_factory, paths, n, d, t_end, seed, layout):
+    rng = np.random.default_rng(seed)
+    Y = rng.normal(size=(paths, n)) * 10.0 ** rng.integers(-300, 300, size=(paths, n))
+    Z = rng.normal(size=(paths, n, d)) * 10.0 ** rng.integers(-12, 12, size=(paths, n, d))
+    Y[rng.random((paths, n)) < 0.1] = -0.0
+    Z[rng.random((paths, n, d)) < 0.1] = -0.0
+    Y[rng.random((paths, n)) < 0.1] = 1e-300
+    Z[rng.random((paths, n, d)) < 0.1] = -1e-300
+    if layout == "transposed":
+        # the LSMC solver returns transposed views of step-major arrays
+        Y = np.ascontiguousarray(Y.T).T
+        Z = np.ascontiguousarray(Z.transpose(1, 0, 2)).transpose(1, 0, 2)
+    # stops at node 0, inside, at the last node and past it
+    stop_idx = rng.choice([0, n // 2, n - 1, n], size=paths)
+    sol = SolutionEnsemble(
+        grid=TimeGrid.uniform(t_end, n), Y=Y, Z=Z, stop_idx=stop_idx, scheme="lsmc", seed=0
+    )
+    out = tmp_path_factory.mktemp("csv")
+    write_solution_csv(sol, out / "fast.csv")
+    template_write_solution_csv(sol, out / "template.csv")
+    assert (out / "fast.csv").read_bytes() == (out / "template.csv").read_bytes()
 
 
 def write_state_values_csv(sol: ChainSolution, path) -> None:

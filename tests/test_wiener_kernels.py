@@ -3,13 +3,18 @@
 The fast solvers sum in another order (one operator per step variance, built
 from the spline coefficients, and one block of right-hand sides per
 regression), so they agree with the references to rounding, not bit for bit:
-1e-12 relative to the largest magnitude of each compared quantity.
+1e-12 relative to the largest magnitude of each compared quantity.  The node
+reads at the end do the same arithmetic as their references, and are
+compared bit for bit.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from tcbsde import wiener
@@ -32,7 +37,11 @@ from tcbsde.wiener import (
     transform_driver,
 )
 from util import coeffs_on, grid_uniform, linear_problem
-from wiener_reference import reference_solve_lsmc, reference_solve_picard_oracle
+from wiener_reference import (
+    reference_oracle_read_out,
+    reference_solve_lsmc,
+    reference_solve_picard_oracle,
+)
 
 RTOL = 1e-12
 
@@ -260,3 +269,144 @@ def test_expectation_operator_matches_spline_evaluation(n_quad, var, case):
     fast = wiener._expectation_operator(xs, coef, gh_x, gh_w, var)
     ref = _operator_by_evaluation(xs, gh_x, gh_w, var)
     assert np.max(np.abs(fast - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+# ---------------------------------------------------------------------------
+# node reads: the path gather and the oracle's read-out, bit for bit
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    paths=st.integers(1, 40),
+    steps=st.integers(1, 60),
+    dim=st.sampled_from([1, 2]),
+    block_bytes=st.integers(1, 4000),
+    picks=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+    ends=st.sampled_from(["first", "last", "both", "neither"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_path_nodes_are_the_values_at_the_index_bit_for_bit(
+    paths, steps, dim, block_bytes, picks, ends, seed
+):
+    # a small block puts a few paths in each block, so a block mostly ends
+    # inside the ensemble (the path count is no multiple of the block rows)
+    g = TimeGrid(np.cumsum(np.r_[0.0, np.random.default_rng(seed).uniform(0.1, 1.0, steps)]))
+    W = simulate_brownian(g, paths, dim, seed)
+    idx = [int(p * steps) for p in picks]
+    idx += {"first": [0], "last": [steps], "both": [0, steps], "neither": []}[ends]
+    idx = np.array(sorted(set(idx)))
+    with mock.patch.object(wiener, "_PATH_BLOCK_BYTES", block_bytes):
+        got = wiener._path_nodes(W, idx)
+    assert "values" not in W.__dict__
+    want = W.values[:, idx, :]
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # the same layout in memory, so a reduction over it sums in the same order
+    assert got.strides == want.strides
+
+
+def test_path_nodes_of_the_benchmark_ensemble_in_blocks():
+    # 131 paths a block at 1,001 nodes: 2,000 paths leave a last block of 35
+    W = simulate_brownian(TimeGrid.uniform(1.0, 1001), 2000, 1, seed=4)
+    idx = np.arange(0, 1001, 20)
+    assert 2000 % (wiener._PATH_BLOCK_BYTES // (8 * 1001)) != 0
+    got, want = wiener._path_nodes(W, idx), W.values[:, idx, :]
+    assert got.tobytes() == want.tobytes() and got.strides == want.strides
+
+
+def _state_grid(kind, m, span):
+    if kind == "linspace":
+        return np.linspace(-span, span, m)
+    # an increasing grid far from uniform: the guess is then off by many nodes
+    return -span + 2.0 * span * np.linspace(0.0, 1.0, m) ** 3
+
+
+def _states(rng, xs, shape):
+    """States below, inside and above the grid, on nodes, next to them and at the top."""
+    span = xs[-1] - xs[0]
+    x = rng.uniform(xs[0] - 0.3 * span, xs[-1] + 0.3 * span, size=shape)
+    nodes = xs[rng.integers(0, xs.size, size=shape)]
+    kind = rng.integers(0, 7, size=shape)
+    x = np.where(kind == 1, nodes, x)
+    x = np.where(kind == 2, np.nextafter(nodes, np.inf), x)
+    x = np.where(kind == 3, np.nextafter(nodes, -np.inf), x)
+    x = np.where(kind == 4, xs[-1], x)
+    x = np.where(kind == 5, xs[0], x)
+    return x
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    m=st.integers(2, 60),
+    span=st.floats(1e-7, 1e3),
+    kind=st.sampled_from(["linspace", "cubed"]),
+    seed=st.integers(0, 2**32 - 1),
+    extremes=st.booleans(),
+)
+def test_interval_index_is_searchsorted(m, span, kind, seed, extremes):
+    xs = _state_grid(kind, m, span)
+    x = _states(np.random.default_rng(seed), xs, (17, 5))
+    if extremes:
+        x[0, :] = [np.nan, np.inf, -np.inf, 1e308, -1e308]
+    want = np.searchsorted(xs, x, side="right") - 1
+    np.testing.assert_array_equal(wiener._interval_index(xs, x), want)
+
+
+def _fields(rng, n, m, special):
+    f = rng.normal(size=(n, m)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+    f[rng.random((n, m)) < 0.1] = -0.0
+    f[rng.random((n, m)) < 0.1] = 0.0
+    same = rng.random((n, m - 1)) < 0.1  # equal neighbours: a zero slope
+    f[:, 1:][same] = f[:, :-1][same]
+    if special:
+        # infinite values send np.interp through its NaN fallbacks
+        f[rng.random((n, m)) < 0.05] = np.inf
+        f[rng.random((n, m)) < 0.05] = -np.inf
+        f[rng.random((n, m)) < 0.02] = np.nan
+    return f
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    paths=st.integers(1, 30),
+    n=st.integers(1, 12),
+    m=st.integers(2, 40),
+    span=st.floats(1e-7, 1e3),
+    kind=st.sampled_from(["linspace", "cubed"]),
+    special=st.booleans(),
+    node_major=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_oracle_read_out_is_the_interp_loop_bit_for_bit(
+    paths, n, m, span, kind, special, node_major, seed
+):
+    rng = np.random.default_rng(seed)
+    xs = _state_grid(kind, m, span)
+    state = _states(rng, xs, (paths, n))[:, :, None]
+    if special:
+        state[rng.random((paths, n)) < 0.05] = np.nan
+    if node_major:
+        # a transformed problem's state is laid out node-major
+        state = np.ascontiguousarray(state.transpose(1, 0, 2)).transpose(1, 0, 2)
+    y_field, z_field = _fields(rng, n, m, special), _fields(rng, n, m, special)
+    Y, Z = wiener._interp_nodes(xs, state[:, :, 0], (y_field, z_field))
+    Y_ref, Z_ref = reference_oracle_read_out(state, xs, y_field, z_field)
+    assert Y.tobytes() == Y_ref.tobytes() and Y.flags.c_contiguous
+    assert Z.tobytes() == Z_ref[:, :, 0].tobytes() and Z.flags.c_contiguous
+
+
+def test_oracle_read_out_edge_rules():
+    # one state per rule of np.interp, each read from a field chosen to show it
+    xs = np.linspace(-1.0, 1.0, 5)  # nodes -1, -0.5, 0, 0.5, 1
+    x = np.array([[-3.0, -0.5, 0.25, 1.0, 7.0, np.nan, 0.75, -0.75, -0.25]])
+    n = x.shape[1]
+    field = np.tile([-0.0, 2.0, 4.0, 6.0, 8.0], (n, 1))
+    field[6] = [0.0, 0.0, 1.0, np.inf, 1.0]  # left slope NaN, right one finite
+    field[7] = [np.inf, np.inf, 0.0, 0.0, 0.0]  # both NaN, equal values
+    field[8] = [0.0, -np.inf, np.inf, 0.0, 0.0]  # both NaN, values differ
+    (got,) = wiener._interp_nodes(xs, x, (field,))
+    want = [np.interp(x[0, j], xs, field[j]) for j in range(n)]
+    assert got.tobytes() == np.array([want]).tobytes()
+    assert math.copysign(1.0, got[0, 0]) == -1.0  # below the grid: the first value, -0.0
+    assert got[0, 3] == got[0, 4] == 8.0 and math.isnan(got[0, 5])
+    assert got[0, 6] == np.inf and got[0, 7] == np.inf and math.isnan(got[0, 8])

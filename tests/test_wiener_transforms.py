@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from tcbsde.wiener import (
     TransformedProblem,
     WienerBSDEProblem,
     check_uniform_lipschitz,
+    restrict_brownian,
     simulate_brownian,
     transform_brownian,
     transform_driver,
@@ -101,6 +103,87 @@ def test_transform_requires_fine_source():
     clock = clock_on(src, 1.0, eps=0.5, target=TimeGrid.uniform(1.0, 401))
     with pytest.raises(StructuralError):
         transform_brownian(W, clock)  # target finer than source: snapping collides
+
+
+# ---------------------------------------------------------------------------
+# restrict_brownian, and what restriction and the transform hold
+# ---------------------------------------------------------------------------
+
+
+def test_restrict_brownian_rejects_grids_that_are_not_nested():
+    # the nodes k/7 sit up to 0.043 from the nearest of the nodes k/10; read
+    # there unrescaled, the increments would have variances 0.100 and 0.200
+    # on steps of 0.143
+    W = simulate_brownian(grid_uniform(1.0, 11), 50, 1, seed=0)
+    with pytest.raises(StructuralError, match="not nested"):
+        restrict_brownian(W, TimeGrid.uniform(1.0, 8))
+
+
+def test_restrict_brownian_rejects_a_grid_past_the_simulated_end():
+    W = simulate_brownian(grid_uniform(1.0, 11), 50, 1, seed=0)
+    with pytest.raises(StructuralError, match="runs past"):
+        restrict_brownian(W, TimeGrid(np.array([0.0, 0.5, 1.04])))
+
+
+def test_restrict_brownian_sums_the_fine_steps_of_a_nested_grid():
+    # nodes 0, 0.3, 0.4 and 1.0 of the fine grid, the last two read to within
+    # the 1e-9 slack
+    fine = grid_uniform(1.0, 11)
+    W = simulate_brownian(fine, 50, 2, seed=1)
+    coarse = TimeGrid(np.array([0.0, fine.nodes[3], fine.nodes[4] + 5e-10, 1.0 + 5e-10]))
+    out = restrict_brownian(W, coarse)
+    assert out.grid is coarse and "values" not in W.__dict__
+    want = np.diff(W.values[:, [0, 3, 4, 10], :], axis=1)
+    assert out.increments.tobytes() == want.tobytes()
+
+
+def _fine_pipeline(paths=2000):
+    # the benchmark's pair: 2,000 paths on 1,001 nodes, read at 51
+    fine = grid_uniform(1.0, 1001)
+    g = grid_uniform(1.0, 51)
+    prob = linear_problem(g, 0.1 * (1.0 + g.nodes), 0.0, (0.0, 0.0, 1.0), eps=0.05)
+    clock = build_phi(prob.coeffs, IncreasingProcess.identity(g), target="image")
+    return simulate_brownian(fine, paths, 1, seed=3), g, prob, clock
+
+
+def test_restriction_and_transform_read_nodes_without_building_values():
+    W, g, prob, clock = _fine_pipeline(paths=300)
+    restricted = restrict_brownian(W, g)
+    noise = transform_brownian(W, clock)
+    tp = transform_driver(prob, clock, W=W)
+    assert "values" not in W.__dict__
+    # against the values of the same increments, built afterwards
+    vals = W.values
+    idx = np.searchsorted(W.grid.nodes, clock.inverse.values)
+    assert np.array_equal(W.grid.nodes[idx], clock.inverse.values)
+    # equal bytes in the same layout in memory: reductions over them, such
+    # as brownian-variance's variance per step, sum in the same order
+    for got, want in [
+        (restricted.increments, np.diff(vals[:, idx, :], axis=1)),
+        (tp.state, vals[:, idx, :]),
+        (tp.noise.increments, noise.increments),
+    ]:
+        assert got.tobytes() == want.tobytes() and got.strides == want.strides
+    assert np.var(noise.increments[:, :, 0], axis=0).tobytes() == np.var(
+        np.diff(vals[:, idx, 0], axis=1) * np.sqrt(clock.target_grid.steps / np.diff(W.grid.nodes[idx])),
+        axis=0,
+    ).tobytes()
+
+
+def test_restriction_and_transform_of_a_fine_ensemble_stay_small():
+    # building W.values (16 MB here) would put the peak above 18 MB; reading
+    # only the 51 nodes holds the three (2000, 50) or (2000, 51) results,
+    # 2.4 MB, and a 1 MB summing buffer
+    W, g, prob, clock = _fine_pipeline()
+    tracemalloc.start()
+    try:
+        restricted = restrict_brownian(W, g)
+        tp = transform_driver(prob, clock, W=W)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000
+    assert restricted.paths == tp.noise.paths == 2000
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@
 least-squares solve, builds the polynomial features by ``x ** p`` and
 averages bins one slice at a time after a stable sort.
 ``reference_solve_picard_oracle`` builds one ``CubicSpline`` per sweep step
-and evaluates it at every quadrature node, and applies the stop rule path by
-path.  The fast solvers must agree with them to rounding.
+and evaluates it at every quadrature node, reads the fields at the paths with
+``np.interp`` node by node (``reference_oracle_read_out``), and applies the
+stop rule path by path.  The fast solvers must agree with them to rounding.
 """
 
 import math
@@ -216,11 +217,7 @@ def reference_solve_picard_oracle(
         distances.append(dist)
         y_field, z_field = y_new, z_new
 
-    Y = np.empty((P, n))
-    Z = np.empty((P, n, 1))
-    for j in range(n):
-        Y[:, j] = np.interp(state[:, j, 0], xs, y_field[j])
-        Z[:, j, 0] = np.interp(state[:, j, 0], xs, z_field[j])
+    Y, Z = reference_oracle_read_out(state, xs, y_field, z_field)
     stop_idx = rule.stop_indices(state)
     tau = grid.nodes[stop_idx]
     w_tau = state[np.arange(P), stop_idx, :]
@@ -237,3 +234,14 @@ def reference_solve_picard_oracle(
     return SolutionEnsemble(
         grid=grid, Y=Y, Z=Z, stop_idx=stop_idx, scheme="picard", seed=ensemble.seed, metadata=meta
     )
+
+
+def reference_oracle_read_out(state, xs, y_field, z_field):
+    """The oracle's fields read at each path's state: two ``np.interp`` calls per node."""
+    P, n, _ = state.shape
+    Y = np.empty((P, n))
+    Z = np.empty((P, n, 1))
+    for j in range(n):
+        Y[:, j] = np.interp(state[:, j, 0], xs, y_field[j])
+        Z[:, j, 0] = np.interp(state[:, j, 0], xs, z_field[j])
+    return Y, Z
