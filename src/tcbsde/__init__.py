@@ -20,7 +20,6 @@ from .errors import (
 )
 from .timechange import (
     LINEAR,
-    PREVIOUS,
     CoefficientProcesses,
     IncreasingProcess,
     SampledPath,
@@ -75,6 +74,6 @@ from .chain import (
     verify_bound,
 )
 from .harness import ExperimentConfig, ReportBundle, Verdict, list_scenarios, run_scenario, seed_sweep
-from .io import load_chain_model, read_solution_csv, write_chain_solution_csv, write_solution_csv
+from .io import load_chain_model, read_solution_csv, write_solution_csv
 
 __version__ = "0.1.0"

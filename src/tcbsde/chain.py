@@ -56,6 +56,7 @@ from .timechange import (
     TimeChangeMap,
     TimeGrid,
     build_clock_from_density,
+    interp_columns,
 )
 
 RateFn = Callable[[float], np.ndarray]
@@ -897,18 +898,13 @@ def _picard_solve(problem, grid, paths, seed, fp_tol):
 def map_chain_solution(sol: ChainSolution, clock: TimeChangeMap) -> ChainSolution:
     """Value function carried back to the original time scale: ``u(t) = u~(phi(t))``.
 
-    The solution grid must reach ``phi(T)``, up to ``1e-9``.
+    The times ``phi`` and the source grid come from ``clock.crossing("forward")``,
+    which checks that the solution grid covers them.
     """
-    src = clock.source_grid
-    phi = np.asarray(clock.forward.values)
-    if phi[-1] > sol.grid.t_end + 1e-9:
-        raise StructuralError("solution grid does not cover the clock range")
-    values = np.empty((src.n_nodes, sol.state_values.shape[1]))
-    for i in range(sol.state_values.shape[1]):
-        values[:, i] = np.interp(phi, sol.grid.nodes, sol.state_values[:, i])
+    phi, src = clock.crossing("forward", sol.grid)
     return ChainSolution(
         grid=src,
-        state_values=values,
+        state_values=interp_columns(sol.grid.nodes, sol.state_values, phi),
         scheme=sol.scheme,
         metadata=dict(sol.metadata),
     )

@@ -2,8 +2,7 @@
 
 CSV conventions: comma separated, one header row, LF line endings, floats
 printed with 12 significant digits.  Wiener solution snapshots use the
-columns ``path_id, node_time, Y_1, Z_11..Z_1d, stopped_flag``; chain
-snapshots replace the noise coordinates with the state index.  Reports are a
+columns ``path_id, node_time, Y_1, Z_11..Z_1d, stopped_flag``.  Reports are a
 key=value metadata block plus one verdict line per checked invariant, each
 carrying the measured value and its threshold.
 """
@@ -18,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chain import ChainSolution, MarkovChainModel
+from .chain import MarkovChainModel
 from .errors import ConfigError, StructuralError
 from .wiener import SolutionEnsemble
 
@@ -87,26 +86,6 @@ def read_solution_csv(path) -> dict:
     out = out.reshape(P, n, width)
     return {"times": times, "Y": out[:, :, 2], "Z": out[:, :, 3 : 3 + n_z],
             "stopped": out[:, :, 3 + n_z].astype(int)}
-
-
-def write_chain_solution_csv(sol: ChainSolution, path) -> None:
-    """Per-path chain snapshot; the state index replaces the noise coordinates."""
-    if sol.path_Y is None:
-        raise StructuralError("chain solution carries no path ensemble to export")
-    header = ["path_id", "node_time", "state", "Y_1", "stopped_flag"]
-    rows = []
-    for p in range(sol.path_Y.shape[0]):
-        for j, t in enumerate(sol.grid.nodes):
-            rows.append(
-                [
-                    str(p),
-                    format_float(t),
-                    str(int(sol.path_states[p, j])),
-                    format_float(sol.path_Y[p, j]),
-                    str(int(j >= sol.stop_idx[p])),
-                ]
-            )
-    write_csv(path, header, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -285,7 +285,9 @@ def brownian_variance(cfg: ExperimentConfig, b: ReportBundle) -> None:
     b.estimates["variance_se"] = se
     b.verdicts.append(Verdict.check("variance_lower", var, 0.95, op=">="))
     b.verdicts.append(Verdict.check("variance_upper", var, 1.05))
-    step_var = np.var(out.increments[:, :, 0], axis=0)
+    # reduced over a column-major copy, in which the paths are contiguous
+    # whatever the layout of the increments, so the table reads their values only
+    step_var = np.var(np.asfortranarray(out.increments[:, :, 0]), axis=0)
     b.add_table("step_variance", ["t", "variance", "step"],
                 [[float(t), float(v), float(dt)] for t, v, dt in
                  zip(out.grid.nodes[:-1], step_var, out.grid.steps)])

@@ -1,8 +1,8 @@
 """Discrete clocks, generalized inverses and time-changed paths.
 
-Everything here lives on finite time grids with a declared interpolation rule
-(piecewise-constant-left or piecewise-linear).  An increasing process with
-density ``alpha_sq`` against an integrator ``v`` defines a clock
+Everything here lives on finite time grids, interpolated linearly between
+nodes.  An increasing process with density ``alpha_sq`` against an integrator
+``v`` defines a clock
 
     phi(t) = integral_0^t alpha_sq dv
 
@@ -33,16 +33,56 @@ import numpy as np
 
 from .errors import DomainError, InvariantError, PreconditionError, StructuralError
 
-PREVIOUS = "previous"  # piecewise-constant-left: hold the left node's value
 LINEAR = "linear"
 
-_INTERP_RULES = (PREVIOUS, LINEAR)
+# how far past either end of its grid a path may be read, and a clock may reach
+_SLACK = 1e-12
 _SCALAR_TIMES = (float, int, np.floating, np.integer)
 
 
 def _readonly(a) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
+    return out
+
+
+def interp_columns(nodes: np.ndarray, values, times: np.ndarray, axis: int = 0) -> np.ndarray:
+    """``np.interp(times, nodes, column)`` for every column of ``values`` along ``axis``, bit for bit.
+
+    The kernel of every mapper across the clock and of vector-valued paths.
+    ``values`` holds one entry per node along ``axis``, with any shape around
+    it; the result holds one entry per time there instead, C-ordered.  One
+    search of the 1-D ``times`` serves every column.  The arithmetic and edge
+    rules are ``np.interp``'s: below the grid the first value, at or past the
+    top node the last, exactly on a node that node's value; inside an
+    interval ``slope * (t - x0) + y0``, where that is NaN
+    ``slope * (t - x1) + y1``, and where that is NaN too and ``y0 == y1``,
+    ``y0``; a NaN time gives NaN.
+    """
+    values = np.asarray(values, dtype=float)
+    n = nodes.size
+    k = np.searchsorted(nodes, times, side="right") - 1  # -1 below, n - 1 at or past the top
+    lo = np.clip(k, 0, n - 2)
+    shape = [1] * values.ndim
+    shape[axis] = times.size
+
+    def along(a):
+        return np.reshape(a, shape)
+
+    x0, x1, t = nodes[lo], nodes[lo + 1], along(times)
+    y0, y1 = values.take(lo, axis=axis), values.take(lo + 1, axis=axis)
+    # np.interp raises no floating-point warnings
+    with np.errstate(all="ignore"):
+        slope = (y1 - y0) / along(x1 - x0)
+        out = slope * along(times - x0) + y0
+        bad = np.isnan(out)
+        if bad.any():
+            np.copyto(out, slope * (t - along(x1)) + y1, where=bad)
+            np.copyto(out, y0, where=bad & np.isnan(out) & (y0 == y1))
+    edges = ((k < 0) | (x0 == times), y0), (k == n - 1, y1), (np.isnan(times), t)
+    for mask, value in edges:  # later rules win
+        if mask.any():
+            np.copyto(out, value, where=along(mask))
     return out
 
 
@@ -89,11 +129,11 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class SampledPath:
-    """One value per grid node plus the rule for evaluating between nodes.
+    """One value per grid node, linear between nodes.
 
     ``values`` may be scalar per node (shape ``(n,)``) or vector/matrix per
-    node (leading axis indexes nodes).  The interpolation rule is fixed at
-    construction.
+    node (leading axis indexes nodes).  ``interpolation`` admits ``LINEAR``
+    only; it stays a field for the callers that pass it positionally.
     """
 
     grid: TimeGrid
@@ -102,7 +142,7 @@ class SampledPath:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _readonly(self.values))
-        if self.interpolation not in _INTERP_RULES:
+        if self.interpolation != LINEAR:
             raise InvariantError(f"unknown interpolation rule {self.interpolation!r}")
         if self.values.shape[0] != self.grid.n_nodes:
             raise InvariantError("need exactly one value per grid node")
@@ -127,12 +167,12 @@ class SampledPath:
         """Value of a scalar path at the Python float ``t``, as a Python float.
 
         The array path of ``at`` without NumPy: ``bisect_right`` finds the
-        interval in the cached ``_scalar_table``, and a linear path
-        interpolates with ``np.interp``'s own arithmetic, so the bits and the
+        interval in the cached ``_scalar_table``, and the value comes from
+        ``np.interp``'s own arithmetic, so the bits and the
         ``DomainError`` messages are the array path's.
         """
         xs, ys = self._scalar_table
-        if not xs[0] - 1e-12 <= t <= xs[-1] + 1e-12:
+        if not xs[0] - _SLACK <= t <= xs[-1] + _SLACK:
             if not math.isfinite(t):
                 raise DomainError("evaluation at non-finite time")
             raise DomainError(f"evaluation outside grid range [{xs[0]}, {xs[-1]}]")
@@ -140,7 +180,7 @@ class SampledPath:
         if not k:  # inside the slack below the grid
             return ys[0]
         x0, y0 = xs[k - 1], ys[k - 1]
-        if t == x0 or t >= xs[-1] or self.interpolation == PREVIOUS:
+        if t == x0 or t >= xs[-1]:
             return y0
         x1, y1 = xs[k], ys[k]
         slope = (y1 - y0) / (x1 - x0)
@@ -152,9 +192,10 @@ class SampledPath:
         return y
 
     def at(self, t) -> np.ndarray:
-        """Evaluate the path at time(s) ``t`` under the declared rule.
+        """Evaluate the path at time(s) ``t``, up to ``1e-12`` past either grid end.
 
-        A scalar time (Python or NumPy float or int) on a scalar path is
+        ``np.interp`` on a scalar path, :func:`interp_columns` on a vector-valued
+        one.  A scalar time (Python or NumPy float or int) on a scalar path is
         ``_lookup`` wrapped in a NumPy scalar, with the same bits and the
         same errors as the array path; transformed coefficients call it once
         per solver step.
@@ -165,29 +206,22 @@ class SampledPath:
         t = np.asarray(t, dtype=float)
         if np.any(~np.isfinite(t)):
             raise DomainError("evaluation at non-finite time")
-        if np.any(t < nodes[0] - 1e-12) or np.any(t > nodes[-1] + 1e-12):
+        if np.any(t < nodes[0] - _SLACK) or np.any(t > nodes[-1] + _SLACK):
             raise DomainError(
                 f"evaluation outside grid range [{nodes[0]}, {nodes[-1]}]"
             )
-        tc = np.clip(t, nodes[0], nodes[-1])
-        if self.interpolation == PREVIOUS:
-            idx = np.searchsorted(nodes, tc, side="right") - 1
-            idx = np.clip(idx, 0, self.grid.n_nodes - 1)
-            return self.values[idx]
         if self.is_scalar:
-            return np.interp(tc, nodes, self.values)
-        flat = self.values.reshape(self.grid.n_nodes, -1)
-        cols = [np.interp(tc, nodes, flat[:, j]) for j in range(flat.shape[1])]
-        out = np.stack(cols, axis=-1)
-        return out.reshape(np.shape(tc) + self.values.shape[1:])
+            return np.interp(t, nodes, self.values)
+        out = interp_columns(nodes, self.values, t.ravel())
+        return out.reshape(t.shape + self.values.shape[1:])
 
-    def with_values(self, values, interpolation=None) -> "SampledPath":
-        return SampledPath(self.grid, values, interpolation or self.interpolation)
+    def with_values(self, values) -> "SampledPath":
+        return SampledPath(self.grid, values)
 
 
 @dataclass(frozen=True)
 class IncreasingProcess:
-    """Non-decreasing scalar path starting at 0, with a declared strictness floor.
+    """Finite, non-decreasing scalar path starting at 0, with a declared strictness floor.
 
     When ``eps > 0`` the increments must satisfy ``dA >= eps * dt`` on every
     grid step, which turns the hypothesis "density bounded below" into a
@@ -201,6 +235,8 @@ class IncreasingProcess:
         if not self.path.is_scalar:
             raise InvariantError("IncreasingProcess requires a scalar path")
         v = self.path.values
+        if not np.all(np.isfinite(v)):
+            raise InvariantError("increasing process values must be finite")
         if v[0] != 0.0:
             raise InvariantError("increasing process must start at 0")
         dv = np.diff(v)
@@ -258,6 +294,33 @@ class TimeChangeMap:
 
     def inverse_at(self, s):
         return self.inverse.at(s)
+
+    def crossing(self, direction: str, grid: TimeGrid) -> tuple[np.ndarray, TimeGrid]:
+        """Query times and output grid for carrying values on ``grid`` across the clock.
+
+        ``"inverse"`` reads ``grid`` at the inverse's values, onto the target
+        grid; ``"forward"`` reads it at the clock's values, onto the source
+        grid.  Every query time must be finite and inside ``grid``'s range
+        up to ``SampledPath.at``'s slack of ``1e-12``, or ``grid`` does not
+        cover the clock range and this raises :class:`StructuralError`.
+        Every mapper that reads a path or a solution through the clock checks
+        its range here and nowhere else.
+        """
+        if direction == "inverse":
+            times, out = self.inverse.values, self.target_grid
+        elif direction == "forward":
+            times, out = self.forward.values, self.source_grid
+        else:
+            raise PreconditionError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+        lo, hi = grid.nodes[0], grid.nodes[-1]
+        bad = ~((times >= lo - _SLACK) & (times <= hi + _SLACK))  # NaN is bad too
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise StructuralError(
+                f"grid [{lo}, {hi}] does not cover the clock range: node t={out.nodes[j]} "
+                f"maps to {times[j]}"
+            )
+        return times, out
 
     def derivative_at(self, s):
         return 1.0 / self.density.at(self.inverse.at(s))
@@ -367,7 +430,7 @@ def integrate_stieltjes(h: SampledPath, v: IncreasingProcess) -> SampledPath:
 def _integral_at(integral: SampledPath, h: SampledPath, x: SampledPath, t) -> np.ndarray:
     # Continuous extension of the left-point sum: finished intervals plus
     # h(left node) * (X(t) - X(left node)) on the straddled one.  Exact for
-    # h == const regardless of X's interpolation rule.
+    # h == const.
     nodes = integral.grid.nodes
     t = np.asarray(t, dtype=float)
     idx = np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, nodes.size - 1)
@@ -389,21 +452,18 @@ def generalized_inverse(A: IncreasingProcess, target: TimeGrid) -> SampledPath:
     overflow = k >= vals.size
     out[overflow] = math.inf
     ok = ~overflow
-    if A.path.interpolation == PREVIOUS:
-        out[ok] = nodes[k[ok]]
-    else:
-        ki = k[ok]
-        si = s[ok]
-        res = np.empty(ki.size)
-        at_zero = ki == 0
-        res[at_zero] = nodes[0]
-        inner = ~at_zero
-        lo = ki[inner] - 1
-        hi = ki[inner]
-        denom = vals[hi] - vals[lo]
-        theta = np.where(denom > 0, (si[inner] - vals[lo]) / np.where(denom > 0, denom, 1.0), 1.0)
-        res[inner] = nodes[lo] + theta * (nodes[hi] - nodes[lo])
-        out[ok] = res
+    ki = k[ok]
+    si = s[ok]
+    res = np.empty(ki.size)
+    at_zero = ki == 0
+    res[at_zero] = nodes[0]
+    inner = ~at_zero
+    lo = ki[inner] - 1
+    hi = ki[inner]
+    denom = vals[hi] - vals[lo]
+    theta = np.where(denom > 0, (si[inner] - vals[lo]) / np.where(denom > 0, denom, 1.0), 1.0)
+    res[inner] = nodes[lo] + theta * (nodes[hi] - nodes[lo])
+    out[ok] = res
     return SampledPath(target, out, LINEAR)
 
 
@@ -465,32 +525,11 @@ def time_change_path(X: SampledPath, C: TimeChangeMap, direction: str) -> Sample
 
     ``direction="inverse"`` reads the time change off ``C.inverse`` (the usual
     substitution), ``direction="forward"`` off the clock itself (undoing it).
-    The output lives on the corresponding grid of ``C`` and keeps ``X``'s
-    interpolation rule.
+    The times and the output grid come from ``C.crossing``, which checks that
+    ``X``'s grid covers them.
     """
-    if direction == "inverse":
-        grid = C.target_grid
-        times = C.inverse.values
-    elif direction == "forward":
-        grid = C.source_grid
-        times = C.forward.values
-    else:
-        raise PreconditionError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    bad = ~np.isfinite(times)
-    if np.any(bad):
-        raise StructuralError(
-            f"clock does not cover the requested range (first offending node "
-            f"t={grid.nodes[np.argmax(bad)]})"
-        )
-    lo, hi = X.grid.nodes[0], X.grid.nodes[-1]
-    out_of_range = (times < lo - 1e-12) | (times > hi + 1e-12)
-    if np.any(out_of_range):
-        j = int(np.argmax(out_of_range))
-        raise StructuralError(
-            f"time-changed node t={grid.nodes[j]} maps to {times[j]} outside the "
-            f"path's grid [{lo}, {hi}]"
-        )
-    return SampledPath(grid, X.at(times), X.interpolation)
+    times, grid = C.crossing(direction, X.grid)
+    return SampledPath(grid, X.at(times))
 
 
 def substitution_check(h: SampledPath, X: SampledPath, C: TimeChangeMap) -> float:
@@ -500,15 +539,15 @@ def substitution_check(h: SampledPath, X: SampledPath, C: TimeChangeMap) -> floa
     the target grid, where ``h_tilde = h o C`` and ``X_tilde = X o C``.  The
     continuous-time identity makes the true value 0; the return is pure
     quadrature error and contracts under grid refinement for smooth inputs.
+    The clock's inverse is read through ``C.crossing``, which checks that the
+    integrand's grid covers it.
     """
     if not h.grid.same_as(X.grid):
         raise StructuralError("integrand and integrator live on different grids")
     # X only needs finite variation, so the running sum is taken directly.
     lhs_vals = np.concatenate([[0.0], np.cumsum(h.values[:-1] * np.diff(X.values))])
     lhs_running = SampledPath(h.grid, lhs_vals, LINEAR)
-    times = C.inverse.values
-    if np.any(~np.isfinite(times)):
-        raise StructuralError("clock inverse leaves the integrand's grid")
+    times, _ = C.crossing("inverse", h.grid)
     lhs = _integral_at(lhs_running, h, X, times)
     h_t = time_change_path(h, C, "inverse")
     x_t = time_change_path(X, C, "inverse")

@@ -58,6 +58,7 @@ from .timechange import (
     TimeGrid,
     build_clock_from_density,
     build_phi,
+    interp_columns,
 )
 
 Driver = Callable[..., np.ndarray]  # f(t, w, y, z) -> per-path values
@@ -291,11 +292,8 @@ def _snap_to_grid(nodes: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 
 def _snapped_inverse_indices(W: BrownianEnsemble, clock: TimeChangeMap) -> np.ndarray:
-    inv = clock.inverse.values
-    if np.any(~np.isfinite(inv)):
-        raise StructuralError("clock does not cover its own target horizon")
-    if inv[-1] > W.grid.t_end + 1e-9:
-        raise StructuralError("noise grid does not cover the clock image")
+    """The noise grid's nodes nearest the clock's inverse, which ``clock.crossing`` checks."""
+    inv, _ = clock.crossing("inverse", W.grid)
     idx = _snap_to_grid(W.grid.nodes, inv)
     idx[0] = 0
     if np.any(np.diff(idx) < 1):
@@ -951,18 +949,6 @@ def closed_form_linear(
 # ---------------------------------------------------------------------------
 
 
-def _interp_paths(grid_from: TimeGrid, arr: np.ndarray, times: np.ndarray) -> np.ndarray:
-    # shared query times: one searchsorted, then a vectorized blend over paths
-    nodes = grid_from.nodes
-    t = np.clip(times, nodes[0], nodes[-1])
-    hi = np.clip(np.searchsorted(nodes, t), 1, nodes.size - 1)
-    lo = hi - 1
-    w = (t - nodes[lo]) / (nodes[hi] - nodes[lo])
-    shape = (1, times.size) + (1,) * (arr.ndim - 2)
-    w = w.reshape(shape)
-    return arr[:, lo] * (1.0 - w) + arr[:, hi] * w
-
-
 def map_solution(
     sol: SolutionEnsemble, clock: TimeChangeMap, direction: str = "from_transformed"
 ) -> SolutionEnsemble:
@@ -971,28 +957,21 @@ def map_solution(
     ``from_transformed``: ``Y_t = y(phi(t))``, ``Z_t = z(phi(t)) sqrt(phi'(t))``
     onto the clock's source grid.  ``to_transformed`` applies the reciprocal
     scaling onto the target grid.  The two directions compose to the identity
-    up to interpolation tolerance.  The solution grid must reach the top of
-    the clock range it reads, ``phi(T)`` or ``inv(phi(T))``, up to ``1e-9``.
+    up to interpolation tolerance.  The times read and the output grid come
+    from ``clock.crossing``, ``"forward"`` and ``"inverse"`` respectively,
+    which checks that the solution grid covers them.
     """
     if direction == "from_transformed":
-        out_grid = clock.source_grid
-        times = np.asarray(clock.forward.values)
+        times, out_grid = clock.crossing("forward", sol.grid)
         scale = np.sqrt(clock.density.values)
-        if times[-1] > sol.grid.t_end + 1e-9:
-            raise StructuralError("solution grid does not cover the clock range")
     elif direction == "to_transformed":
-        out_grid = clock.target_grid
-        times = np.asarray(clock.inverse.values)
+        times, out_grid = clock.crossing("inverse", sol.grid)
         scale = np.sqrt(np.asarray(clock.derivative_at(out_grid.nodes)))
-        if np.any(~np.isfinite(times)):
-            raise StructuralError("clock inverse leaves the solution grid")
-        if times[-1] > sol.grid.t_end + 1e-9:
-            raise StructuralError("solution grid does not cover the clock range")
     else:
         raise PreconditionError(f"unknown direction {direction!r}")
 
-    Y = _interp_paths(sol.grid, sol.Y[:, :, None], times)[:, :, 0]
-    Z = _interp_paths(sol.grid, sol.Z, times) * scale[None, :, None]
+    Y = interp_columns(sol.grid.nodes, sol.Y, times, axis=1)
+    Z = interp_columns(sol.grid.nodes, sol.Z, times, axis=1) * scale[None, :, None]
     stop_times = sol.grid.nodes[sol.stop_idx]
     if direction == "from_transformed":
         mapped_stop = np.asarray(clock.inverse_at(np.minimum(stop_times, times[-1])))

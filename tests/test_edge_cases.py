@@ -1,15 +1,28 @@
 import numpy as np
 import pytest
 
+from tcbsde.chain import ChainSolution, map_chain_solution
 from tcbsde.errors import StructuralError, UnsupportedError
-from tcbsde.timechange import IncreasingProcess, SampledPath, TimeChangeMap, TimeGrid, LINEAR, build_phi, time_change_path
+from tcbsde.timechange import (
+    IncreasingProcess,
+    SampledPath,
+    TimeChangeMap,
+    TimeGrid,
+    LINEAR,
+    build_phi,
+    substitution_check,
+    time_change_path,
+)
 from tcbsde.wiener import (
+    SolutionEnsemble,
     TerminalRule,
     WienerBSDEProblem,
     comparison_experiment,
+    map_solution,
     simulate_brownian,
     solve_lsmc,
     solve_picard_oracle,
+    transform_brownian,
 )
 from util import coeffs_on, grid_uniform, linear_problem
 
@@ -92,3 +105,68 @@ def test_transform_chain_driver_identity_clock():
         assert tilde.f(t, 0, 1.3, np.zeros(2)) == pytest.approx(drv.f(t, 0, 1.3, np.zeros(2)))
         assert np.allclose(tilde.eta(t, 1, np.zeros(2), np.zeros(2)), A[:, 1])
     assert tilde.gamma == drv.gamma
+
+
+# ---------------------------------------------------------------------------
+# crossing the clock: one coverage rule for every mapper
+# ---------------------------------------------------------------------------
+
+# the solution, path and noise grid, and both grids of the clock
+_G = TimeGrid.uniform(1.0, 5)
+
+
+def _clock_reading(times):
+    """A clock on ``_G`` whose forward values and inverse values are both ``times``.
+
+    The forward process skips its own checks, so a NaN or a negative value
+    reaches the mappers as it would from a clock built wrongly.
+    """
+    forward = object.__new__(IncreasingProcess)
+    object.__setattr__(forward, "path", SampledPath(_G, times))
+    object.__setattr__(forward, "eps", 0.0)
+    return TimeChangeMap(forward=forward, inverse=SampledPath(_G, times), density=SampledPath(_G, np.ones(5)))
+
+
+def _solution():
+    rng = np.random.default_rng(0)
+    return SolutionEnsemble(
+        grid=_G, Y=rng.normal(size=(3, 5)), Z=rng.normal(size=(3, 5, 1)),
+        stop_idx=np.full(3, 4), scheme="lsmc", seed=0,
+    )
+
+
+CROSSINGS = {
+    "time_change_path-inverse": lambda C: time_change_path(SampledPath(_G, np.sin(_G.nodes)), C, "inverse"),
+    "time_change_path-forward": lambda C: time_change_path(SampledPath(_G, np.sin(_G.nodes)), C, "forward"),
+    "substitution_check": lambda C: substitution_check(
+        SampledPath(_G, np.cos(_G.nodes)), SampledPath(_G, _G.nodes**2), C
+    ),
+    "map_solution-from_transformed": lambda C: map_solution(_solution(), C, "from_transformed"),
+    "map_solution-to_transformed": lambda C: map_solution(_solution(), C, "to_transformed"),
+    "map_chain_solution": lambda C: map_chain_solution(
+        ChainSolution(grid=_G, state_values=np.arange(10.0).reshape(5, 2), scheme="markov-ode"), C
+    ),
+    "transform_brownian": lambda C: transform_brownian(simulate_brownian(_G, 4, 1, seed=0), C),
+}
+
+# the clock's times: one NaN inside, a top 2e-12 past the grid end, a bottom
+# 2e-12 below its start, and the grid's own nodes
+CLOCK_TIMES = {
+    "nan": np.array([0.0, 0.25, np.nan, 0.75, 1.0]),
+    "top": np.array([0.0, 0.25, 0.5, 0.75, 1.0 + 2e-12]),
+    "bottom": np.array([-2e-12, 0.25, 0.5, 0.75, 1.0]),
+    "exact": _G.nodes.copy(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLOCK_TIMES))
+@pytest.mark.parametrize("caller", sorted(CROSSINGS))
+def test_every_crossing_applies_one_coverage_rule(caller, case):
+    # each mapper checks the clock range through TimeChangeMap.crossing: the
+    # times must be finite and inside the grid up to SampledPath.at's 1e-12
+    clock = _clock_reading(CLOCK_TIMES[case])
+    if case == "exact":
+        CROSSINGS[caller](clock)
+        return
+    with pytest.raises(StructuralError, match="does not cover the clock range"):
+        CROSSINGS[caller](clock)

@@ -9,7 +9,6 @@ from tcbsde.io import (
     format_float,
     load_chain_model,
     read_solution_csv,
-    write_chain_solution_csv,
     write_csv,
     write_solution_csv,
 )
@@ -231,28 +230,13 @@ def write_state_values_csv(sol: ChainSolution, path) -> None:
 def test_chain_solution_csv(tmp_path):
     g = TimeGrid.uniform(1.0, 3)
     sol = ChainSolution(
-        grid=g,
-        state_values=np.array([[0.1, 0.9], [0.2, 0.8], [0.3, 0.7]]),
-        scheme="picard",
-        path_states=np.array([[0, 0, 1]]),
-        path_Y=np.array([[0.1, 0.2, 0.7]]),
-        stop_idx=np.array([2]),
+        grid=g, state_values=np.array([[0.1, 0.9], [0.2, 0.8], [0.3, 0.7]]), scheme="markov-ode"
     )
-    p1 = tmp_path / "paths.csv"
-    write_chain_solution_csv(sol, p1)
-    assert p1.read_text().splitlines()[0] == "path_id,node_time,state,Y_1,stopped_flag"
-    p2 = tmp_path / "values.csv"
-    write_state_values_csv(sol, p2)
-    lines = p2.read_text().splitlines()
+    path = tmp_path / "values.csv"
+    write_state_values_csv(sol, path)
+    lines = path.read_text().splitlines()
     assert lines[0] == "node_time,Y_state_0,Y_state_1"
     assert len(lines) == 4
-
-
-def test_chain_solution_csv_needs_paths(tmp_path):
-    g = TimeGrid.uniform(1.0, 3)
-    sol = ChainSolution(grid=g, state_values=np.zeros((3, 2)), scheme="markov-ode")
-    with pytest.raises(StructuralError):
-        write_chain_solution_csv(sol, tmp_path / "x.csv")
 
 
 CHAIN_CONFIG = """

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from tcbsde.errors import DomainError, InvariantError, PreconditionError, StructuralError
 from tcbsde.timechange import (
     LINEAR,
-    PREVIOUS,
     CoefficientProcesses,
     IncreasingProcess,
     SampledPath,
@@ -19,6 +18,7 @@ from tcbsde.timechange import (
     build_phi,
     generalized_inverse,
     integrate_stieltjes,
+    interp_columns,
     normalize_terminal_time,
     substitution_check,
     terminal_clock,
@@ -61,32 +61,27 @@ def test_path_evaluation_rules():
     g = TimeGrid(np.array([0.0, 1.0, 2.0]))
     lin = SampledPath(g, np.array([0.0, 2.0, 6.0]), LINEAR)
     assert lin.at(0.5) == pytest.approx(1.0)
-    step = SampledPath(g, np.array([0.0, 2.0, 6.0]), PREVIOUS)
-    assert step.at(0.5) == pytest.approx(0.0)
-    assert step.at(1.0) == pytest.approx(2.0)
     with pytest.raises(DomainError):
         lin.at(2.5)
-    for path in (lin, step):
-        for t in (math.nan, math.inf, -math.inf, np.float64(math.nan), -2e-12, 2.0 + 2e-12, 3):
-            with pytest.raises(DomainError):
-                path.at(t)
+    for t in (math.nan, math.inf, -math.inf, np.float64(math.nan), -2e-12, 2.0 + 2e-12, 3):
+        with pytest.raises(DomainError):
+            lin.at(t)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     steps=st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=20),
-    rule=st.sampled_from([LINEAR, PREVIOUS]),
     width=st.sampled_from([None, 1, 3]),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
-def test_scalar_time_matches_array_path(steps, rule, width, seed, data):
+def test_scalar_time_matches_array_path(steps, width, seed, data):
     # the scalar branch of SampledPath.at against the array path as reference:
     # same bits, same return type, for interior times, node hits, both
     # 1e-12 edges, and float / int / np.float64 inputs
     grid = TimeGrid(np.concatenate([[0.0], np.cumsum(steps)]))
     shape = (grid.n_nodes,) if width is None else (grid.n_nodes, width)
-    path = SampledPath(grid, np.random.default_rng(seed).normal(size=shape), rule)
+    path = SampledPath(grid, np.random.default_rng(seed).normal(size=shape), LINEAR)
     t_end = grid.t_end
     t = data.draw(
         st.one_of(
@@ -105,11 +100,9 @@ def test_scalar_time_matches_array_path(steps, rule, width, seed, data):
         assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
 
 
-def reference_at(nodes, values, rule, t):
-    """The slow lookup: NumPy on the clamped time, one node's value for PREVIOUS."""
+def reference_at(nodes, values, t):
+    """The slow lookup: NumPy on the clamped time."""
     tc = np.clip(t, nodes[0], nodes[-1])
-    if rule == PREVIOUS:
-        return values[np.searchsorted(nodes, tc, side="right") - 1]
     return np.interp(tc, nodes, values)
 
 
@@ -137,18 +130,18 @@ def scalar_paths(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(path=scalar_paths(), rule=st.sampled_from([LINEAR, PREVIOUS]), data=st.data())
-def test_scalar_lookup_matches_numpy(path, rule, data):
-    # the cached-list lookup against np.interp and searchsorted, bit for bit
+@given(path=scalar_paths(), data=st.data())
+def test_scalar_lookup_matches_numpy(path, data):
+    # the cached-list lookup against np.interp, bit for bit
     grid, values = path
-    sampled = SampledPath(grid, values, rule)
+    sampled = SampledPath(grid, values, LINEAR)
     nodes, t_end = grid.nodes, grid.t_end
     times = [float(x) for x in nodes] + [-1e-12, -5e-13, t_end + 5e-13, t_end + 1e-12]
     times += data.draw(st.lists(st.floats(0.0, t_end), min_size=1, max_size=20))
     for t in times:
         got = sampled.at(t)
         assert type(got) is np.float64
-        assert same_bits(got, reference_at(nodes, values, rule, t))
+        assert same_bits(got, reference_at(nodes, values, t))
         assert same_bits(got, sampled.at(np.array([t]))[0])
 
 
@@ -163,7 +156,7 @@ def test_scalar_lookup_keeps_the_nan_fallbacks():
         assert same_bits(path.at(float(t)), np.interp(t, grid.nodes, values))
 
 
-@pytest.mark.parametrize("rule", [LINEAR, PREVIOUS])
+@pytest.mark.parametrize("rule", [LINEAR])
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -2e-12, -1.0, 2.0 + 2e-12, 5.0])
 def test_scalar_lookup_errors_match_array_path(rule, t):
     path = SampledPath(TimeGrid(np.array([0.0, 0.5, 2.0])), np.array([1.0, 3.0, 2.0]), rule)
@@ -179,15 +172,12 @@ def test_scalar_lookup_never_reads_a_stale_table():
     path = SampledPath(grid, np.array([0.0, 2.0, 6.0]), LINEAR)
     assert path.at(1.5) == 4.0  # fills the table
     assert path.with_values(np.array([0.0, -2.0, -6.0])).at(1.5) == -4.0
-    assert path.with_values(path.values, PREVIOUS).at(1.5) == 2.0
     assert replace(path, values=np.array([1.0, 1.0, 3.0])).at(1.5) == 2.0
     assert replace(path, grid=TimeGrid(np.array([0.0, 1.5, 2.0]))).at(1.5) == 2.0
-    assert replace(path, interpolation=PREVIOUS).at(1.5) == 2.0
     assert path.at(1.5) == 4.0
     # a vector-valued linear path has no table and takes the array path
     wide = SampledPath(grid, np.array([[0.0, 1.0], [2.0, 1.0], [6.0, 1.0]]), LINEAR)
     assert np.array_equal(wide.at(1.5), [4.0, 1.0])
-    assert np.array_equal(replace(wide, interpolation=PREVIOUS).at(1.5), [2.0, 1.0])
 
 
 def _read_or_error(read, u):
@@ -247,6 +237,68 @@ def test_increasing_process_floor():
         IncreasingProcess(SampledPath(g, 0.5 * g.nodes, LINEAR), eps=1.0)
 
 
+@pytest.mark.parametrize("values", [[0.0, math.nan, 1.0, 2.0], [0.0, 0.5, 1.0, math.inf]])
+def test_increasing_process_rejects_non_finite_values(values):
+    # every comparison with NaN is false, so a NaN passes the start, the
+    # monotonicity and the floor checks unless finiteness is checked first
+    g = TimeGrid.uniform(1.0, 4)
+    with pytest.raises(InvariantError, match="finite"):
+        IncreasingProcess(SampledPath(g, np.array(values), LINEAR))
+
+
+def test_sampled_path_interpolates_linearly_only():
+    with pytest.raises(InvariantError, match="interpolation rule"):
+        SampledPath(TimeGrid.uniform(1.0, 3), np.zeros(3), "previous")
+
+
+# ---------------------------------------------------------------------------
+# interp_columns
+# ---------------------------------------------------------------------------
+
+
+def per_column_interp(nodes, values, times, axis):
+    """``np.interp`` one column at a time, laid out C-ordered."""
+    moved = np.moveaxis(values, axis, -1)
+    out = np.empty(moved.shape[:-1] + (times.size,))
+    for idx in np.ndindex(moved.shape[:-1]):
+        out[idx] = np.interp(times, nodes, moved[idx])
+    return np.ascontiguousarray(np.moveaxis(out, -1, axis))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    layout=st.sampled_from(["paths", "paths-dim", "states"]),
+    data=st.data(),
+)
+def test_interp_columns_matches_per_column_interp(n, layout, data):
+    # the mappers' kernel against np.interp column by column, in bytes and in
+    # strides: on (P, n) and (P, n, d) along the node axis 1 as the Wiener
+    # mapper reads, on (n, N) along axis 0 as the chain mapper reads
+    steps = data.draw(st.lists(st.floats(1e-3, 2.0), min_size=n - 1, max_size=n - 1))
+    nodes = np.concatenate([[0.0], np.cumsum(steps)])
+    shape, axis = {"paths": ((3, n), 1), "paths-dim": ((3, n, 2), 1), "states": ((n, 4), 0)}[layout]
+    value = st.one_of(
+        st.floats(-1e3, 1e3),
+        st.floats(-1e308, 1e308),
+        st.sampled_from([0.0, -0.0, 1.0, math.inf, -math.inf, math.nan]),
+    )
+    values = np.array(data.draw(st.lists(value, min_size=math.prod(shape), max_size=math.prod(shape))))
+    values = values.reshape(shape)
+    j = data.draw(st.integers(0, n - 2))
+    if data.draw(st.booleans()):  # equal neighbours: a flat step
+        np.moveaxis(values, axis, 0)[j + 1] = np.moveaxis(values, axis, 0)[j]
+    end = float(nodes[-1])
+    times = [float(x) for x in nodes] + [-1e-12, -5e-13, end + 5e-13, end + 1e-12]
+    times += data.draw(st.lists(st.floats(0.0, end), max_size=10))
+    # at least two times, as on any grid, so that every stride is fixed by the layout
+    times = np.sort(np.array(data.draw(st.permutations(times))[: data.draw(st.integers(2, len(times)))]))
+    got = interp_columns(nodes, values, times, axis=axis)
+    want = per_column_interp(nodes, values, times, axis)
+    assert got.shape == want.shape and got.strides == want.strides
+    assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # integrate_stieltjes
 # ---------------------------------------------------------------------------
@@ -289,16 +341,6 @@ def test_inverse_linear_clock():
     target = TimeGrid(np.array([0.0, 1.0, 1.5]))
     C = generalized_inverse(A, target)
     assert C.at(1.0) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_inverse_step_path_floor():
-    # left-sampled floor: first t with floor(t) > 0.5 is 1.0
-    nodes = np.arange(0.0, 3.5, 0.5)
-    g = TimeGrid(nodes)
-    A = IncreasingProcess(SampledPath(g, np.floor(nodes), PREVIOUS))
-    target = TimeGrid(np.array([0.0, 0.5]))
-    C = generalized_inverse(A, target)
-    assert C.values[-1] == pytest.approx(1.0)
 
 
 def test_inverse_quadratic_clock():

@@ -1,10 +1,12 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tcbsde.errors import PreconditionError, SchemeError, StructuralError
+from tcbsde.harness import ExperimentConfig, run_scenario
 from tcbsde.timechange import IncreasingProcess, TimeChangeMap, TimeGrid, build_phi
 from tcbsde.wiener import (
     TransformedProblem,
@@ -30,6 +32,26 @@ def test_brownian_step_variance():
     W = simulate_brownian(g, paths=10_000, dim=1, seed=11)
     var = np.var(W.increments[:, :, 0], axis=0)
     assert np.all(var > 0.0095) and np.all(var < 0.0105)
+
+
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray], ids=["C", "F"])
+def test_brownian_variance_table_reads_the_increments_values_only(monkeypatch, layout):
+    # the brownian-variance scenario's step_variance table, from a copy of the
+    # same increments laid out C-ordered or column-major, holds the same bytes
+    # as from the increments transform_brownian returns
+    import tcbsde.scenarios as scenarios
+
+    cfg = ExperimentConfig("brownian-variance", seed=7)
+    native = run_scenario(cfg, write=False).tables["step_variance"]
+    transform = scenarios.transform_brownian
+
+    def relaid(W, clock):
+        out = transform(W, clock)
+        return replace(out, increments=layout(out.increments))
+
+    monkeypatch.setattr(scenarios, "transform_brownian", relaid)
+    copied = run_scenario(cfg, write=False).tables["step_variance"]
+    assert np.array(copied[1]).tobytes() == np.array(native[1]).tobytes()
 
 
 def test_brownian_determinism():
