@@ -541,7 +541,9 @@ def transform_chain_driver(
     ratios against the transformed compensator cancel exactly; the transformed
     y-coefficient is ``C(inv(u)) inv'(u) <= 1`` and the zero-argument growth
     constant drops to 1.  Each scalar callback reads the clock once, through
-    ``inverse_density_at``.
+    ``inverse_density_at``.  The perturbation bound ``c_path`` is read at
+    the clock's inverse through ``clock.crossing``, which checks that its
+    grid covers the clock range.
     """
     _require_contracting_clock(clock)
     read = clock.inverse_density_at
@@ -555,8 +557,7 @@ def transform_chain_driver(
         s, a2 = read(u)
         return np.asarray(base_eta(s, x, z, zp), dtype=float) * (1.0 / a2)
 
-    tgt = clock.target_grid
-    s_nodes = clock.inverse.values
+    s_nodes, tgt = clock.crossing("inverse", driver.c_path.grid)
     c_vals = np.asarray(driver.c_path.at(s_nodes)) * (1.0 / np.asarray(clock.density_at(s_nodes)))
     base_k1, base_k2 = driver.k1, driver.k2
     return GammaBalancedDriver(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tcbsde.chain import ChainSolution, map_chain_solution
+from tcbsde.chain import ChainSolution, GammaBalancedDriver, map_chain_solution, transform_chain_driver
 from tcbsde.errors import StructuralError, UnsupportedError
 from tcbsde.timechange import (
     IncreasingProcess,
@@ -87,7 +87,7 @@ def test_exit_problem_cross_scheme_agreement():
 
 
 def test_transform_chain_driver_identity_clock():
-    from tcbsde.chain import GammaBalancedDriver, MarkovChainModel, transform_chain_driver
+    from tcbsde.chain import MarkovChainModel
 
     grid = grid_uniform(1.0, 51)
     A = np.array([[-1.0, 2.0], [1.0, -2.0]])
@@ -147,6 +147,14 @@ CROSSINGS = {
         ChainSolution(grid=_G, state_values=np.arange(10.0).reshape(5, 2), scheme="markov-ode"), C
     ),
     "transform_brownian": lambda C: transform_brownian(simulate_brownian(_G, 4, 1, seed=0), C),
+    "transform_chain_driver": lambda C: transform_chain_driver(
+        GammaBalancedDriver(
+            f=lambda t, i, y, z: -y, eta=lambda t, i, z, zp: np.zeros(2), gamma=1.0,
+            c_path=SampledPath(_G, np.full(5, 0.5)), c1=0.0, c2=0.0, beta_hat=0.0,
+            beta=1.0, beta_tilde=1.0, k1=lambda t: 1.0, k2=lambda t: 1.0,
+        ),
+        C,
+    ),
 }
 
 # the clock's times: one NaN inside, a top 2e-12 past the grid end, a bottom

@@ -9,6 +9,7 @@ compared bit for bit.
 """
 
 import math
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -41,6 +42,7 @@ from wiener_reference import (
     reference_oracle_read_out,
     reference_solve_lsmc,
     reference_solve_picard_oracle,
+    step_major_solve_lsmc,
 )
 
 RTOL = 1e-12
@@ -154,6 +156,65 @@ def test_rank_deficient_design_matches_reference():
     fast, ref = solve_lsmc(prob, W), reference_solve_lsmc(prob, W)
     assert fast.metadata["rank_deficient"]
     assert_agree(fast, ref)
+
+
+# a driver and a payoff that read the state, the time and every noise
+def _state_driver(t, w, y, z):
+    return 0.3 * y + 0.2 * z[:, -1] + 0.1 * np.cos(w[:, 0] + t)
+
+
+def _state_payoff(tau, w):
+    return np.sin(3.0 * w[..., 0]) + tau
+
+
+# terminal rules by where the paths stop: every one at node 0 (the state
+# starts on the lower end), some inside the grid, none before the end
+_STOPS = {
+    "fixed": TerminalRule(kind="fixed"),
+    "node 0": TerminalRule(kind="first_exit", coord=0, lower=0.0),
+    "inside": TerminalRule(kind="first_exit", coord=0, lower=-0.15, upper=0.2),
+    "never": TerminalRule(kind="first_exit", coord=0),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    basis=st.sampled_from(["poly", "bins"]),
+    stops=st.sampled_from(sorted(_STOPS)),
+    dim=st.sampled_from([1, 2]),
+    paths=st.integers(1, 150),
+    steps=st.integers(1, 12),
+    node_major=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lsmc_is_the_step_major_loop_byte_for_byte(basis, stops, dim, paths, steps, node_major, seed):
+    g = TimeGrid(np.cumsum(np.r_[0.0, np.random.default_rng(seed).uniform(0.02, 0.1, steps)]))
+    prob = WienerBSDEProblem(
+        k=1, d=dim, driver=_state_driver, coeffs=coeffs_on(g, 0.3, 0.2, eps=0.05),
+        terminal=_STOPS[stops], payoff=_state_payoff,
+    )
+    W = simulate_brownian(g, paths, dim, seed)
+    if not node_major:
+        # values as a C-ordered (paths, nodes, d) array, the layout it had
+        W.values = np.ascontiguousarray(W.values)
+    fast, ref = solve_lsmc(prob, W, basis=basis), step_major_solve_lsmc(prob, W, basis=basis)
+    for got, want in [(fast.Y, ref.Y), (fast.Z, ref.Z), (fast.stop_idx, ref.stop_idx)]:
+        assert got.tobytes() == want.tobytes() and got.strides == want.strides
+    assert pickle.dumps(fast.metadata) == pickle.dumps(ref.metadata)
+
+
+def test_values_are_the_running_sum_laid_out_node_major():
+    # a first step of -0.0 stays -0.0, as in np.cumsum, and a NaN runs on
+    g = TimeGrid.uniform(1.0, 8)
+    inc = simulate_brownian(g, 5, 2, seed=1).increments.copy()
+    inc[0, 0, 0] = -0.0
+    inc[1, 3, 1] = np.nan
+    W = BrownianEnsemble(grid=g, increments=inc, seed=1)
+    want = np.zeros((5, 8, 2))
+    np.cumsum(inc, axis=1, out=want[:, 1:, :])
+    assert W.values.tobytes() == want.tobytes()
+    assert math.copysign(1.0, W.values[0, 1, 0]) == -1.0
+    assert W.values.transpose(1, 0, 2).flags.c_contiguous
 
 
 def _clear_oracle_memo():

@@ -59,6 +59,16 @@ def test_lsmc_contraction_guard():
         solve_lsmc(prob, W)
 
 
+@pytest.mark.parametrize("nodes", [2, 11])
+def test_lsmc_rejects_an_unknown_basis_on_entry(nodes):
+    # on 2 nodes no step regresses, so only an entry check sees the basis
+    g = grid_uniform(0.1, nodes)
+    prob = linear_problem(g, 0.1, 0.0, (1.01,))
+    W = simulate_brownian(g, 20, 1, seed=0)
+    with pytest.raises(PreconditionError, match="unknown basis 'cubic'"):
+        solve_lsmc(prob, W, basis="cubic")
+
+
 def test_lsmc_terminal_values_match_payoff():
     g = grid_uniform(1.0, 21)
     prob = martingale_problem(g, (0.5, 2.0))

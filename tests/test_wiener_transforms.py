@@ -5,10 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tcbsde import wiener
 from tcbsde.errors import PreconditionError, SchemeError, StructuralError
 from tcbsde.harness import ExperimentConfig, run_scenario
 from tcbsde.timechange import IncreasingProcess, TimeChangeMap, TimeGrid, build_phi
 from tcbsde.wiener import (
+    BrownianEnsemble,
     TransformedProblem,
     WienerBSDEProblem,
     check_uniform_lipschitz,
@@ -190,6 +192,34 @@ def test_restriction_and_transform_read_nodes_without_building_values():
         np.diff(vals[:, idx, 0], axis=1) * np.sqrt(clock.target_grid.steps / np.diff(W.grid.nodes[idx])),
         axis=0,
     ).tobytes()
+
+
+def test_restriction_then_transform_sums_the_fine_path_once(monkeypatch):
+    # the image clock's inverse falls on the restricted grid's nodes, so the
+    # transform is handed the read the restriction made
+    W, g, prob, clock = _fine_pipeline(paths=300)
+    cumsum, summed = np.cumsum, []
+
+    def counting_cumsum(a, *args, **kwargs):
+        summed.append(a.shape[0])
+        return cumsum(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cumsum", counting_cumsum)
+    restricted = restrict_brownian(W, g)
+    tp = transform_driver(prob, clock, W=W)
+    monkeypatch.undo()
+    assert sum(summed) == W.paths  # each path summed once, in blocks
+    assert not tp.state.flags.writeable
+    # a fresh read of the same increments: equal bytes in the same layout
+    idx = np.searchsorted(W.grid.nodes, clock.inverse.values)
+    fresh = wiener._path_nodes(BrownianEnsemble(grid=W.grid, increments=W.increments, seed=W.seed), idx)
+    for got, want in [(tp.state, fresh), (restricted.increments, np.diff(fresh, axis=1))]:
+        assert got.tobytes() == want.tobytes() and got.strides == want.strides
+    # a read at other nodes is summed afresh and replaces the kept one
+    other = wiener._path_nodes(W, idx[:-1])
+    assert other.tobytes() == fresh[:, :-1, :].tobytes()
+    assert wiener._path_nodes(W, idx) is not tp.state
+    assert "values" not in W.__dict__
 
 
 def test_restriction_and_transform_of_a_fine_ensemble_stay_small():

@@ -7,6 +7,12 @@ averages bins one slice at a time after a stable sort.
 and evaluates it at every quadrature node, reads the fields at the paths with
 ``np.interp`` node by node (``reference_oracle_read_out``), and applies the
 stop rule path by path.  The fast solvers must agree with them to rounding.
+
+``step_major_solve_lsmc`` is ``solve_lsmc``'s own loop as it stood before
+the state went node-major: it builds the active mask on every step, the
+stop mask of ``Y`` whatever the stops, and the bins fit by a repeat and a
+scatter per column.  ``solve_lsmc`` does the same arithmetic in the same
+order, so it must agree with it byte for byte.
 """
 
 import math
@@ -14,8 +20,16 @@ import math
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from tcbsde import wiener
 from tcbsde.errors import PreconditionError, UnsupportedError
-from tcbsde.wiener import BrownianEnsemble, SolutionEnsemble, _contraction_guard, _unpack
+from tcbsde.wiener import (
+    _N_BINS,
+    BrownianEnsemble,
+    SolutionEnsemble,
+    _contraction_guard,
+    _terminal,
+    _unpack,
+)
 
 
 def _poly_features(x: np.ndarray, degree: int) -> np.ndarray:
@@ -245,3 +259,92 @@ def reference_oracle_read_out(state, xs, y_field, z_field):
         Y[:, j] = np.interp(state[:, j, 0], xs, y_field[j])
         Z[:, j, 0] = np.interp(state[:, j, 0], xs, z_field[j])
     return Y, Z
+
+
+def _step_major_regress(x: np.ndarray, B: np.ndarray, basis: str):
+    if basis == "poly":
+        A = wiener._poly_features(x)
+        coef, _, rank, _ = np.linalg.lstsq(A, B, rcond=None)
+        if rank < A.shape[1]:
+            return np.full(B.shape, np.mean(B, axis=0)), True
+        return A @ coef, False
+    if basis != "bins":
+        raise PreconditionError(f"unknown basis {basis!r}")
+    m = x.shape[0]
+    order = np.argsort(x[:, 0])
+    edges = np.unique(np.linspace(0, m, _N_BINS + 1).astype(int))
+    counts = np.diff(edges)
+    out = np.empty_like(B)
+    # one contiguous column of the F-order block at a time: gathering,
+    # summing and scattering whole rows of it costs about twice as much
+    for col, fit in zip(B.T, out.T):
+        means = np.add.reduceat(col[order], edges[:-1]) / counts
+        fit[order] = np.repeat(means, counts)
+    return out, False
+
+
+def step_major_solve_lsmc(
+    problem_or_transformed,
+    ensemble: BrownianEnsemble | None = None,
+    *,
+    basis: str = "poly",
+) -> SolutionEnsemble:
+    problem, ensemble, state, _ = _unpack(problem_or_transformed, ensemble)
+    if problem.k != 1:
+        raise UnsupportedError("solvers cover scalar solutions (k = 1)")
+    grid = ensemble.grid
+    _contraction_guard(problem, grid)
+    P, n, d = state.shape
+    dt = grid.steps
+
+    stop_idx, xi = _terminal(problem, grid, state)
+    truncated = float(np.mean(stop_idx == n - 1)) if problem.terminal.kind == "first_exit" else 0.0
+
+    # payoff held from the stopped index on
+    after_stop = np.arange(n)[:, None] >= stop_idx[None, :]
+    Y = np.where(after_stop, xi[None, :], 0.0)
+    Z = np.zeros((n, P, d))
+
+    rank_flag = False
+    drv_acc = np.zeros(P)  # running sum of driver * dt along each path
+    for j in range(n - 2, -1, -1):
+        active = stop_idx > j
+        if not np.any(active):
+            continue
+        # a boolean selection copies; with every path live a slice does not
+        live = slice(None) if active.all() else active
+        y_act = Y[j + 1, live]
+        x = state[live, j, :]
+        dw = ensemble.increments[live, j, :]
+        if j == 0:
+            pred = np.full(y_act.size, float(np.mean(y_act)))
+            zj = -np.mean(y_act[:, None] * dw, axis=0) / dt[0]
+            zj = np.broadcast_to(zj, (pred.size, d))
+        else:
+            # column-major: a rank-deficient fallback then sums each column
+            # in the same order as the mean of a 1-d array
+            rhs = np.empty((y_act.size, 1 + d), order="F")
+            rhs[:, 0] = y_act
+            np.multiply(y_act[:, None], dw, out=rhs[:, 1:])
+            fit, deficient = _step_major_regress(x, rhs, basis)
+            pred = fit[:, 0]
+            zj = -fit[:, 1:] / dt[j]
+            rank_flag = rank_flag or deficient
+        drv = np.asarray(problem.driver(float(grid.nodes[j]), x, pred, zj), dtype=float)
+        Y[j, live] = pred + drv * dt[j]
+        Z[j, live, :] = zj
+        drv_acc[live] += drv * dt[j]
+
+    # Regression preserves cross-path means step by step, so Y_0 is the mean
+    # of the per-path discounted target; its spread gives the honest SE.
+    target = xi + drv_acc
+    meta = {
+        "rank_deficient": rank_flag,
+        "truncated_fraction": truncated,
+        "y0_se": float(np.std(target) / math.sqrt(P)),
+        "basis": basis,
+    }
+    return SolutionEnsemble(
+        grid=grid, Y=Y.T, Z=Z.transpose(1, 0, 2), stop_idx=stop_idx, scheme="lsmc",
+        seed=ensemble.seed, metadata=meta,
+    )
