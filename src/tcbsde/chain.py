@@ -78,6 +78,10 @@ class MarkovChainModel:
     initial: int
     rate_bound: float
 
+    def __post_init__(self):
+        if not 0 <= self.initial < self.n_states:
+            raise ConfigError(f"initial state {self.initial} is not among states 0..{self.n_states - 1}")
+
     def rates(self, t) -> np.ndarray:
         """Rate matrix at time ``t``; a 1-d array of m times gives a stack ``(m, N, N)``.
 
@@ -505,6 +509,7 @@ class _ClockedChainModel(MarkovChainModel):
     rate_fn: RateFn = field(init=False, repr=False)
 
     def __post_init__(self):
+        super().__post_init__()
         self.rate_fn = self.rates
 
     def rates(self, u) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -60,11 +61,14 @@ def write_solution_csv(sol: SolutionEnsemble, path) -> None:
 def read_solution_csv(path) -> dict:
     """Wiener solution snapshot back as arrays indexed by path rank and node rank.
 
-    The file must hold exactly one row per (path, node) pair.
+    The header must be ``path_id,node_time,Y_1,Z_11..Z_1d,stopped_flag``, and
+    the file must hold exactly one row per (path, node) pair.
     """
     with open(path) as fh:
-        names = fh.readline().rstrip("\n").split(",")
-        width, n_z = len(names), sum(1 for h in names if h.startswith("Z_"))
+        names = fh.readline().rstrip("\r\n").split(",")
+        width, n_z = len(names), len(names) - 4
+        if names != ["path_id", "node_time", "Y_1"] + [f"Z_1{a + 1}" for a in range(n_z)] + ["stopped_flag"]:
+            raise StructuralError(f"{path} is not a solution snapshot: header {','.join(names)!r}")
         try:
             with warnings.catch_warnings():
                 # a header-only file is an empty snapshot
@@ -168,6 +172,9 @@ def load_chain_model(path) -> ChainModelConfig:
         bound = cp.getfloat("chain", "rate_bound")
     except (configparser.Error, ValueError) as e:
         raise ConfigError(f"bad [chain] section: {e}") from e
+    # a NaN bound would pass every comparison with the rates
+    if not math.isfinite(bound):
+        raise ConfigError(f"rate_bound must be finite, got {bound}")
     index = {nm: i for i, nm in enumerate(names)}
     if len(index) != len(names):
         raise ConfigError(f"duplicate state names in {names}")

@@ -46,43 +46,102 @@ def _readonly(a) -> np.ndarray:
     return out
 
 
-def interp_columns(nodes: np.ndarray, values, times: np.ndarray, axis: int = 0) -> np.ndarray:
-    """``np.interp(times, nodes, column)`` for every column of ``values`` along ``axis``, bit for bit.
+def _interval_index(nodes: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(nodes, times, side="right") - 1`` for increasing ``nodes``.
 
-    The kernel of every mapper across the clock and of vector-valued paths.
-    ``values`` holds one entry per node along ``axis``, with any shape around
-    it; the result holds one entry per time there instead, C-ordered.  One
-    search of the 1-D ``times`` serves every column.  The arithmetic and edge
-    rules are ``np.interp``'s: below the grid the first value, at or past the
-    top node the last, exactly on a node that node's value; inside an
-    interval ``slope * (t - x0) + y0``, where that is NaN
-    ``slope * (t - x1) + y1``, and where that is NaN too and ``y0 == y1``,
-    ``y0``; a NaN time gives NaN.
+    ``k`` with ``nodes[k] <= t < nodes[k + 1]``: -1 below the grid,
+    ``nodes.size - 1`` at or past the top node and for NaN.  The first guess
+    is where ``t`` falls on the even grid from ``nodes[0]`` to ``nodes[-1]``;
+    ``np.searchsorted`` then runs only on the times the guess misses, so the
+    result is the search's whatever the guess.  On an evenly spaced grid
+    the guess misses only next to a node; on 2,000 x 51 oracle states it
+    took under a third of the time of searching them all.
     """
-    values = np.asarray(values, dtype=float)
     n = nodes.size
-    k = np.searchsorted(nodes, times, side="right") - 1  # -1 below, n - 1 at or past the top
+    # the guess is k + 1, from 0 to n; fmin takes the number over a NaN, so
+    # NaN lands at the top node
+    with np.errstate(all="ignore"):
+        guess = (times - nodes[0]) * ((n - 1) / (nodes[-1] - nodes[0])) + 1.0
+    np.fmin(guess, n, out=guess)
+    np.fmax(guess, 0, out=guess)
+    k = guess.astype(np.intp)  # truncation is the floor here
+    # the guess holds where the grid padded with -inf and inf brackets the
+    # time (a NaN time fails no test and keeps the top node)
+    padded = np.concatenate(([-np.inf], nodes, [np.inf]))
+    miss = (padded.take(k) > times) | (padded[1:].take(k) <= times)
+    k -= 1
+    if miss.any():
+        k[miss] = np.searchsorted(nodes, times[miss], side="right") - 1
+    return k
+
+
+def _reader(shape: tuple, lo: np.ndarray, axis: int):
+    """A function reading a C-ordered array of ``shape`` at nodes ``lo + shift`` along ``axis``.
+
+    ``lo`` has ``len(shape)`` axes.  Where it varies along ``axis`` only
+    (times shared by every column) a read is one take along the axis;
+    otherwise it is one flat take, from each column's first node.
+    """
+    if lo.size == lo.shape[axis]:
+        lo = lo.ravel()
+        return lambda a, shift=0: a.take(lo + shift, axis=axis)
+    first = [1 if a == axis else size for a, size in enumerate(shape)]
+    step = math.prod(shape[axis + 1 :])  # from one node to the next
+    idx = np.ravel_multi_index(tuple(np.indices(first)), shape) + lo * step
+    return lambda a, shift=0: a.ravel()[shift * step :].take(idx, mode="clip")
+
+
+def interp_columns(nodes: np.ndarray, values, times: np.ndarray, axis: int = 0) -> np.ndarray:
+    """``np.interp(t, nodes, column)`` for every column of ``values`` along ``axis``, bit for bit.
+
+    The kernel of every read of a field across a grid: the mappers across
+    the clock, vector-valued paths, and the oracle's converged fields read
+    at each path's state.  ``values`` holds one entry per node along
+    ``axis``, with any shape around it; the result holds one entry per time
+    there instead, C-ordered.  ``times`` is either 1-D, shared by every
+    column, or has ``values.ndim`` axes and broadcasts against ``values``
+    off ``axis`` (per-column times; the result then has the broadcast
+    shape).  One search of the times serves every column.  The arithmetic
+    and edge rules are ``np.interp``'s: below the grid the first value, at
+    or past the top node the last, exactly on a node that node's value;
+    inside an interval ``slope * (t - x0) + y0``, where that is NaN
+    ``slope * (t - x1) + y1``, and where that is NaN too and ``y0 == y1``,
+    ``y0``; a NaN time gives NaN.  Each interval's slope
+    ``(y1 - y0) / (x1 - x0)`` is computed once per column and read at every
+    time in the interval: the bits of computing it at each time, with one
+    subtraction and one division per interval.  Like ``np.interp`` it
+    raises no floating-point warnings.
+    """
+    values = np.ascontiguousarray(values, dtype=float)
+    n = nodes.size
+    along = [-1 if a == axis else 1 for a in range(values.ndim)]  # a 1-D array laid along axis
+    times = np.ascontiguousarray(times.reshape(along) if times.ndim == 1 else times)
+    k = _interval_index(nodes, times)  # -1 below, n - 1 at or past the top
     lo = np.clip(k, 0, n - 2)
-    shape = [1] * values.ndim
-    shape[axis] = times.size
-
-    def along(a):
-        return np.reshape(a, shape)
-
-    x0, x1, t = nodes[lo], nodes[lo + 1], along(times)
-    y0, y1 = values.take(lo, axis=axis), values.take(lo + 1, axis=axis)
+    x0 = nodes.take(lo)
+    read = _reader(values.shape, lo, axis)
+    # laid out as the values, so that one read serves both; the top node's
+    # entry is never read, and is left unset
+    slopes = np.empty(values.shape)
+    head, tail = ((slice(None),) * axis + (s,) for s in (slice(-1), slice(1, None)))
     # np.interp raises no floating-point warnings
     with np.errstate(all="ignore"):
-        slope = (y1 - y0) / along(x1 - x0)
-        out = slope * along(times - x0) + y0
+        np.subtract(values[tail], values[head], out=slopes[head])
+        slopes[head] /= np.diff(nodes).reshape(along)
+        y0 = read(values)
+        out = read(slopes)
+        out *= times - x0
+        out += y0
         bad = np.isnan(out)
         if bad.any():
-            np.copyto(out, slope * (t - along(x1)) + y1, where=bad)
+            y1 = read(values, 1)
+            np.copyto(out, read(slopes) * (times - nodes[1:].take(lo)) + y1, where=bad)
             np.copyto(out, y0, where=bad & np.isnan(out) & (y0 == y1))
-    edges = ((k < 0) | (x0 == times), y0), (k == n - 1, y1), (np.isnan(times), t)
+    top = values.take([n - 1], axis=axis)
+    edges = ((k < 0) | (x0 == times), y0), (k == n - 1, top), (np.isnan(times), times)
     for mask, value in edges:  # later rules win
         if mask.any():
-            np.copyto(out, value, where=along(mask))
+            np.copyto(out, value, where=mask)
     return out
 
 

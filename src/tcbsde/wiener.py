@@ -741,83 +741,6 @@ _N_QUAD = 21
 _SPAN_SIGMAS = 6.0
 
 
-def _interval_index(xs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(xs, x, side="right") - 1`` for an increasing ``xs``.
-
-    ``k`` with ``xs[k] <= x < xs[k + 1]``: -1 below the grid, ``xs.size - 1``
-    at or past the top node and for NaN.  The first guess is where ``x``
-    falls on the uniform grid from ``xs[0]`` to ``xs[-1]``; it then moves down
-    while ``xs[k] > x`` and up while ``xs[k + 1] <= x``, so the result is the
-    search's whatever the guess.  On the oracle's evenly spaced state grid
-    the guess starts at most a node off, and on 2,000 x 51 states this took
-    less than half the time of ``np.searchsorted``.
-    """
-    m = xs.size
-    with np.errstate(all="ignore"):
-        t = (x - xs[0]) * ((m - 1) / (xs[-1] - xs[0]))
-    # fmin takes the number over a NaN, so NaN lands at the top node
-    np.fmin(t, m - 1, out=t)
-    np.fmax(t, -1, out=t)
-    k = np.floor(t, out=t).astype(np.intp)
-    while True:
-        down = (k >= 0) & (xs.take(k, mode="clip") > x)
-        if not down.any():
-            break
-        k -= down
-    while True:
-        up = (k < m - 1) & (xs.take(k + 1, mode="clip") <= x)
-        if not up.any():
-            break
-        k += up
-    return k
-
-
-def _interp_nodes(xs: np.ndarray, x: np.ndarray, fields) -> list[np.ndarray]:
-    """``np.interp(x[:, j], xs, field[j])`` for every node ``j`` of each field, bit for bit.
-
-    ``x`` is ``(P, n)`` and each field ``(n, xs.size)``; each result is
-    ``(P, n)``, C-ordered.  One interval search per (path, node) serves every
-    field, where a loop of ``np.interp`` calls searches once per node and
-    field.  The work runs node-major, on ``x.T``: the solvers' states are
-    laid out that way, so every operand is then contiguous; the results are
-    copied to C order once at the end.
-    The values follow ``np.interp``'s arithmetic and edge rules: below the
-    grid the first value, at or past the top node the last, exactly on a
-    node that node's value; inside an interval
-    ``slope * (x - xs[k]) + field[k]``, and where that is NaN
-    ``slope * (x - xs[k + 1]) + field[k + 1]``, and where that is NaN too and
-    the two field values are equal, ``field[k]``; a NaN state gives itself.
-    """
-    m = xs.size
-    x = x.T
-    k = _interval_index(xs, x)
-    lo = np.clip(k, 0, m - 2)
-    xs_lo, xs_hi = xs.take(lo), xs.take(lo + 1)
-    top = k == m - 1  # at or past the top node: field[lo + 1], the last value
-    on_lo = (k < 0) | (xs_lo == x)  # below the grid or exactly on node lo: field[lo]
-    lo += (np.arange(x.shape[0]) * m)[:, None]  # each node's row in a flat field
-    dx = xs_hi - xs_lo
-    from_lo = x - xs_lo
-    nan_x = np.isnan(x)
-    out = []
-    # np.interp raises no floating-point warnings
-    with np.errstate(all="ignore"):
-        for field in fields:
-            flat = field.ravel()
-            y0, y1 = flat.take(lo, mode="clip"), flat.take(lo + 1, mode="clip")
-            slope = (y1 - y0) / dx
-            res = slope * from_lo + y0
-            bad = np.isnan(res)
-            if bad.any():
-                np.copyto(res, slope * (x - xs_hi) + y1, where=bad)
-                np.copyto(res, y0, where=bad & np.isnan(res) & (y0 == y1))
-            np.copyto(res, y0, where=on_lo)
-            np.copyto(res, y1, where=top)
-            np.copyto(res, x, where=nan_x)
-            out.append(np.ascontiguousarray(res.T))
-    return out
-
-
 def solve_picard_oracle(
     problem_or_transformed,
     ensemble: BrownianEnsemble | None = None,
@@ -859,9 +782,11 @@ def solve_picard_oracle(
     builds one per step.
 
     The converged fields are read at each path's state by
-    :func:`_interp_nodes`: one interval search per (path, node) serves both
-    ``Y`` and ``Z``, and every value is the one ``np.interp`` gives, node by
-    node and field by field (``tests/wiener_reference.py`` keeps that loop).
+    :func:`interp_columns`, with the two fields stacked and the node-major
+    states as per-column times: one interval search per (path, node) serves
+    both ``Y`` and ``Z``, and every value is the one ``np.interp`` gives,
+    node by node and field by field (``tests/wiener_reference.py`` keeps
+    that loop).
     """
     problem, ensemble, state, state_var = _unpack(problem_or_transformed, ensemble)
     if problem.k != 1 or problem.d != 1:
@@ -923,11 +848,13 @@ def solve_picard_oracle(
         distances.append(dist)
         y_field, z_field = y_new, z_new
 
-    Y, Z = _interp_nodes(xs, state[:, :, 0], (y_field, z_field))
-    Z = Z.reshape(P, n, 1)
+    # the node-major states are the per-column times: one search serves both fields
+    fields = np.stack((y_field, z_field))
+    Y, Z = interp_columns(xs, fields, state[:, :, 0].T[None], axis=2).transpose(0, 2, 1)
+    Z = np.ascontiguousarray(Z).reshape(P, n, 1)
     stop_idx, xi = _terminal(problem, grid, state)
     after_stop = np.arange(n)[None, :] >= stop_idx[:, None]
-    Y = np.where(after_stop, xi[:, None], Y)
+    Y = np.where(after_stop, xi[:, None], Y)  # C-ordered, as the mask is
     Z[after_stop] = 0.0
 
     meta = {

@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcbsde.errors import InvariantError, PreconditionError, StructuralError
+from tcbsde.errors import ConfigError, InvariantError, PreconditionError, StructuralError
 from tcbsde.timechange import LINEAR, SampledPath, TimeChangeMap, TimeGrid
 from tcbsde.chain import (
     BalanceReport,
@@ -106,6 +107,20 @@ def test_non_finite_rate_rejected():
     model.validate([0.0, 0.25])
     with pytest.raises(InvariantError, match="not finite at t=0.5"):
         model.validate([0.0, 0.5, 1.0])
+
+
+@pytest.mark.parametrize("initial", [-1, 2, 5])
+def test_initial_state_outside_the_chain_rejected(initial):
+    # -1 would start every path in state -1 and jump at state 1's rates
+    A = np.array([[-1.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(ConfigError, match="initial state"):
+        MarkovChainModel(2, lambda t: A, initial, rate_bound=1.0)
+    model = MarkovChainModel(2, lambda t: A, 0, rate_bound=1.0)
+    grid = TimeGrid.uniform(1.0, 11)
+    tilde = transform_chain(model, chain_clock(SampledPath(grid, 1.0 + grid.nodes, LINEAR), c2=0.0))
+    for m in (model, tilde):
+        with pytest.raises(ConfigError, match="initial state"):
+            replace(m, initial=initial)
 
 
 def test_validate_accepts_no_times():

@@ -102,12 +102,16 @@ def test_read_solution_csv_matches_reference_reader(tmp_path, make_sol):
         assert np.array_equal(fast[key], ref[key]), key
 
 
-@pytest.mark.parametrize("edit", ["drop", "duplicate", "ragged", "text", "comment"])
+@pytest.mark.parametrize("edit", ["drop", "duplicate", "ragged", "text", "comment", "foreign", "no-flag"])
 def test_read_solution_csv_rejects_malformed_files(tmp_path, edit):
     p = tmp_path / "sol.csv"
     write_solution_csv(small_solution(), p)
     lines = p.read_text().splitlines()
-    if edit == "drop":
+    if edit == "foreign":  # a CSV that is no solution snapshot
+        lines = ["a,b", "0,0"]
+    elif edit == "no-flag":  # the snapshot's first three columns only
+        lines = [",".join(line.split(",")[:3]) for line in lines]
+    elif edit == "drop":
         del lines[5]
     elif edit == "duplicate":
         lines.insert(5, lines[5])
@@ -302,6 +306,8 @@ def test_load_chain_model_runs_end_to_end(tmp_path):
         ("idle->busy = constant 1.0", "idle->busy ="),
         ("[chain]\n", ""),  # no section header before the first key
         ("states = idle busy done", "states = idle busy done idle"),
+        ("rate_bound = 4.0", "rate_bound = nan"),
+        ("rate_bound = 4.0", "rate_bound = inf"),
     ],
 )
 def test_load_chain_model_rejects_bad_configs(tmp_path, mutation):

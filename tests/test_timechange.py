@@ -257,27 +257,45 @@ def test_sampled_path_interpolates_linearly_only():
 
 
 def per_column_interp(nodes, values, times, axis):
-    """``np.interp`` one column at a time, laid out C-ordered."""
+    """``np.interp`` one column at a time, laid out C-ordered.
+
+    ``times`` is 1-D, shared by every column, or has one row of times per
+    column along ``axis`` and broadcasts against ``values`` off it.
+    """
     moved = np.moveaxis(values, axis, -1)
-    out = np.empty(moved.shape[:-1] + (times.size,))
-    for idx in np.ndindex(moved.shape[:-1]):
-        out[idx] = np.interp(times, nodes, moved[idx])
+    rows = np.moveaxis(times, axis, -1) if times.ndim > 1 else times
+    shape = np.broadcast_shapes(moved.shape[:-1], rows.shape[:-1])
+    moved = np.broadcast_to(moved, shape + moved.shape[-1:])
+    rows = np.broadcast_to(rows, shape + rows.shape[-1:])
+    out = np.empty(rows.shape)
+    for idx in np.ndindex(shape):
+        out[idx] = np.interp(rows[idx], nodes, moved[idx])
     return np.ascontiguousarray(np.moveaxis(out, -1, axis))
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     n=st.integers(2, 12),
-    layout=st.sampled_from(["paths", "paths-dim", "states"]),
+    layout=st.sampled_from(["paths", "paths-dim", "states", "oracle"]),
+    spacing=st.sampled_from(["drawn", "even", "cubed"]),
     data=st.data(),
 )
-def test_interp_columns_matches_per_column_interp(n, layout, data):
-    # the mappers' kernel against np.interp column by column, in bytes and in
-    # strides: on (P, n) and (P, n, d) along the node axis 1 as the Wiener
-    # mapper reads, on (n, N) along axis 0 as the chain mapper reads
-    steps = data.draw(st.lists(st.floats(1e-3, 2.0), min_size=n - 1, max_size=n - 1))
-    nodes = np.concatenate([[0.0], np.cumsum(steps)])
-    shape, axis = {"paths": ((3, n), 1), "paths-dim": ((3, n, 2), 1), "states": ((n, 4), 0)}[layout]
+def test_interp_columns_matches_per_column_interp(n, layout, spacing, data):
+    # the one kernel against np.interp column by column, in bytes and in
+    # strides: with shared times on (P, n) and (P, n, d) along the node axis
+    # 1 as the Wiener mapper reads, and on (n, N) along axis 0 as the chain
+    # mapper reads; with per-column times on the oracle's stacked fields
+    # (fields, nodes, states) along axis 2, read at (1, nodes, P) states.
+    # On the cubed grid the search's even-grid guess misses most times.
+    if spacing == "drawn":
+        steps = data.draw(st.lists(st.floats(1e-3, 2.0), min_size=n - 1, max_size=n - 1))
+        nodes = np.concatenate([[0.0], np.cumsum(steps)])
+    else:
+        end = data.draw(st.floats(1e-3, 1e3))
+        nodes = end * np.linspace(0.0, 1.0, n) ** (1 if spacing == "even" else 3)
+    shape, axis = {
+        "paths": ((3, n), 1), "paths-dim": ((3, n, 2), 1), "states": ((n, 4), 0), "oracle": ((2, 3, n), 2)
+    }[layout]
     value = st.one_of(
         st.floats(-1e3, 1e3),
         st.floats(-1e308, 1e308),
@@ -289,10 +307,19 @@ def test_interp_columns_matches_per_column_interp(n, layout, data):
     if data.draw(st.booleans()):  # equal neighbours: a flat step
         np.moveaxis(values, axis, 0)[j + 1] = np.moveaxis(values, axis, 0)[j]
     end = float(nodes[-1])
-    times = [float(x) for x in nodes] + [-1e-12, -5e-13, end + 5e-13, end + 1e-12]
-    times += data.draw(st.lists(st.floats(0.0, end), max_size=10))
-    # at least two times, as on any grid, so that every stride is fixed by the layout
-    times = np.sort(np.array(data.draw(st.permutations(times))[: data.draw(st.integers(2, len(times)))]))
+    if layout == "oracle":
+        # every node, its floating-point neighbours, NaN and the infinities
+        special = np.concatenate(
+            [nodes, np.nextafter(nodes, -math.inf), np.nextafter(nodes, math.inf), [math.nan, math.inf, -math.inf]]
+        )
+        time = st.one_of(st.sampled_from(special.tolist()), st.floats(-0.5 * end, 1.5 * end))
+        P = data.draw(st.integers(1, 6))
+        times = np.array(data.draw(st.lists(time, min_size=3 * P, max_size=3 * P))).reshape(1, 3, P)
+    else:
+        times = [float(x) for x in nodes] + [-1e-12, -5e-13, end + 5e-13, end + 1e-12]
+        times += data.draw(st.lists(st.floats(0.0, end), max_size=10))
+        # at least two times, as on any grid, so that every stride is fixed by the layout
+        times = np.sort(np.array(data.draw(st.permutations(times))[: data.draw(st.integers(2, len(times)))]))
     got = interp_columns(nodes, values, times, axis=axis)
     want = per_column_interp(nodes, values, times, axis)
     assert got.shape == want.shape and got.strides == want.strides

@@ -25,7 +25,9 @@ from tcbsde.timechange import (
     IncreasingProcess,
     SampledPath,
     TimeGrid,
+    _interval_index,
     build_phi,
+    interp_columns,
 )
 from tcbsde.wiener import (
     BrownianEnsemble,
@@ -378,7 +380,7 @@ def test_path_nodes_of_the_benchmark_ensemble_in_blocks():
 def _state_grid(kind, m, span):
     if kind == "linspace":
         return np.linspace(-span, span, m)
-    # an increasing grid far from uniform: the guess is then off by many nodes
+    # an increasing grid far from uniform: the even-grid guess misses most states
     return -span + 2.0 * span * np.linspace(0.0, 1.0, m) ** 3
 
 
@@ -410,7 +412,7 @@ def test_interval_index_is_searchsorted(m, span, kind, seed, extremes):
     if extremes:
         x[0, :] = [np.nan, np.inf, -np.inf, 1e308, -1e308]
     want = np.searchsorted(xs, x, side="right") - 1
-    np.testing.assert_array_equal(wiener._interval_index(xs, x), want)
+    np.testing.assert_array_equal(_interval_index(xs, x), want)
 
 
 def _fields(rng, n, m, special):
@@ -450,10 +452,12 @@ def test_oracle_read_out_is_the_interp_loop_bit_for_bit(
         # a transformed problem's state is laid out node-major
         state = np.ascontiguousarray(state.transpose(1, 0, 2)).transpose(1, 0, 2)
     y_field, z_field = _fields(rng, n, m, special), _fields(rng, n, m, special)
-    Y, Z = wiener._interp_nodes(xs, state[:, :, 0], (y_field, z_field))
+    # the oracle's read: stacked fields, the states as per-column times
+    got = interp_columns(xs, np.stack((y_field, z_field)), state[:, :, 0].T[None], axis=2)
     Y_ref, Z_ref = reference_oracle_read_out(state, xs, y_field, z_field)
-    assert Y.tobytes() == Y_ref.tobytes() and Y.flags.c_contiguous
-    assert Z.tobytes() == Z_ref[:, :, 0].tobytes() and Z.flags.c_contiguous
+    assert got.shape == (2, n, paths) and got.flags.c_contiguous
+    assert got[0].tobytes() == np.ascontiguousarray(Y_ref.T).tobytes()
+    assert got[1].tobytes() == np.ascontiguousarray(Z_ref[:, :, 0].T).tobytes()
 
 
 def test_oracle_read_out_edge_rules():
@@ -465,9 +469,9 @@ def test_oracle_read_out_edge_rules():
     field[6] = [0.0, 0.0, 1.0, np.inf, 1.0]  # left slope NaN, right one finite
     field[7] = [np.inf, np.inf, 0.0, 0.0, 0.0]  # both NaN, equal values
     field[8] = [0.0, -np.inf, np.inf, 0.0, 0.0]  # both NaN, values differ
-    (got,) = wiener._interp_nodes(xs, x, (field,))
+    (got,) = interp_columns(xs, field[None], x.T[None], axis=2)[:, :, 0]
     want = [np.interp(x[0, j], xs, field[j]) for j in range(n)]
-    assert got.tobytes() == np.array([want]).tobytes()
-    assert math.copysign(1.0, got[0, 0]) == -1.0  # below the grid: the first value, -0.0
-    assert got[0, 3] == got[0, 4] == 8.0 and math.isnan(got[0, 5])
-    assert got[0, 6] == np.inf and got[0, 7] == np.inf and math.isnan(got[0, 8])
+    assert got.tobytes() == np.array(want).tobytes()
+    assert math.copysign(1.0, got[0]) == -1.0  # below the grid: the first value, -0.0
+    assert got[3] == got[4] == 8.0 and math.isnan(got[5])
+    assert got[6] == np.inf and got[7] == np.inf and math.isnan(got[8])
