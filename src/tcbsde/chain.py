@@ -59,7 +59,13 @@ from .timechange import (
     interp_columns,
 )
 
-RateFn = Callable[[float], np.ndarray]
+# Rates and loss rates take one time or a 1-d array of m times (with states
+# of the same shape).  Given an array, a rate function returns (m, N, N), or
+# (N, N) for a matrix that does not depend on time, and a loss rate returns
+# (m,) or a scalar.  A time factor needs two trailing axes: at m = N a bare
+# ``A * (1 + t)`` is (N, N) and reads as one matrix.
+RateFn = Callable[[float | np.ndarray], np.ndarray]
+LossFn = Callable[[float | np.ndarray, int | np.ndarray], float | np.ndarray]
 ChainDriver = Callable[[float, int, float, np.ndarray], float]
 EtaFn = Callable[[float, int, np.ndarray, np.ndarray], np.ndarray]
 
@@ -85,7 +91,9 @@ class MarkovChainModel:
     def rates(self, t) -> np.ndarray:
         """Rate matrix at time ``t``; a 1-d array of m times gives a stack ``(m, N, N)``.
 
-        ``rate_fn`` takes one time; a stack calls it once per time.
+        A stack calls ``rate_fn`` once, with the float64 array of times.  A
+        return of ``(N, N)`` is a matrix that does not depend on time: it is
+        copied and given back as a read-only broadcast over the m times.
         """
         if isinstance(t, np.ndarray) and t.ndim:
             return self._rates_at_times(t)
@@ -99,9 +107,13 @@ class MarkovChainModel:
         if not t.size:
             return np.empty((0, N, N))
         try:
-            A = np.array([self.rate_fn(s) for s in t.tolist()], dtype=float)
+            # a callback written for one time mostly fails on an array, here
+            # or at the shape test below (see RateFn for the exception)
+            A = np.asarray(self.rate_fn(np.asarray(t, dtype=float)), dtype=float)
         except ValueError as exc:
             raise StructuralError("rate matrix has a wrong shape") from exc
+        if A.shape == (N, N):
+            return np.broadcast_to(A.copy(), (t.size, N, N))
         if A.shape != (t.size, N, N):
             raise StructuralError("rate matrix has a wrong shape")
         return A
@@ -246,20 +258,32 @@ def _check_rate_batch(A: np.ndarray, t: np.ndarray, total: np.ndarray, bound: fl
         )
 
 
+def _loss_at(loss_rate: LossFn, t: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """``loss_rate`` at m times and states, in one call; a scalar return broadcasts to ``(m,)``."""
+    try:
+        kill = np.asarray(loss_rate(t, states), dtype=float)
+    except ValueError as exc:
+        raise StructuralError("loss rate has a wrong shape") from exc
+    if kill.shape not in ((), t.shape):
+        raise StructuralError("loss rate has a wrong shape")
+    return np.broadcast_to(kill, t.shape)
+
+
 def _thin(
     model: MarkovChainModel,
     horizon: float,
     paths: int,
     seed: int,
     *,
-    loss_rate: Callable[[float, int], float] | None = None,
+    loss_rate: LossFn | None = None,
     loss_bound: float = 0.0,
     target: int | None = None,
 ) -> tuple[ChainPaths, np.ndarray, np.ndarray]:
     """Lewis-Shedler thinning of all paths at once against ``rate_bound + loss_bound``.
 
     Each round draws one exponential candidate time per live path, evaluates
-    the rates of the whole batch in one call, and accepts a jump with
+    the rates, and the loss rates at the paths' states, of the whole batch in
+    one call each, and accepts a jump with
     probability ``exit / bound`` and, given a loss rate, a kill with
     probability ``kill / bound``.  The next state is the first index whose
     cumulative off-diagonal rate out of the current state reaches a uniform
@@ -297,7 +321,12 @@ def _thin(
         if loss_rate is None:
             kill = np.zeros(live.size)
         else:
-            kill = np.array([loss_rate(a, b) for a, b in zip(t_live.tolist(), s.tolist())], dtype=float)
+            kill = _loss_at(loss_rate, t_live, s)
+            # every comparison with NaN is false, so the bound check passes it
+            bad = np.flatnonzero(~(kill >= 0.0))
+            if bad.size:
+                k = bad[0]
+                raise InvariantError(f"loss rate {kill[k]} is negative or NaN at t={t_live[k]}")
         _check_rate_batch(A, t_live, exit_rate + kill, bound)
         u = rng.uniform(size=live.size) * bound
         jump = u < exit_rate
@@ -964,7 +993,7 @@ class MessageReport:
 
 def build_message_problem(
     model: MarkovChainModel,
-    loss_rate: Callable[[float, int], float],
+    loss_rate: LossFn,
     target: int,
     horizon_grid: TimeGrid,
 ) -> ChainBSDEProblem:
@@ -972,7 +1001,9 @@ def build_message_problem(
 
     The loss rate enters as a discount; the driver is z-free, so the
     compensator itself is an admissible perturbation and balance is exact
-    with ratio 1.  The y-coefficient envelope is ``max_x r(t, x)``.
+    with ratio 1.  The y-coefficient envelope is ``max_x r(t, x)``, read
+    with one ``loss_rate`` call per state over all grid nodes; the driver
+    calls it at one time and state.
     """
     if not (0 <= target < model.n_states):
         raise ConfigError("target state is not in the state space")
@@ -984,9 +1015,8 @@ def build_message_problem(
     def eta(t, i, z, zp):
         return model.rates(t)[:, i]
 
-    c_vals = np.array(
-        [max(loss_rate(float(t), i) for i in range(N)) for t in horizon_grid.nodes]
-    )
+    nodes = horizon_grid.nodes
+    c_vals = np.maximum.reduce([_loss_at(loss_rate, nodes, np.full(nodes.size, i)) for i in range(N)])
     if np.any(c_vals < 0):
         raise PreconditionError("loss rates must be non-negative")
     beta, beta_tilde = 1.0, 1.0
@@ -1034,14 +1064,19 @@ def _hitting_time_controls(model: MarkovChainModel, target: int, beta: float, be
 
 def simulate_killed_chain(
     model: MarkovChainModel,
-    loss_rate: Callable[[float, int], float],
+    loss_rate: LossFn,
     target: int,
     horizon: float,
     paths: int,
     seed: int,
     loss_bound: float,
 ) -> tuple[float, float, float]:
-    """Reach frequency with killing at the loss rate; (estimate, se, killed fraction)."""
+    """Reach frequency with killing at the loss rate; (estimate, se, killed fraction).
+
+    ``loss_rate`` is called once per thinning round, with the candidate
+    times and the paths' states as arrays; a negative or NaN value raises
+    ``InvariantError``.
+    """
     _, reached, killed = _thin(
         model, horizon, paths, seed, loss_rate=loss_rate, loss_bound=loss_bound, target=target
     )
@@ -1052,7 +1087,7 @@ def simulate_killed_chain(
 
 def message_transmission(
     model: MarkovChainModel,
-    loss_rate: Callable[[float, int], float],
+    loss_rate: LossFn,
     source: int,
     target: int,
     horizon: float,
@@ -1066,7 +1101,9 @@ def message_transmission(
     The equation route builds the y-coefficient clock, transforms the chain
     and driver, solves the backward ODE system on the stretched horizon and
     maps the value function back.  The Monte Carlo route kills the walker at
-    the loss rate and counts arrivals.
+    the loss rate and counts arrivals.  ``loss_rate`` takes one time and
+    state or arrays of both (see ``LossFn``); its bound is its largest value
+    at times 0 and ``horizon``.
     """
     if model.initial != source:
         model = replace(model, initial=source)

@@ -136,7 +136,7 @@ class ChainModelConfig:
     model: MarkovChainModel
     state_names: list
     hitting_set: frozenset
-    loss_rate: object  # callable (t, state_index) -> float
+    loss_rate: object  # callable (t, state_index) -> float, or (m,) on arrays
 
 
 def load_chain_model(path) -> ChainModelConfig:
@@ -194,11 +194,14 @@ def load_chain_model(path) -> ChainModelConfig:
                 raise ConfigError("self-rates are implied by column balance; drop them")
             entries.append((index[dst], index[src], _parse_profile(spec)))
 
-    def rate_fn(t: float) -> np.ndarray:
-        A = np.zeros((N, N))
+    diag = np.arange(N)
+
+    def rate_fn(t):
+        # one time gives (N, N), a 1-d array of m times (m, N, N)
+        A = np.zeros(np.shape(t) + (N, N))
         for i, j, prof in entries:
-            A[i, j] = prof(t)
-        A -= np.diag(A.sum(axis=0))
+            A[..., i, j] = prof(t)
+        A[..., diag, diag] -= A.sum(axis=-2)
         return A
 
     hitting = frozenset()
@@ -216,9 +219,16 @@ def load_chain_model(path) -> ChainModelConfig:
                 raise ConfigError(f"loss key {key!r} names an unknown state")
             loss_profiles[index[key]] = _parse_profile(spec)
 
-    def loss_rate(t: float, i: int) -> float:
-        prof = loss_profiles.get(i)
-        return prof(t) if prof is not None else 0.0
+    def loss_rate(t, i):
+        # one time and state give a float; arrays of times and states give (m,)
+        if np.ndim(i) == 0:
+            prof = loss_profiles.get(int(i))
+            return prof(t) if prof is not None else 0.0
+        out = np.zeros(np.shape(i))
+        for state, prof in loss_profiles.items():
+            at = i == state
+            out[at] = prof(t[at])
+        return out
 
     model = MarkovChainModel(N, rate_fn, index[initial], bound)
     model.validate([0.0])

@@ -24,6 +24,8 @@ from tcbsde.chain import (
     transform_chain_problem,
 )
 
+from util import per_time, rate_stack
+
 
 def two_state_model(lam=1.0, mu=1.0, initial=0):
     A = np.array([[-lam, mu], [lam, -mu]])
@@ -100,8 +102,8 @@ def test_non_finite_rate_rejected():
     # the column sum is NaN, so only the exit-rate bound would object, and
     # with the wrong reason
     def rate_fn(t):
-        lam = math.inf if t >= 0.5 else 1.0
-        return np.array([[-lam, 0.0], [lam, 0.0]])
+        lam = np.where(np.asarray(t) >= 0.5, math.inf, 1.0)
+        return rate_stack(t, [[-lam, 0.0], [lam, 0.0]])
 
     model = MarkovChainModel(2, rate_fn, 0, rate_bound=2.0)
     model.validate([0.0, 0.25])
@@ -482,7 +484,7 @@ def test_rerooted_clocked_model_keeps_its_clock(monkeypatch):
 
     grid = TimeGrid.uniform(2.0, 81)
     A = np.array([[-1.0, 0.0], [1.0, 0.0]])
-    base = MarkovChainModel(2, lambda t: A * (1.0 + t), 1, rate_bound=3.0)
+    base = MarkovChainModel(2, lambda t: A * per_time(1.0 + t), 1, rate_bound=3.0)
     tilde = transform_chain(base, chain_clock(SampledPath(grid, 1.0 + grid.nodes, LINEAR), c2=0.0))
     seen = []
     orig = chain.build_message_problem

@@ -19,6 +19,7 @@ from tcbsde.errors import SchemeError
 from tcbsde.timechange import LINEAR, SampledPath, TimeGrid
 
 from picard_reference import reference_picard_solve
+from util import per_time
 
 
 def balanced_problem(A, grid, hitting, terminal, *, rates=None, c=0.3, initial=0):
@@ -64,7 +65,7 @@ def hit_between_free():
     ])
 
     def rates(t):
-        return A * (1.0 + 0.1 * t)
+        return A * per_time(1.0 + 0.1 * t)
 
     grid = TimeGrid.uniform(3.0, 61)
     return balanced_problem(A * 1.3, grid, {1}, lambda t, i: 2.0 - 0.1 * i, rates=rates), grid

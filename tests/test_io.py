@@ -331,3 +331,43 @@ def test_load_chain_model_rejects_invalid_generators(tmp_path, mutation, message
     p.write_text(CHAIN_CONFIG.replace(*mutation))
     with pytest.raises(InvariantError, match=message):
         load_chain_model(p)
+
+
+
+# the first coefficient is the value at t = 0, where the loader validates
+_START = st.floats(0.0, 3.0)
+_COEFF = st.floats(-3.0, 3.0)
+_PROFILE = st.one_of(
+    st.builds("constant {!r}".format, _START),
+    st.builds("linear {!r} {!r}".format, _START, _COEFF),
+    st.builds(
+        lambda a, c: "polynomial " + " ".join(map(repr, [a, *c])), _START, st.lists(_COEFF, max_size=3)
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rates=st.lists(_PROFILE, min_size=3, max_size=3),
+    losses=st.lists(st.one_of(st.none(), _PROFILE), min_size=3, max_size=3),
+    t=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=20),
+    seed=st.integers(0, 2**31),
+)
+def test_loaded_callbacks_on_arrays_are_the_per_time_calls_stacked(tmp_path_factory, rates, losses, t, seed):
+    # a cycle of three edges, and a loss on some states only
+    p = tmp_path_factory.mktemp("chain") / "chain.ini"
+    loss_lines = "".join(f"{name} = {spec}\n" for name, spec in zip("abc", losses) if spec is not None)
+    p.write_text(
+        "[chain]\nstates = a b c\ninitial = a\nrate_bound = 10.0\n"
+        f"[rates]\na->b = {rates[0]}\nb->c = {rates[1]}\nc->a = {rates[2]}\n"
+        f"[loss]\n{loss_lines}"
+    )
+    cfg = load_chain_model(p)
+    t = np.array(t)
+    states = np.random.default_rng(seed).integers(0, 3, t.size)
+    stacked = np.array([cfg.model.rate_fn(s) for s in t.tolist()])
+    batch = cfg.model.rate_fn(t)
+    assert batch.shape == stacked.shape and batch.tobytes() == stacked.tobytes()
+    kills = np.array([cfg.loss_rate(s, i) for s, i in zip(t.tolist(), states.tolist())], dtype=float)
+    batch = cfg.loss_rate(t, states)
+    assert batch.shape == kills.shape and batch.tobytes() == kills.tobytes()

@@ -27,7 +27,7 @@ from tcbsde.chain import (
     transform_chain,
 )
 from tcbsde.chain import _check_rate_batch, _column_sums
-from tcbsde.errors import InvariantError, PreconditionError
+from tcbsde.errors import InvariantError, PreconditionError, StructuralError
 from tcbsde.timechange import LINEAR, SampledPath, TimeGrid
 
 from thinning_reference import (
@@ -35,6 +35,7 @@ from thinning_reference import (
     reference_killed_chain,
     reference_simulate_chain,
 )
+from util import per_time, rate_stack
 
 
 def two_state(lam=1.0, mu=1.0):
@@ -50,8 +51,8 @@ def line(lam=1.0):
 def three_state_varying():
     # rates grow with t; the bound covers t <= 2
     def rates(t):
-        a = 1.0 + 0.5 * t
-        return np.array([[-a, 0.5, 0.2], [0.6 * a, -1.0, 0.8], [0.4 * a, 0.5, -1.0]])
+        a = 1.0 + 0.5 * np.asarray(t)
+        return rate_stack(t, [[-a, 0.5, 0.2], [0.6 * a, -1.0, 0.8], [0.4 * a, 0.5, -1.0]])
 
     return MarkovChainModel(3, rates, 0, rate_bound=2.0)
 
@@ -96,8 +97,8 @@ def test_holding_times_exponential():
 def test_first_jump_time_varying_rate():
     # exit rate 1 + t: P(T <= t) = 1 - exp(-t - t^2/2), conditioned on T < 4
     def rates(t):
-        a = 1.0 + t
-        return np.array([[-a, 0.0], [a, 0.0]])
+        a = 1.0 + np.asarray(t)
+        return rate_stack(t, [[-a, 0.0], [a, 0.0]])
 
     model = MarkovChainModel(2, rates, 0, rate_bound=5.0)
     first = np.array([p.jump_times[0] for p in simulate_chain(model, 4.0, 4000, seed=24) if p.jump_times.size])
@@ -206,17 +207,119 @@ def test_batched_transformed_rates_are_bit_identical():
             assert np.array_equal(stack[k], one), (k, u[k])
 
 
-def test_scalar_rate_fn_called_once_per_time():
+def counting(fn, calls):
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    return counted
+
+
+def rounds_of(monkeypatch):
+    # every thinning round checks its batch exactly once
+    import tcbsde.chain as chain
+
+    rounds = []
+    monkeypatch.setattr(chain, "_check_rate_batch", counting(chain._check_rate_batch, rounds))
+    return rounds
+
+
+def test_rate_fn_called_once_per_batch_with_the_float64_array(monkeypatch):
     calls = []
+    model = three_state_varying()
+    model.rate_fn = counting(model.rate_fn, calls)
+    out = model.rates(np.array([0, 1, 2]))
+    assert len(calls) == 1
+    (t,) = calls[0]
+    assert type(t) is np.ndarray and t.dtype == np.float64 and t.tolist() == [0.0, 1.0, 2.0]
+    for k, s in enumerate([0.0, 1.0, 2.0]):
+        assert np.array_equal(out[k], model.rates(s))
+    calls.clear()
+    rounds = rounds_of(monkeypatch)
+    simulate_chain(model, 2.0, 200, seed=32)
+    assert len(rounds) > 1 and len(calls) == len(rounds)
+    assert all(type(t) is np.ndarray and t.dtype == np.float64 for (t,) in calls)
 
-    def rates(t):
-        calls.append(t)
-        return np.array([[-1.0, 1.0], [1.0, -1.0]])
 
-    model = MarkovChainModel(2, rates, 0, rate_bound=1.0)
+def test_time_constant_rate_matrix_is_a_read_only_broadcast_of_a_copy():
+    A = np.array([[-1.0, 1.0], [1.0, -1.0]])
+    model = MarkovChainModel(2, lambda t: A, 0, rate_bound=1.0)
     out = model.rates(np.array([0.1, 0.2, 0.3]))
-    assert out.shape == (3, 2, 2)
-    assert calls == [0.1, 0.2, 0.3] and all(type(t) is float for t in calls)
+    assert out.shape == (3, 2, 2) and not out.flags.writeable
+    assert not np.shares_memory(out, A)
+    A[0, 0] = -2.0
+    assert np.array_equal(out, np.broadcast_to([[-1.0, 1.0], [1.0, -1.0]], (3, 2, 2)))
+    with pytest.raises(ValueError):
+        out[0, 0, 0] = 0.0
+
+
+def scalar_style(t):
+    a = 1.0 + t
+    return np.array([[-a, 0.0], [a, 0.0]])
+
+
+def branching(t):
+    if t < 1.0:
+        return np.array([[-1.0, 0.0], [1.0, 0.0]])
+    return np.array([[-0.5, 0.0], [0.5, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "rate_fn",
+    [
+        scalar_style,
+        branching,
+        lambda t: np.zeros((3, 3)),
+        lambda t: np.zeros((np.size(t) + 1, 2, 2)),
+        lambda t: np.zeros((np.size(t), 3)),  # (m, N) itself is (N, N) at m = N
+        lambda t: np.zeros((np.size(t), 2, 2, 1)),
+    ],
+    ids=["scalar-style", "branching", "wrong-N", "wrong-m", "too-few-axes", "too-many-axes"],
+)
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_rate_fn_of_a_wrong_shape_is_rejected(rate_fn, m):
+    # a callback written for one time fails on an array instead of being misread
+    model = MarkovChainModel(2, rate_fn, 0, rate_bound=2.0)
+    with pytest.raises(StructuralError, match="rate matrix has a wrong shape"):
+        model.rates(np.linspace(0.5, 1.5, m))
+
+
+def test_scalar_style_rate_fn_fails_the_simulation():
+    model = MarkovChainModel(2, scalar_style, 0, rate_bound=5.0)
+    with pytest.raises(StructuralError, match="rate matrix has a wrong shape"):
+        simulate_chain(model, 4.0, 100, seed=0)
+
+
+def test_loss_rate_called_once_per_round_with_arrays(monkeypatch):
+    calls = []
+    loss = counting(lambda t, i: 0.3 * (1.0 + t) * (i == 0), calls)
+    rounds = rounds_of(monkeypatch)
+    simulate_killed_chain(three_state_varying(), loss, 2, 2.0, 300, seed=33, loss_bound=0.9)
+    assert len(rounds) > 1 and len(calls) == len(rounds)
+    for t, i in calls:
+        assert t.dtype == np.float64 and i.dtype.kind == "i" and t.shape == i.shape == (t.size,)
+
+
+@pytest.mark.parametrize(
+    "loss",
+    [lambda t, i: np.ones(np.size(t) + 1), lambda t, i: np.ones((np.size(t), 1)), lambda t, i: [t, 1.0]],
+    ids=["wrong-m", "two-axes", "ragged"],
+)
+def test_loss_rate_of_a_wrong_shape_is_rejected(loss):
+    with pytest.raises(StructuralError, match="loss rate has a wrong shape"):
+        simulate_killed_chain(line(), loss, 1, 5.0, 100, seed=0, loss_bound=1.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, -0.5], ids=["nan", "negative"])
+def test_killed_chain_rejects_a_nan_or_negative_loss_rate(value):
+    # before, both read as no loss: the same estimate as a zero loss rate
+    calls = []
+    loss = counting(lambda t, i: np.where(t < 1.0, 0.0, value), calls)
+    with pytest.raises(InvariantError, match="loss rate .* is negative or NaN at t=") as err:
+        simulate_killed_chain(line(), loss, 1, 5.0, 1000, seed=0, loss_bound=1.0)
+    # the first bad time of the last batch, the one that raised
+    t, _ = calls[-1]
+    assert str(err.value).endswith(f"at t={t[np.argmax(t >= 1.0)]}")
 
 
 def hand_batch():
@@ -322,10 +425,11 @@ def test_chain_paths_rejects_injected_defect(defect, message):
 def test_kernel_rejects_negative_off_diagonal_rate():
     # columns still sum to zero and exit rates stay inside the bound; the
     # defect appears only after t = 1
+    early = np.array([[-1.0, 0.5, 0.5], [0.5, -1.0, 0.5], [0.5, 0.5, -1.0]])
+    late = np.array([[-0.5, 0.5, 0.5], [1.0, -1.0, 0.5], [-0.5, 0.5, -1.0]])
+
     def rates(t):
-        if t < 1.0:
-            return np.array([[-1.0, 0.5, 0.5], [0.5, -1.0, 0.5], [0.5, 0.5, -1.0]])
-        return np.array([[-0.5, 0.5, 0.5], [1.0, -1.0, 0.5], [-0.5, 0.5, -1.0]])
+        return np.where(per_time(t) < 1.0, early, late)
 
     model = MarkovChainModel(3, rates, 0, rate_bound=1.0)
     simulate_chain(model, 0.9, 100, seed=0)
@@ -353,7 +457,15 @@ def test_rate_check_reports_the_first_bad_matrix(defect, message):
     # two bad matrices in one batch, the later one worse: the earlier time is reported
     A = np.array([[-1.0, 1.0], [1.0, -1.0]])
     bad = {0.5: A + defect, 1.5: A + 50.0 * defect}
-    model = MarkovChainModel(2, lambda t: bad.get(t, A), 0, rate_bound=1.0)
+
+    def rates(t):
+        t = np.asarray(t)
+        out = np.array(np.broadcast_to(A, t.shape + A.shape))
+        for s, B in bad.items():
+            out[t == s] = B
+        return out
+
+    model = MarkovChainModel(2, rates, 0, rate_bound=1.0)
     model.validate([0.0, 1.0, 2.0])
     with pytest.raises(InvariantError, match=rf"{message} at t=0\.5$"):
         model.validate([0.0, 0.5, 1.0, 1.5, 2.0])

@@ -49,6 +49,21 @@ def linear_problem(grid, r, u, payoff_coeffs, eps=0.05):
     )
 
 
+def rate_stack(t, rows):
+    """A rate matrix ``(N, N)`` at one time, or a stack ``(m, N, N)`` at a 1-d array of m times.
+
+    ``rows`` lists the matrix's rows; each entry is a number or an array
+    shaped like ``t``, so one formula serves both.
+    """
+    shape = np.shape(t)
+    return np.stack([np.stack([np.broadcast_to(e, shape) for e in row], axis=-1) for row in rows], axis=-2)
+
+
+def per_time(x):
+    """``x`` with two trailing axes, to scale one rate matrix or a stack of them."""
+    return np.asarray(x)[..., None, None]
+
+
 def grid_uniform(t_end, n):
     return TimeGrid.uniform(t_end, n)
 
