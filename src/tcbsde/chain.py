@@ -62,8 +62,9 @@ from .timechange import (
 # Rates and loss rates take one time or a 1-d array of m times (with states
 # of the same shape).  Given an array, a rate function returns (m, N, N), or
 # (N, N) for a matrix that does not depend on time, and a loss rate returns
-# (m,) or a scalar.  A time factor needs two trailing axes: at m = N a bare
-# ``A * (1 + t)`` is (N, N) and reads as one matrix.
+# (m,) or a scalar.  At m = N an (m, N) return or a bare ``A * (1 + t)`` is
+# (N, N) too, so there an (N, N) return must equal the matrix of the first
+# time alone, at one more call; a time factor needs two trailing axes.
 RateFn = Callable[[float | np.ndarray], np.ndarray]
 LossFn = Callable[[float | np.ndarray, int | np.ndarray], float | np.ndarray]
 ChainDriver = Callable[[float, int, float, np.ndarray], float]
@@ -93,7 +94,9 @@ class MarkovChainModel:
 
         A stack calls ``rate_fn`` once, with the float64 array of times.  A
         return of ``(N, N)`` is a matrix that does not depend on time: it is
-        copied and given back as a read-only broadcast over the m times.
+        copied and given back as a read-only broadcast over the m times.  At
+        m = N, where other returns are ``(N, N)`` as well, it must equal the
+        return of a second call at the first time alone.
         """
         if isinstance(t, np.ndarray) and t.ndim:
             return self._rates_at_times(t)
@@ -106,10 +109,17 @@ class MarkovChainModel:
         N = self.n_states
         if not t.size:
             return np.empty((0, N, N))
+        t = np.asarray(t, dtype=float)
         try:
             # a callback written for one time mostly fails on an array, here
-            # or at the shape test below (see RateFn for the exception)
-            A = np.asarray(self.rate_fn(np.asarray(t, dtype=float)), dtype=float)
+            # or at the shape tests below
+            A = np.asarray(self.rate_fn(t), dtype=float)
+            # at m = N an (m, N) return, or a bare A * (1 + t), is (N, N) as
+            # well: the matrix must then be the one the first time alone gives
+            if A.shape == (N, N) and t.size == N:
+                first = np.asarray(self.rate_fn(float(t[0])), dtype=float)
+                if not np.array_equal(first, A, equal_nan=True):
+                    raise StructuralError("rate matrix has a wrong shape")
         except ValueError as exc:
             raise StructuralError("rate matrix has a wrong shape") from exc
         if A.shape == (N, N):
@@ -232,8 +242,13 @@ def _check_rate_batch(A: np.ndarray, t: np.ndarray, total: np.ndarray, bound: fl
     """Generator invariants on a stack of rate matrices and the thinning bound on ``total``.
 
     Each test runs on the whole batch; only a failure searches for the first
-    matrix that fails it.
+    matrix that fails it.  A stack that repeats one matrix (stride 0 on its
+    first axis, as ``MarkovChainModel.rates`` broadcasts a time-constant
+    matrix) is checked as that one matrix: its first failure is at ``t[0]``,
+    as it would be in the full stack.  The bound is checked on all of ``total``.
     """
+    if A.strides[0] == 0:
+        A = A[:1]
     m, N = A.shape[:2]
     # every comparison below is false for NaN, so non-finite rates go first
     finite = np.isfinite(A)
@@ -285,7 +300,10 @@ def _thin(
     the rates, and the loss rates at the paths' states, of the whole batch in
     one call each, and accepts a jump with
     probability ``exit / bound`` and, given a loss rate, a kill with
-    probability ``kill / bound``.  The next state is the first index whose
+    probability ``kill / bound``.  A time-constant rate matrix, which
+    ``model.rates`` gives as one matrix broadcast over the batch, is read
+    and checked once per round: the rates out of each path's state are rows
+    of its transpose.  The next state is the first index whose
     cumulative off-diagonal rate out of the current state reaches a uniform
     draw on ``(0, exit]``.  A path leaves the batch at the horizon, when it
     is killed, or on entering ``target``.  Returns the jump log and the
@@ -316,10 +334,12 @@ def _thin(
         s = state[live]
         rows = np.arange(live.size)
         A = model.rates(t_live)
-        out_rates = A[rows, :, s]  # column s of each matrix: the rates out of the current state
+        # column s of each matrix: the rates out of the current state; a
+        # time-constant matrix is one matrix repeated, read once
+        out_rates = A[0].T[s] if A.strides[0] == 0 else A[rows, :, s]
         exit_rate = -out_rates[rows, s]
         if loss_rate is None:
-            kill = np.zeros(live.size)
+            total = exit_rate
         else:
             kill = _loss_at(loss_rate, t_live, s)
             # every comparison with NaN is false, so the bound check passes it
@@ -327,10 +347,11 @@ def _thin(
             if bad.size:
                 k = bad[0]
                 raise InvariantError(f"loss rate {kill[k]} is negative or NaN at t={t_live[k]}")
-        _check_rate_batch(A, t_live, exit_rate + kill, bound)
+            total = exit_rate + kill
+        _check_rate_batch(A, t_live, total, bound)
         u = rng.uniform(size=live.size) * bound
         jump = u < exit_rate
-        killed[live[~jump & (u < exit_rate + kill)]] = True
+        killed[live[~jump & (u < total)]] = True
         if np.any(jump):
             out_rates = out_rates[jump]
             out_rates[np.arange(out_rates.shape[0]), s[jump]] = 0.0
@@ -691,9 +712,10 @@ def _ode_solve(problem: ChainBSDEProblem, grid: TimeGrid, rtol: float, atol: flo
     scalar clock read (``inverse_density_at``) for the rates, the driver and
     the terminal alike.  An unclocked problem is its own base, with
     ``s = t`` and ``w = 1``.  The right-hand side writes the free states
-    into the state-by-column buffer one slice per run of consecutive free
-    states; its output is one copy of the generator product's free rows,
-    plus the driver terms.
+    into the state-by-column buffer through one ``(2, run)`` view per run of
+    consecutive free states, made once; its output is one copy of the
+    generator product's free rows, plus the driver terms, whose ``y`` is
+    the Python float of the state's entry of ``x``.
 
     The integrator is ``_rk45.rk45``, the Dormand-Prince 5(4) stepper of
     ``scipy.integrate.solve_ivp(method="RK45")`` repeated bit for bit.  Also
@@ -722,20 +744,23 @@ def _ode_solve(problem: ChainBSDEProblem, grid: TimeGrid, rtol: float, atol: flo
     T = grid.t_end
 
     U = np.zeros((N, 2))  # columns u and q; C order fixes how the product below sums
+    # each run's (2, run) view of the columns u and q, the layout of x
+    fills = [(U.T[:, states], pos) for states, pos in runs]
 
     def rhs(r, x):
         s, a2 = read(T - r)
         w = 1.0 / a2
-        X = x.reshape(2, n_free).T
-        for states, pos in runs:
-            U[states] = X[pos]
+        X = x.reshape(2, n_free)
+        for view, pos in fills:
+            view[...] = X[:, pos]
         for i in hit:
             U[i, 0] = g(s, i)
         u = U[:, 0].copy()
         # fresh on every call, as the integrator keeps the last one it got
         out = (rates(s) * w).T.dot(U)[rows].T.ravel()
+        y = x.tolist()  # the free states' values, first in x
         for k, i in enumerate(free_list):
-            out[k] += f(s, i, u[i], u) * w
+            out[k] += f(s, i, y[k], u) * w
         return out  # dx/dr = -dx/dt
 
     x0 = np.concatenate(([g(read(T)[0], i) for i in free_list], np.ones(n_free)))
@@ -849,7 +874,11 @@ def _picard_solve(problem, grid, paths, seed, fp_tol):
     arrays, walked backward one row per step; ``path_states`` and ``path_Y``
     are their transposes.  Only the free states run the fixed point: no
     path still running sits in a hitting state, and the terminal gives its
-    value.
+    value.  Each step selects a state's running paths from one key, the
+    state or -1 once stopped, and gathers their M-jumps from one ``(N, N)``
+    table, with the elementwise operations of ``eye[k] - eye[i] - A[:, i] dt``.
+    The fixed point steps on Python floats, and only the running paths'
+    values are written: the stopped ones already hold ``xi``.
     """
     model = problem.model
     N = model.n_states
@@ -876,33 +905,35 @@ def _picard_solve(problem, grid, paths, seed, fp_tol):
     f = problem.driver.f
     hit = sorted(problem.hitting_set)
     free = [i for i in range(N) if i not in problem.hitting_set]
+    steps = dt.tolist()
     for j in range(n - 2, -1, -1):
-        t = nodes[j]
+        t, dtj = nodes[j], steps[j]
         A = model.rates(t)
         active = stop > j
         Sj, S_next, y_next = ST[j], ST[j + 1], YT[j + 1]
+        key = np.where(active, Sj, -1)  # the state of each running path, -1 once stopped
         for i in free:
-            sel = np.flatnonzero(active & (Sj == i))
+            sel = np.flatnonzero(key == i)
             if not sel.size:
                 values[j, i] = values[j + 1, i]
                 continue
             ys = y_next[sel]
-            cond = float(np.mean(ys))
+            cond = float(ys.sum() / sel.size)  # np.mean's sum and division
             # Z from regressing Y-jumps on M-jumps; bracket-null directions
-            # remain free, reporting uses the semi-norm
-            dX = eye[S_next[sel]] - eye[i][None, :]
-            dM = dX - (A[:, i] * dt[j])[None, :]
+            # remain free, reporting uses the semi-norm.  Row k of the table
+            # is the M-jump of a step from i to k
+            dM = ((eye - eye[i]) - A[:, i] * dtj)[S_next[sel]]
             dY = ys - cond
             z, *_ = np.linalg.lstsq(dM, dY, rcond=None)
             y, cap = cond, _FIXED_POINT_MIN_ITERATIONS
             for k in range(1, _FIXED_POINT_MAX_ITERATIONS + 1):
-                y_new = cond + f(t, i, y, z) * dt[j]
+                y_new = cond + f(t, i, y, z) * dtj
                 residual = abs(y_new - y)
                 y = y_new
                 if residual <= fp_tol:
                     break
                 if k == 1:
-                    cap = _fixed_point_cap(dt[j] * c_max, residual, fp_tol)
+                    cap = _fixed_point_cap(dtj * c_max, residual, fp_tol)
                 if k >= _FIXED_POINT_MIN_ITERATIONS:
                     # past |y| = 2**13 one rounding step exceeds the default
                     # absolute tolerance, so from here on judge the residual
@@ -917,7 +948,7 @@ def _picard_solve(problem, grid, paths, seed, fp_tol):
             values[j, i] = y
         for i in hit:
             values[j, i] = g(t, i)
-        YT[j] = np.where(active, values[j, Sj], xi)
+        np.copyto(YT[j], values[j, Sj], where=active)  # stopped paths already hold xi
 
     return ChainSolution(
         grid=grid,

@@ -97,12 +97,28 @@ def time_and_state_terminal():
     return balanced_problem(A, grid, {2}, lambda t, i: 1.0 + 0.5 * t - 0.25 * i * t), grid
 
 
+def zero_d_driver():
+    # time-varying rates, and a driver that returns a NumPy 0-d array: the
+    # fixed point then runs on NumPy scalars, not on Python floats
+    A = np.array([[-1.5, 1.0, 0.5], [1.0, -1.5, 1.0], [0.5, 0.5, -1.5]])
+
+    def rates(t):
+        return A * per_time(1.0 + 0.25 * np.sin(t))
+
+    grid = TimeGrid.uniform(3.0, 61)
+    problem = balanced_problem(A * 1.25, grid, {2}, lambda t, i: 1.0 - 0.5 * i, rates=rates)
+    f = problem.driver.f
+    problem.driver.f = lambda t, i, y, z: np.asarray(f(t, i, y, z))
+    return problem, grid
+
+
 PROBLEMS = {
     "three-state": three_state,
     "hit-between-free": hit_between_free,
     "two-hitting-states": two_hitting_states,
     "all-truncated": all_truncated,
     "time-and-state-terminal": time_and_state_terminal,
+    "zero-d-driver": zero_d_driver,
 }
 
 
@@ -124,8 +140,12 @@ def test_reference_problems_cover_their_cases():
         problem, grid = build()
         sols[name] = solve_chain_bsde(problem, "picard", grid, paths=300, seed=1)
     assert sols["all-truncated"].metadata["truncated_fraction"] == 1.0
-    for name in ("hit-between-free", "two-hitting-states", "time-and-state-terminal"):
+    for name in ("hit-between-free", "two-hitting-states", "time-and-state-terminal", "zero-d-driver"):
         assert sols[name].metadata["truncated_fraction"] < 1.0, name
+    problem, _ = zero_d_driver()
+    out = problem.driver.f(0.5, 0, 1.0, np.zeros(3))
+    assert type(out) is np.ndarray and out.ndim == 0
+    assert not np.array_equal(problem.model.rates(0.0), problem.model.rates(1.0))
     S, stop = sols["two-hitting-states"].path_states, sols["two-hitting-states"].stop_idx
     stopped = stop < S.shape[1] - 1
     assert set(S[stopped, stop[stopped]].tolist()) == {0, 3}

@@ -26,7 +26,7 @@ from tcbsde.chain import (
     solve_chain_bsde,
     transform_chain,
 )
-from tcbsde.chain import _check_rate_batch, _column_sums
+from tcbsde.chain import _check_rate_batch, _column_sums, _thin
 from tcbsde.errors import InvariantError, PreconditionError, StructuralError
 from tcbsde.timechange import LINEAR, SampledPath, TimeGrid
 
@@ -185,6 +185,77 @@ def test_random_generators(gen, horizon, seed):
 
 
 # ---------------------------------------------------------------------------
+# a time-constant matrix, read once per round
+# ---------------------------------------------------------------------------
+
+
+def materialised(A):
+    # the generator of ``lambda t: A``, given as a full stack: no broadcast
+    return lambda t: np.repeat(A[None], np.size(t), 0) if np.ndim(t) else A
+
+
+@pytest.mark.parametrize("killing", [False, True], ids=["no-loss", "loss"])
+@pytest.mark.parametrize("stopping", [False, True], ids=["no-target", "target"])
+@settings(max_examples=15, deadline=None)
+@given(gen=generators(), paths=st.integers(1, 30), horizon=st.floats(0.2, 3.0), seed=st.integers(0, 2**31))
+def test_time_constant_rates_thin_as_the_materialised_stack(killing, stopping, gen, paths, horizon, seed):
+    # down to a few live paths, so that rounds with m = N occur too
+    A, bound, initial = gen
+    N = A.shape[0]
+    options = {}
+    if killing:
+        options.update(loss_rate=lambda t, i: 0.5 * (1.0 + np.sin(t)) * (i != 0), loss_bound=1.0)
+    if stopping:
+        options["target"] = (initial + 1) % N
+    runs = [
+        _thin(MarkovChainModel(N, rate_fn, initial, rate_bound=bound), horizon, paths, seed, **options)
+        for rate_fn in (lambda t: A, materialised(A))
+    ]
+    (got, got_reached, got_killed), (ref, ref_reached, ref_killed) = runs
+    for name in ("initial", "path", "time", "state"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+    assert np.array_equal(got_reached, ref_reached)
+    assert np.array_equal(got_killed, ref_killed)
+
+
+_VALID = np.array([[-1.0, 0.5, 0.2], [0.6, -1.0, 0.8], [0.4, 0.5, -1.0]])
+
+
+def _with(entries):
+    B = _VALID.copy()
+    for (r, c), x in entries.items():
+        B[r, c] = x
+    return B
+
+
+@pytest.mark.parametrize(
+    "B, message",
+    [
+        (_with({(0, 1): np.nan}), "rate matrix is not finite"),
+        (_with({(1, 0): -0.2, (0, 0): -0.6, (2, 0): 0.8}), "negative off-diagonal rate"),
+        (_with({(1, 0): 0.6 + 1e-8}), "columns do not sum to zero"),
+    ],
+    ids=["not-finite", "negative", "column-sum"],
+)
+@pytest.mark.parametrize("paths", [3, 50], ids=["m=N", "m=50"])
+def test_defective_constant_rates_fail_as_the_materialised_stack(B, message, paths):
+    # the first round raises, at its first time, with the message of the
+    # full stack and of the reduction reference; at m = N the broadcast is
+    # also compared with one call at that time, which a NaN must pass
+    const_calls, stack_calls = [], []
+    errors = []
+    for rate_fn in (counting(lambda t: B, const_calls), counting(materialised(B), stack_calls)):
+        with pytest.raises(InvariantError, match=message) as err:
+            simulate_chain(MarkovChainModel(3, rate_fn, 0, rate_bound=1.5), 10.0, paths, seed=4)
+        errors.append(str(err.value))
+    ((t,),) = stack_calls
+    assert t.size == paths and len(const_calls) == (2 if paths == 3 else 1)
+    stack = np.repeat(B[None], t.size, 0)
+    assert errors == [_failure(reference_check_rate_batch, (stack, t, np.ones(t.size), 1.5))] * 2
+    assert errors[0].endswith(f"at t={t[0]}")
+
+
+# ---------------------------------------------------------------------------
 # batched rates and grid states
 # ---------------------------------------------------------------------------
 
@@ -271,17 +342,37 @@ def branching(t):
         branching,
         lambda t: np.zeros((3, 3)),
         lambda t: np.zeros((np.size(t) + 1, 2, 2)),
-        lambda t: np.zeros((np.size(t), 3)),  # (m, N) itself is (N, N) at m = N
+        lambda t: np.zeros((np.size(t), 3)),
         lambda t: np.zeros((np.size(t), 2, 2, 1)),
+        # (N, N) at m = N, as a time-constant matrix is: both differ from
+        # the matrix of the first time alone
+        lambda t: np.ones((np.size(t), 2)),
+        lambda t: np.array([[-1.0, 1.0], [1.0, -1.0]]) * (1.0 + t),
     ],
-    ids=["scalar-style", "branching", "wrong-N", "wrong-m", "too-few-axes", "too-many-axes"],
+    ids=[
+        "scalar-style", "branching", "wrong-N", "wrong-m", "too-few-axes", "too-many-axes",
+        "m-by-N", "bare-time-factor",
+    ],
 )
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_rate_fn_of_a_wrong_shape_is_rejected(rate_fn, m):
-    # a callback written for one time fails on an array instead of being misread
+    # a callback written for one time fails on an array instead of being
+    # misread, and so does one whose return is (N, N) only because m = N
     model = MarkovChainModel(2, rate_fn, 0, rate_bound=2.0)
     with pytest.raises(StructuralError, match="rate matrix has a wrong shape"):
         model.rates(np.linspace(0.5, 1.5, m))
+
+
+def test_time_constant_rate_matrix_at_m_equal_to_n_is_checked_against_one_time():
+    # one extra call, at the first time alone, and only at m = N
+    calls = []
+    A = np.array([[-1.0, 1.0], [1.0, -1.0]])
+    model = MarkovChainModel(2, counting(lambda t: A, calls), 0, rate_bound=1.0)
+    for m in (1, 3, 2):
+        out = model.rates(np.linspace(0.5, 1.5, m))
+        assert out.strides[0] == 0 and np.array_equal(out, np.broadcast_to(A, (m, 2, 2)))
+    assert [type(t) for (t,) in calls] == [np.ndarray, np.ndarray, np.ndarray, float]
+    assert calls[-1] == (0.5,)
 
 
 def test_scalar_style_rate_fn_fails_the_simulation():
