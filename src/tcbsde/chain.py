@@ -1078,10 +1078,8 @@ def _hitting_time_controls(model: MarkovChainModel, target: int, beta: float, be
     # conditional moment at time t factors through m1 = E[(1 + E)^{1+beta}]
     # computed under a slowed (hence dominating) exit rate; it also dominates
     # |xi| <= 1.  K2 controls K1(tau)^{1+beta~} the same way.
-    exit0 = max(
-        1e-6,
-        float(np.min([-model.rates(0.0)[i, i] for i in range(model.n_states) if i != target])),
-    )
+    exit_rates = -np.diag(model.rates(0.0))
+    exit0 = max(1e-6, float(np.min(np.delete(exit_rates, target))))
     rate = 0.5 * exit0
     ts = np.linspace(0.0, 120.0 / rate, 6001)
     dens = rate * np.exp(-rate * ts)

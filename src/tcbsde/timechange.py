@@ -75,22 +75,6 @@ def _interval_index(nodes: np.ndarray, times: np.ndarray) -> np.ndarray:
     return k
 
 
-def _reader(shape: tuple, lo: np.ndarray, axis: int):
-    """A function reading a C-ordered array of ``shape`` at nodes ``lo + shift`` along ``axis``.
-
-    ``lo`` has ``len(shape)`` axes.  Where it varies along ``axis`` only
-    (times shared by every column) a read is one take along the axis;
-    otherwise it is one flat take, from each column's first node.
-    """
-    if lo.size == lo.shape[axis]:
-        lo = lo.ravel()
-        return lambda a, shift=0: a.take(lo + shift, axis=axis)
-    first = [1 if a == axis else size for a, size in enumerate(shape)]
-    step = math.prod(shape[axis + 1 :])  # from one node to the next
-    idx = np.ravel_multi_index(tuple(np.indices(first)), shape) + lo * step
-    return lambda a, shift=0: a.ravel()[shift * step :].take(idx, mode="clip")
-
-
 def interp_columns(nodes: np.ndarray, values, times: np.ndarray, axis: int = 0) -> np.ndarray:
     """``np.interp(t, nodes, column)`` for every column of ``values`` along ``axis``, bit for bit.
 
@@ -101,16 +85,18 @@ def interp_columns(nodes: np.ndarray, values, times: np.ndarray, axis: int = 0) 
     there instead, C-ordered.  ``times`` is either 1-D, shared by every
     column, or has ``values.ndim`` axes and broadcasts against ``values``
     off ``axis`` (per-column times; the result then has the broadcast
-    shape).  One search of the times serves every column.  The arithmetic
-    and edge rules are ``np.interp``'s: below the grid the first value, at
-    or past the top node the last, exactly on a node that node's value;
-    inside an interval ``slope * (t - x0) + y0``, where that is NaN
-    ``slope * (t - x1) + y1``, and where that is NaN too and ``y0 == y1``,
-    ``y0``; a NaN time gives NaN.  Each interval's slope
-    ``(y1 - y0) / (x1 - x0)`` is computed once per column and read at every
-    time in the interval: the bits of computing it at each time, with one
-    subtraction and one division per interval.  Like ``np.interp`` it
-    raises no floating-point warnings.
+    shape).  One search of the times serves every column, and one gather,
+    ``np.take_along_axis`` at each time's interval, reads both kinds of
+    times, with one index per time.  The arithmetic and edge rules are
+    ``np.interp``'s: below the grid the first value, at or past the top node
+    the last, exactly on a node that node's value; inside an interval
+    ``slope * (t - x0) + y0``, where that is NaN ``slope * (t - x1) + y1``,
+    and where that is NaN too and ``y0 == y1``, ``y0``; a NaN time gives
+    NaN.  Each interval's slope ``(y1 - y0) / (x1 - x0)`` is computed once
+    per column, as ``np.diff`` of the values over ``np.diff`` of the nodes,
+    and read at every time in the interval: the bits of computing it at each
+    time, with one subtraction and one division per interval.  Like
+    ``np.interp`` it raises no floating-point warnings.
     """
     values = np.ascontiguousarray(values, dtype=float)
     n = nodes.size
@@ -119,15 +105,13 @@ def interp_columns(nodes: np.ndarray, values, times: np.ndarray, axis: int = 0) 
     k = _interval_index(nodes, times)  # -1 below, n - 1 at or past the top
     lo = np.clip(k, 0, n - 2)
     x0 = nodes.take(lo)
-    read = _reader(values.shape, lo, axis)
-    # laid out as the values, so that one read serves both; the top node's
-    # entry is never read, and is left unset
-    slopes = np.empty(values.shape)
-    head, tail = ((slice(None),) * axis + (s,) for s in (slice(-1), slice(1, None)))
+
+    def read(a, shift=0):
+        return np.take_along_axis(a, lo + shift, axis=axis)
+
     # np.interp raises no floating-point warnings
     with np.errstate(all="ignore"):
-        np.subtract(values[tail], values[head], out=slopes[head])
-        slopes[head] /= np.diff(nodes).reshape(along)
+        slopes = np.diff(values, axis=axis) / np.diff(nodes).reshape(along)
         y0 = read(values)
         out = read(slopes)
         out *= times - x0

@@ -98,50 +98,33 @@ class BrownianEnsemble:
     def values(self) -> np.ndarray:
         """Path values W on the grid nodes, (P, n_nodes, d), starting at 0.
 
-        Built on first access and kept on the ensemble, as large as the
-        increments.  The solvers read it on the ensemble they solve on.
+        :func:`_path_nodes`' read at every node, built on first access and
+        kept on the ensemble, read-only and as large as the increments.  The
+        solvers read it on the ensemble they solve on.
         :func:`restrict_brownian`, :func:`transform_brownian` and
-        :func:`transform_driver` read only the nodes they need, through
-        :func:`_path_nodes`, and never build it.
-
-        The buffer is node-major, ``(n_nodes, P, d)`` in memory, and this is
-        its transposed view: the solvers step through the nodes, and each
-        node's ``values[:, j, :]`` is then one contiguous block.  It is the
-        layout :func:`_path_nodes` gives a transformed state, so the solvers
-        meet one layout whichever state they solve on.  A running sum adds
-        each path's steps in order whatever the layout, so every value is
-        the same.
+        :func:`transform_driver` read only the nodes they need, and never
+        build it.  Its buffer is node-major, ``(n_nodes, P, d)`` in memory:
+        the solvers step through the nodes, and each node's
+        ``values[:, j, :]`` is then one contiguous block, as in a
+        transformed state.
         """
-        inc = self.increments
-        out = np.empty((self.grid.n_nodes,) + inc.shape[::2])
-        out[0] = 0.0
-        # node by node, each step added to every path at once: the sums of
-        # np.cumsum, whose first step is copied, not added to 0.0 (which
-        # would turn -0.0 into 0.0), at a third of its time on 10,000 paths
-        # of 100 steps, where cumsum runs each path's chain alone
-        out[1] = inc[:, 0]
-        for j in range(1, inc.shape[1]):
-            np.add(out[j], inc[:, j], out=out[j + 1])
-        return out.transpose(1, 0, 2)
-
-
-# the running-sum buffer of _path_nodes holds about this many bytes
-_PATH_BLOCK_BYTES = 1 << 20
+        return _path_nodes(self, np.arange(self.grid.n_nodes))
 
 
 def _path_nodes(W: BrownianEnsemble, idx: np.ndarray) -> np.ndarray:
-    """``W.values[:, idx, :]`` bit for bit, without building ``W.values``.
+    """The path values at non-decreasing nodes ``idx``, ``(P, idx.size, d)``.
 
-    The paths are summed along their steps one block at a time, up to the
-    highest wanted node only, into one reused buffer of about 1 MB whose
-    first column is node 0; the wanted columns are copied out of it.  A
-    running sum adds the steps of each path in order, whatever the block, so
-    every value is the one ``values`` holds.  The result is laid out in
-    memory as that indexing lays it out, node-major, so reductions over it
-    sum in the same order too.
+    The one running sum of the increments.  One ``(P, d)`` row holds every
+    path's value at one node; it steps from node 0 up to the highest wanted
+    node, each step added to every path at once, and is copied out at each
+    wanted node.  The values are those of ``np.cumsum`` along the steps
+    after a zero: each path's steps are added in order, and the first step
+    is copied, not added to 0.0 (which would turn -0.0 into 0.0).  The
+    result is read-only and node-major in memory, so each node's block is
+    contiguous and a reduction over it sums in one order.
 
     The ensemble keeps the last read, one entry keyed by ``idx``, and hands
-    the same read-only array to the next caller asking for the same nodes:
+    the same array to the next caller asking for the same nodes:
     restricting a fine ensemble to a grid and then transforming it through
     a clock whose inverse falls on that grid's nodes sums the fine
     increments once.  The entry lives as long as the ensemble, and a read at
@@ -150,17 +133,19 @@ def _path_nodes(W: BrownianEnsemble, idx: np.ndarray) -> np.ndarray:
     """
     if W._node_read is not None and np.array_equal(W._node_read[0], idx):
         return W._node_read[1]
-    P, _, d = W.increments.shape
-    top = int(np.max(idx))
-    rows = max(1, _PATH_BLOCK_BYTES // (8 * d * (top + 1)))
-    buf = np.empty((min(rows, P), top + 1, d))
-    buf[:, 0, :] = 0.0
-    out = np.empty((idx.size, P, d)).transpose(1, 0, 2)
-    for start in range(0, P, rows):
-        stop = min(start + rows, P)
-        block = buf[: stop - start]
-        np.cumsum(W.increments[start:stop, :top, :], axis=1, out=block[:, 1:, :])
-        out[start:stop] = block[:, idx, :]
+    inc = W.increments
+    out = np.empty((idx.size,) + inc.shape[::2])
+    row = np.zeros(inc.shape[::2])  # the paths at node `node`
+    node = 0
+    for pos, want in enumerate(idx.tolist()):
+        for j in range(node, want):
+            if j == 0:
+                np.copyto(row, inc[:, 0])
+            else:
+                np.add(row, inc[:, j], out=row)
+        node = want
+        out[pos] = row
+    out = out.transpose(1, 0, 2)
     out.setflags(write=False)
     W._node_read = (np.array(idx), out)
     return out
@@ -168,8 +153,9 @@ def _path_nodes(W: BrownianEnsemble, idx: np.ndarray) -> np.ndarray:
 
 def simulate_brownian(grid: TimeGrid, paths: int, dim: int, seed: int) -> BrownianEnsemble:
     """Gaussian increments with variance equal to the step size; deterministic per seed."""
-    if paths < 1 or dim < 1:
-        raise PreconditionError("need paths >= 1 and dim >= 1")
+    for name, count in (("path count", paths), ("dimension", dim)):
+        if not (isinstance(count, (int, np.integer)) and count >= 1):
+            raise PreconditionError(f"{name} must be a positive integer, got {count!r}")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((paths, grid.n_nodes - 1, dim))
     z *= np.sqrt(grid.steps)[None, :, None]
@@ -214,7 +200,13 @@ class TerminalRule:
 
     Exits are detected at grid nodes, i.e. the stopping time is snapped to the
     next node; paths that never exit are truncated at the grid end and counted
-    in the solver metadata.
+    in the solver metadata.  A path exits where its coordinate is at or below
+    ``lower`` or at or above ``upper``; an infinite bound is never reached.
+    A ``fixed`` rule watches nothing and keeps the default coordinate and
+    bounds; a ``first_exit`` rule needs ``lower < upper``, neither NaN.  A
+    rule that breaks this raises :class:`InvariantError` when built, and a
+    coordinate past the noise's raises :class:`StructuralError` when a solve
+    reads the stops.
     """
 
     kind: str = "fixed"  # "fixed" | "first_exit"
@@ -222,12 +214,21 @@ class TerminalRule:
     lower: float = -math.inf
     upper: float = math.inf
 
+    def __post_init__(self):
+        if self.kind == "fixed":
+            if (self.coord, self.lower, self.upper) != (0, -math.inf, math.inf):
+                raise InvariantError("a fixed terminal rule takes no coordinate or bounds")
+        elif self.kind != "first_exit":
+            raise InvariantError(f"unknown terminal rule {self.kind!r}")
+        if not (isinstance(self.coord, (int, np.integer)) and self.coord >= 0):
+            raise InvariantError(f"coordinate must be a non-negative integer, got {self.coord!r}")
+        if not self.lower < self.upper:  # False for NaN
+            raise InvariantError(f"exit bounds need lower < upper, got {self.lower} and {self.upper}")
+
     def outside(self, x: np.ndarray) -> np.ndarray:
         """Where values ``x`` of the watched coordinate have left the interval; never for ``fixed``."""
         if self.kind == "fixed":
             return np.zeros(np.shape(x), dtype=bool)
-        if self.kind != "first_exit":
-            raise InvariantError(f"unknown terminal rule {self.kind!r}")
         return (x <= self.lower) | (x >= self.upper)
 
     def stop_indices(self, state: np.ndarray) -> np.ndarray:
@@ -235,6 +236,8 @@ class TerminalRule:
         n = state.shape[1]
         if self.kind == "fixed":
             return np.full(state.shape[0], n - 1, dtype=int)
+        if self.coord >= state.shape[2]:
+            raise StructuralError(f"terminal rule watches coordinate {self.coord} of {state.shape[2]}")
         out = self.outside(state[:, :, self.coord])
         hit = np.argmax(out, axis=1)
         hit[~out.any(axis=1)] = n - 1

@@ -288,6 +288,27 @@ def test_message_rejects_unknown_target():
         build_message_problem(model, lambda t, i: 0.0, target=7, horizon_grid=grid)
 
 
+def test_message_problem_reads_the_generator_once():
+    # the moment controls take the slowest exit rate off the target from one
+    # read of the generator, not one read per state
+    A = np.array(
+        [[-1.0, 0.0, 0.5, 0.0], [0.6, 0.0, 0.5, 1.0], [0.4, 0.0, -2.0, 1.0], [0.0, 0.0, 1.0, -2.0]]
+    )
+    times = []
+
+    def rate_fn(t):
+        times.append(t)
+        return A
+
+    model = MarkovChainModel(4, rate_fn, 0, rate_bound=2.0)
+    problem = build_message_problem(model, lambda t, i: 0.5, target=1, horizon_grid=TimeGrid.uniform(2.0, 21))
+    assert times == [0.0]
+    # exit0 = 1 (state 0), so the controls use the halved rate 0.5
+    ts = np.linspace(0.0, 240.0, 6001)
+    m1 = float(np.trapezoid((1.0 + ts) ** 2.0 * 0.5 * np.exp(-0.5 * ts), ts))
+    assert problem.driver.k1(0.0) == m1
+
+
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------

@@ -326,6 +326,34 @@ def test_interp_columns_matches_per_column_interp(n, layout, spacing, data):
     assert got.tobytes() == want.tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 10),
+    layout=st.sampled_from([((-1,), 0), ((3, -1), 1), ((3, -1, 2), 1), ((-1, 4), 0), ((2, 3, -1), 2)]),
+    data=st.data(),
+)
+def test_interp_columns_reads_shared_times_as_the_same_per_column_times(n, layout, data):
+    # one gather serves 1-D times shared by every column and per-column
+    # times: the same times given to each column give the same bytes
+    shape, axis = layout
+    shape = tuple(n if size == -1 else size for size in shape)
+    steps = data.draw(st.lists(st.floats(1e-3, 2.0), min_size=n - 1, max_size=n - 1))
+    nodes = np.concatenate([[0.0], np.cumsum(steps)])
+    value = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]))
+    values = np.array(data.draw(st.lists(value, min_size=math.prod(shape), max_size=math.prod(shape))))
+    values = values.reshape(shape)
+    end = float(nodes[-1])
+    special = nodes.tolist() + [math.nan, math.inf, -math.inf]
+    time = st.one_of(st.sampled_from(special), st.floats(-0.5 * end, 1.5 * end))
+    times = np.array(data.draw(st.lists(time, min_size=1, max_size=8)))
+    along = [-1 if a == axis else 1 for a in range(values.ndim)]
+    per_column = np.broadcast_to(times.reshape(along), shape[:axis] + times.shape + shape[axis + 1 :])
+    shared = interp_columns(nodes, values, times, axis=axis)
+    got = interp_columns(nodes, values, per_column, axis=axis)
+    assert got.shape == shared.shape and got.strides == shared.strides
+    assert got.tobytes() == shared.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # integrate_stieltjes
 # ---------------------------------------------------------------------------

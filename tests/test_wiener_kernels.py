@@ -10,7 +10,6 @@ compared bit for bit.
 
 import math
 import pickle
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,6 +41,7 @@ from tcbsde.wiener import (
 from util import coeffs_on, grid_uniform, linear_problem
 from wiener_reference import (
     reference_oracle_read_out,
+    reference_path_values,
     reference_solve_lsmc,
     reference_solve_picard_oracle,
     step_major_solve_lsmc,
@@ -344,36 +344,40 @@ def test_expectation_operator_matches_spline_evaluation(n_quad, var, case):
     paths=st.integers(1, 40),
     steps=st.integers(1, 60),
     dim=st.sampled_from([1, 2]),
-    block_bytes=st.integers(1, 4000),
     picks=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
     ends=st.sampled_from(["first", "last", "both", "neither"]),
+    negative_zeros=st.integers(0, 5),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_path_nodes_are_the_values_at_the_index_bit_for_bit(
-    paths, steps, dim, block_bytes, picks, ends, seed
+    paths, steps, dim, picks, ends, negative_zeros, seed
 ):
-    # a small block puts a few paths in each block, so a block mostly ends
-    # inside the ensemble (the path count is no multiple of the block rows)
-    g = TimeGrid(np.cumsum(np.r_[0.0, np.random.default_rng(seed).uniform(0.1, 1.0, steps)]))
-    W = simulate_brownian(g, paths, dim, seed)
+    # increments of -0.0, on the first step too, where a sum from 0.0 would
+    # lose the sign
+    rng = np.random.default_rng(seed)
+    g = TimeGrid(np.cumsum(np.r_[0.0, rng.uniform(0.1, 1.0, steps)]))
+    inc = simulate_brownian(g, paths, dim, seed).increments.copy()
+    inc[:, 0, :].flat[:negative_zeros] = -0.0
+    inc.flat[rng.integers(0, inc.size, negative_zeros)] = -0.0
+    ref = reference_path_values(inc)
     idx = [int(p * steps) for p in picks]
     idx += {"first": [0], "last": [steps], "both": [0, steps], "neither": []}[ends]
     idx = np.array(sorted(set(idx)))
-    with mock.patch.object(wiener, "_PATH_BLOCK_BYTES", block_bytes):
-        got = wiener._path_nodes(W, idx)
+    W = BrownianEnsemble(grid=g, increments=inc, seed=seed)
+    at_idx = wiener._path_nodes(W, idx)
     assert "values" not in W.__dict__
-    want = W.values[:, idx, :]
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
     # the same layout in memory, so a reduction over it sums in the same order
-    assert got.strides == want.strides
+    for got, want in [(at_idx, ref[:, idx, :]), (W.values, ref)]:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got.strides == want.strides
+        assert not got.flags.writeable
 
 
-def test_path_nodes_of_the_benchmark_ensemble_in_blocks():
-    # 131 paths a block at 1,001 nodes: 2,000 paths leave a last block of 35
+def test_path_nodes_of_the_benchmark_ensemble():
+    # the fine ensemble of the benchmark's coupled solves, read at 51 nodes
     W = simulate_brownian(TimeGrid.uniform(1.0, 1001), 2000, 1, seed=4)
     idx = np.arange(0, 1001, 20)
-    assert 2000 % (wiener._PATH_BLOCK_BYTES // (8 * 1001)) != 0
-    got, want = wiener._path_nodes(W, idx), W.values[:, idx, :]
+    got, want = wiener._path_nodes(W, idx), reference_path_values(W.increments)[:, idx, :]
     assert got.tobytes() == want.tobytes() and got.strides == want.strides
 
 

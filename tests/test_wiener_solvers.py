@@ -4,7 +4,13 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from tcbsde.errors import PreconditionError, SchemeError, StructuralError, UnsupportedError
+from tcbsde.errors import (
+    InvariantError,
+    PreconditionError,
+    SchemeError,
+    StructuralError,
+    UnsupportedError,
+)
 from tcbsde.timechange import IncreasingProcess, TimeChangeMap, TimeGrid, build_phi
 from tcbsde.wiener import (
     PolynomialPayoff,
@@ -93,6 +99,37 @@ def test_lsmc_first_exit_freezes_payoff():
     # constant payoff with zero driver: conditional expectations are all 1
     assert np.allclose(sol.Y, 1.0, atol=1e-10)
     assert sol.metadata["truncated_fraction"] < 1.0
+
+
+@pytest.mark.parametrize(
+    "kind, coord, lower, upper, match",
+    [
+        ("fixed", 0, -0.5, 0.5, "takes no coordinate or bounds"),
+        ("first_exit", 0, 0.5, -0.5, "need lower < upper"),
+        ("first_exit", 0, math.nan, 0.5, "need lower < upper"),
+        ("first_exit", -1, -0.5, 0.5, "non-negative integer"),
+        ("exit", 0, -0.5, 0.5, "unknown terminal rule"),
+    ],
+    ids=["fixed with bounds", "crossed bounds", "NaN bound", "negative coord", "unknown kind"],
+)
+def test_terminal_rule_rejects_a_rule_that_solves_another_problem(kind, coord, lower, upper, match):
+    # each would solve another problem: bounds ignored, every path stopped
+    # at node 0, one side dropped, the last coordinate watched, or an error
+    # only once solved
+    with pytest.raises(InvariantError, match=match):
+        TerminalRule(kind=kind, coord=coord, lower=lower, upper=upper)
+
+
+def test_terminal_rule_watching_a_missing_coordinate_fails_at_the_solve():
+    # a named error, not an IndexError from the state's last axis
+    g = grid_uniform(1.0, 21)
+    prob = WienerBSDEProblem(
+        k=1, d=1, driver=lambda t, w, y, z: 0.1 * y, coeffs=coeffs_on(g, 0.1, 0.0, eps=0.05),
+        terminal=TerminalRule(kind="first_exit", coord=3, lower=-0.5, upper=0.5),
+        payoff=lambda tau, w: np.ones(tau.shape),
+    )
+    with pytest.raises(StructuralError, match="watches coordinate 3 of 1"):
+        solve_lsmc(prob, simulate_brownian(g, 2000, 1, seed=9))
 
 
 # ---------------------------------------------------------------------------

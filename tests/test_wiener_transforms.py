@@ -20,6 +20,7 @@ from tcbsde.wiener import (
     transform_driver,
 )
 from util import clock_on, coeffs_on, grid_uniform, linear_problem
+from wiener_reference import reference_path_values
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +77,13 @@ def test_brownian_cross_correlation():
 def test_brownian_rejects_bad_shape():
     with pytest.raises(PreconditionError):
         simulate_brownian(grid_uniform(1.0, 11), 0, 1, seed=0)
+
+
+@pytest.mark.parametrize("paths, dim", [(2.5, 1), (10, 1.5), (10.0, 1), ("10", 1)])
+def test_brownian_takes_positive_integer_counts_only(paths, dim):
+    # the rule of the chain simulators: not a bare NumPy TypeError
+    with pytest.raises(PreconditionError, match="must be a positive integer"):
+        simulate_brownian(grid_uniform(1.0, 11), paths, dim, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -194,30 +202,26 @@ def test_restriction_and_transform_read_nodes_without_building_values():
     ).tobytes()
 
 
-def test_restriction_then_transform_sums_the_fine_path_once(monkeypatch):
+def test_restriction_then_transform_sums_the_fine_path_once():
     # the image clock's inverse falls on the restricted grid's nodes, so the
     # transform is handed the read the restriction made
     W, g, prob, clock = _fine_pipeline(paths=300)
-    cumsum, summed = np.cumsum, []
-
-    def counting_cumsum(a, *args, **kwargs):
-        summed.append(a.shape[0])
-        return cumsum(a, *args, **kwargs)
-
-    monkeypatch.setattr(np, "cumsum", counting_cumsum)
     restricted = restrict_brownian(W, g)
+    kept = W._node_read[1]
     tp = transform_driver(prob, clock, W=W)
-    monkeypatch.undo()
-    assert sum(summed) == W.paths  # each path summed once, in blocks
+    assert tp.state is kept
     assert not tp.state.flags.writeable
     # a fresh read of the same increments: equal bytes in the same layout
     idx = np.searchsorted(W.grid.nodes, clock.inverse.values)
     fresh = wiener._path_nodes(BrownianEnsemble(grid=W.grid, increments=W.increments, seed=W.seed), idx)
     for got, want in [(tp.state, fresh), (restricted.increments, np.diff(fresh, axis=1))]:
         assert got.tobytes() == want.tobytes() and got.strides == want.strides
-    # a read at other nodes is summed afresh and replaces the kept one
+    # a read at other nodes is summed afresh and replaces the kept one, also
+    # at as many nodes
     other = wiener._path_nodes(W, idx[:-1])
     assert other.tobytes() == fresh[:, :-1, :].tobytes()
+    moved = wiener._path_nodes(W, idx[:-1] + 1)
+    assert moved.tobytes() == reference_path_values(W.increments)[:, idx[:-1] + 1, :].tobytes()
     assert wiener._path_nodes(W, idx) is not tp.state
     assert "values" not in W.__dict__
 
@@ -225,7 +229,7 @@ def test_restriction_then_transform_sums_the_fine_path_once(monkeypatch):
 def test_restriction_and_transform_of_a_fine_ensemble_stay_small():
     # building W.values (16 MB here) would put the peak above 18 MB; reading
     # only the 51 nodes holds the three (2000, 50) or (2000, 51) results,
-    # 2.4 MB, and a 1 MB summing buffer
+    # 2.4 MB, and one running row of 2,000 values
     W, g, prob, clock = _fine_pipeline()
     tracemalloc.start()
     try:

@@ -8,6 +8,10 @@ and evaluates it at every quadrature node, reads the fields at the paths with
 ``np.interp`` node by node (``reference_oracle_read_out``), and applies the
 stop rule path by path.  The fast solvers must agree with them to rounding.
 
+``reference_path_values`` builds the Brownian path values with
+``np.cumsum`` along the steps after a zero row, laid out node-major; the
+running sum of ``wiener._path_nodes`` must give its bytes.
+
 ``step_major_solve_lsmc`` is ``solve_lsmc``'s own loop as it stood before
 the state went node-major: it builds the active mask on every step, the
 stop mask of ``Y`` whatever the stops, and the bins fit by a repeat and a
@@ -248,6 +252,18 @@ def reference_solve_picard_oracle(
     return SolutionEnsemble(
         grid=grid, Y=Y, Z=Z, stop_idx=stop_idx, scheme="picard", seed=ensemble.seed, metadata=meta
     )
+
+
+def reference_path_values(increments: np.ndarray) -> np.ndarray:
+    """The path values at every node, ``(P, n_steps + 1, d)``: a zero row, then ``np.cumsum``.
+
+    The buffer is node-major, ``(n_steps + 1, P, d)`` in memory, and the
+    result is its transposed view.
+    """
+    P, m, d = increments.shape
+    out = np.zeros((m + 1, P, d)).transpose(1, 0, 2)
+    np.cumsum(increments, axis=1, out=out[:, 1:, :])
+    return out
 
 
 def reference_oracle_read_out(state, xs, y_field, z_field):
