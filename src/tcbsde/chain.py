@@ -48,6 +48,8 @@ from .errors import (
     SchemeError,
     StructuralError,
     UnsupportedError,
+    check_count,
+    check_positive,
 )
 from .timechange import (
     LINEAR,
@@ -154,9 +156,11 @@ class ChainPath:
             raise InvariantError("consecutive states must differ")
 
     def state_at(self, t) -> np.ndarray:
-        """Cadlag state index at time(s) t."""
-        k = np.searchsorted(self.jump_times, np.asarray(t, dtype=float), side="right")
-        return self.states[k]
+        """Cadlag state index at time(s) t; a NaN time raises :class:`PreconditionError`."""
+        t = np.asarray(t, dtype=float)
+        if np.isnan(t).any():  # it would sort past every jump and read the last state
+            raise PreconditionError("state_at needs times that are not NaN")
+        return self.states[np.searchsorted(self.jump_times, t, side="right")]
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,7 +209,7 @@ class ChainPaths:
         return (self[k] for k in range(len(self)))
 
     def states_at(self, times) -> np.ndarray:
-        """State of every path at each of the non-decreasing ``times``, shape ``(paths, len(times))``.
+        """State of every path at each of the non-decreasing, non-NaN ``times``, shape ``(paths, len(times))``.
 
         Each jump adds its state change at the first time at or after it, and
         one in-place cumulative sum along the times fills the only array as
@@ -214,8 +218,9 @@ class ChainPaths:
         transpose, with the values the path-by-path ``state_at`` gives.
         """
         times = np.asarray(times, dtype=float)
-        if times.ndim != 1 or (times[1:] < times[:-1]).any():
-            raise PreconditionError("times must be a 1-d non-decreasing array")
+        # a NaN passes the order test and would read every path after its last jump
+        if times.ndim != 1 or np.isnan(times).any() or (times[1:] < times[:-1]).any():
+            raise PreconditionError("times must be a 1-d non-decreasing array without NaN")
         out = np.zeros((times.size, len(self)), dtype=int)
         out[:1] = self.initial
         row = np.searchsorted(times, self.time, side="left")
@@ -307,15 +312,12 @@ def _thin(
     cumulative off-diagonal rate out of the current state reaches a uniform
     draw on ``(0, exit]``.  A path leaves the batch at the horizon, when it
     is killed, or on entering ``target``.  Returns the jump log and the
-    masks of the paths that reached the target and that were killed.
+    masks of the paths that reached the target and that were killed.  The
+    horizon and the bound must be positive and finite.
     """
-    if not (isinstance(paths, (int, np.integer)) and paths >= 1):
-        raise PreconditionError(f"path count must be a positive integer, got {paths!r}")
-    if horizon <= 0:
-        raise PreconditionError("horizon must be positive")
-    bound = float(model.rate_bound + loss_bound)
-    if not (np.isfinite(bound) and bound > 0):
-        raise PreconditionError("rate bound must be positive and finite")
+    check_count("path count", paths)
+    check_positive("horizon", horizon)
+    bound = check_positive("rate bound", model.rate_bound + loss_bound)
     rng = np.random.default_rng(seed)
     initial = np.full(paths, int(model.initial))
     t = np.zeros(paths)
@@ -482,8 +484,7 @@ def check_gamma_balanced(
     values are reductions over the stacked probes, so a NaN anywhere gives a
     NaN field and fails the check.
     """
-    if probes < 1:
-        raise PreconditionError("need at least one probe")
+    check_count("probe count", probes)
     rng = np.random.default_rng(seed)
     N = model.n_states
     box = _BALANCE_PROBE_BOX
@@ -809,10 +810,9 @@ def solve_chain_bsde(
             raise UnsupportedError("markov-ode needs a Markovian driver")
         if paths is not None:
             raise PreconditionError("markov-ode simulates no paths; pass no path count")
-        for name, tol in (("rtol", rtol), ("atol", atol)):
-            # NaN never meets the step test and fails every step; inf accepts any step
-            if not (math.isfinite(tol) and tol > 0.0):
-                raise PreconditionError(f"{name} must be positive and finite, got {tol}")
+        # NaN never meets the step test and fails every step; inf accepts any step
+        check_positive("rtol", rtol)
+        check_positive("atol", atol)
         values, tail, nfev, steps, rejected = _ode_solve(problem, grid, rtol, atol)
         return ChainSolution(
             grid=grid,
@@ -827,14 +827,10 @@ def solve_chain_bsde(
         )
     if scheme != "picard":
         raise PreconditionError(f"unknown scheme {scheme!r}")
-    if not paths:
-        raise PreconditionError("picard scheme needs a path count")
+    check_count("path count", paths)
     # NaN never meets the residual test, inf accepts the first iterate, and
     # the iteration cap takes the logarithm of the tolerance
-    if not (math.isfinite(fixed_point_tol) and fixed_point_tol > 0.0):
-        raise PreconditionError(
-            f"fixed_point_tol must be positive and finite, got {fixed_point_tol}"
-        )
+    check_positive("fixed_point_tol", fixed_point_tol)
     return _picard_solve(problem, grid, paths, seed, fixed_point_tol)
 
 
@@ -1132,7 +1128,8 @@ def message_transmission(
     maps the value function back.  The Monte Carlo route kills the walker at
     the loss rate and counts arrivals.  ``loss_rate`` takes one time and
     state or arrays of both (see ``LossFn``); its bound is its largest value
-    at times 0 and ``horizon``.
+    at times 0 and ``horizon``, read in one call over both times and every
+    state.
     """
     if model.initial != source:
         model = replace(model, initial=source)
@@ -1144,8 +1141,8 @@ def message_transmission(
     sol = map_chain_solution(tilde_sol, clock)
     y0 = sol.value_at(0.0, source)
 
-    loss_bound = max(loss_rate(horizon, i) for i in range(model.n_states))
-    loss_bound = max(loss_bound, max(loss_rate(0.0, i) for i in range(model.n_states)))
+    states = np.tile(np.arange(model.n_states), 2)
+    loss_bound = float(np.max(_loss_at(loss_rate, np.repeat([0.0, horizon], model.n_states), states)))
     est, se, kfrac = simulate_killed_chain(
         model, loss_rate, target, horizon, paths, seed, loss_bound
     )

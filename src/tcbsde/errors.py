@@ -1,9 +1,13 @@
-"""Semantic exception hierarchy.
+"""Semantic exception hierarchy, and the one check of a count and of a positive number.
 
 Public functions raise these instead of bare ValueError so callers (and the
 CLI, which maps config/structural failures to exit code 2) can tell apart
-bad wiring from violated mathematical hypotheses.
+bad wiring from violated mathematical hypotheses.  Every layer tests its
+counts with :func:`check_count` and its positive numbers with :func:`check_positive`.
 """
+
+import math
+import numbers
 
 
 class TcbsdeError(Exception):
@@ -36,3 +40,18 @@ class SchemeError(TcbsdeError):
 
 class ConfigError(TcbsdeError):
     """Experiment configuration cannot be resolved."""
+
+
+def check_count(name: str, value, least: int = 1, error: type = PreconditionError) -> int:
+    """``value`` as an ``int`` if it is an integer, not a ``bool``, of at least ``least``; else ``error``."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least:
+        return int(value)
+    kind = {0: "a non-negative integer", 1: "a positive integer"}.get(least)
+    raise error(f"{name} must be {kind or f'an integer of at least {least}'}, got {value!r}")
+
+
+def check_positive(name: str, value, error: type = PreconditionError) -> float:
+    """``value`` as a ``float`` if it is a real number, not a ``bool``, in ``(0, inf)``; else ``error``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and 0.0 < value < math.inf:
+        return float(value)
+    raise error(f"{name} must be positive and finite, got {value!r}")

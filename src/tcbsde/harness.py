@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, check_count
 from .io import write_csv
 
 OUT_DIR_ENV = "TCBSDE_OUT"
@@ -31,10 +31,9 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
-        if self.paths is not None and self.paths < 1:
-            raise ConfigError("path count must be positive")
+        check_count("seed", self.seed, least=0, error=ConfigError)
+        if self.paths is not None:
+            check_count("path count", self.paths, error=ConfigError)
         if self.tol is not None and not (math.isfinite(self.tol) and self.tol >= 0):
             raise ConfigError("tolerance must be finite and non-negative")
 

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .chain import MarkovChainModel
-from .errors import ConfigError, StructuralError
+from .errors import ConfigError, StructuralError, check_positive
 from .wiener import SolutionEnsemble
 
 
@@ -96,39 +97,29 @@ def read_solution_csv(path) -> dict:
 # chain model text config
 # ---------------------------------------------------------------------------
 
-_PROFILES = ("constant", "linear", "polynomial")
+# the least and the most values each profile takes; an unknown one takes none
+_PROFILES = {"constant": (1, 1), "linear": (2, 2), "polynomial": (1, math.inf)}
 
 
-def _parse_profile(spec: str):
-    parts = spec.split()
-    if not parts:
-        raise ConfigError("empty rate profile")
-    kind = parts[0]
+def _parse_profile(spec: str) -> list:
+    """Coefficients ``[c0, c1, ...]`` of ``c0 + c1 t + ...``; ``constant`` and ``linear`` have degree 0 and 1."""
+    kind, *values = spec.split() or [""]
     try:
-        args = [float(x) for x in parts[1:]]
+        coeffs = [float(x) for x in values]
     except ValueError as e:
         raise ConfigError(f"non-numeric value in rate profile {spec!r}") from e
-    if kind == "constant":
-        if len(args) != 1:
-            raise ConfigError(f"constant profile takes one value, got {spec!r}")
-        return lambda t: args[0]
-    if kind == "linear":
-        if len(args) != 2:
-            raise ConfigError(f"linear profile takes two values, got {spec!r}")
-        return lambda t: args[0] + args[1] * t
-    if kind == "polynomial":
-        if not args:
-            raise ConfigError(f"polynomial profile needs coefficients, got {spec!r}")
-        coeffs = args
+    least, most = _PROFILES.get(kind, (1, 0))
+    if not least <= len(coeffs) <= most:
+        raise ConfigError(f"rate profile {spec!r} is not constant c0, linear c0 c1 or polynomial c0 c1 ...")
+    return coeffs
 
-        def poly(t, c=tuple(coeffs)):
-            out = 0.0
-            for a in reversed(c):
-                out = out * t + a
-            return out
 
-        return poly
-    raise ConfigError(f"unknown rate profile {kind!r}; known: {_PROFILES}")
+def _coefficient_table(profiles: dict, shape: tuple) -> np.ndarray:
+    """Degree-first table: ``table[k][index]`` multiplies ``t**k`` in the profile at ``index``, else 0."""
+    table = np.zeros((max(map(len, profiles.values()), default=1),) + shape)
+    for index, coeffs in profiles.items():
+        table[(slice(len(coeffs)),) + index] = coeffs
+    return table
 
 
 @dataclass
@@ -158,6 +149,10 @@ def load_chain_model(path) -> ChainModelConfig:
 
         [loss]
         busy = polynomial 1.0 1.0
+
+    Profiles are coefficient lists; the generator and the loss rates each
+    keep one degree-first table of them and read it with one ``polyval``, at
+    one time or an array of times.  ``rate_bound`` is positive and finite.
     """
     cp = configparser.ConfigParser()
     try:
@@ -169,12 +164,10 @@ def load_chain_model(path) -> ChainModelConfig:
     try:
         names = cp.get("chain", "states").split()
         initial = cp.get("chain", "initial")
-        bound = cp.getfloat("chain", "rate_bound")
+        # a NaN bound would pass every comparison with the rates
+        bound = check_positive("rate_bound", cp.getfloat("chain", "rate_bound"), error=ConfigError)
     except (configparser.Error, ValueError) as e:
         raise ConfigError(f"bad [chain] section: {e}") from e
-    # a NaN bound would pass every comparison with the rates
-    if not math.isfinite(bound):
-        raise ConfigError(f"rate_bound must be finite, got {bound}")
     index = {nm: i for i, nm in enumerate(names)}
     if len(index) != len(names):
         raise ConfigError(f"duplicate state names in {names}")
@@ -182,7 +175,7 @@ def load_chain_model(path) -> ChainModelConfig:
         raise ConfigError(f"initial state {initial!r} not among states")
     N = len(names)
 
-    entries = []
+    rate_profiles = {}
     if cp.has_section("rates"):
         for key, spec in cp.items("rates"):
             if "->" not in key:
@@ -192,15 +185,13 @@ def load_chain_model(path) -> ChainModelConfig:
                 raise ConfigError(f"rate key {key!r} names unknown states")
             if src == dst:
                 raise ConfigError("self-rates are implied by column balance; drop them")
-            entries.append((index[dst], index[src], _parse_profile(spec)))
-
+            rate_profiles[index[dst], index[src]] = _parse_profile(spec)
+    rates = _coefficient_table(rate_profiles, (N, N))
     diag = np.arange(N)
 
     def rate_fn(t):
         # one time gives (N, N), a 1-d array of m times (m, N, N)
-        A = np.zeros(np.shape(t) + (N, N))
-        for i, j, prof in entries:
-            A[..., i, j] = prof(t)
+        A = polyval(np.asarray(t, dtype=float)[..., None, None], rates, tensor=False)
         A[..., diag, diag] -= A.sum(axis=-2)
         return A
 
@@ -217,18 +208,12 @@ def load_chain_model(path) -> ChainModelConfig:
         for key, spec in cp.items("loss"):
             if key not in index:
                 raise ConfigError(f"loss key {key!r} names an unknown state")
-            loss_profiles[index[key]] = _parse_profile(spec)
+            loss_profiles[(index[key],)] = _parse_profile(spec)
+    losses = _coefficient_table(loss_profiles, (N,))
 
     def loss_rate(t, i):
         # one time and state give a float; arrays of times and states give (m,)
-        if np.ndim(i) == 0:
-            prof = loss_profiles.get(int(i))
-            return prof(t) if prof is not None else 0.0
-        out = np.zeros(np.shape(i))
-        for state, prof in loss_profiles.items():
-            at = i == state
-            out[at] = prof(t[at])
-        return out
+        return polyval(t, losses[:, i], tensor=False)
 
     model = MarkovChainModel(N, rate_fn, index[initial], bound)
     model.validate([0.0])

@@ -31,7 +31,7 @@ from .chain import (
     transform_chain_problem,
     verify_bound,
 )
-from .errors import ConfigError
+from .errors import ConfigError, check_count, check_positive
 from .harness import ExperimentConfig, ReportBundle, ScenarioSpec, Verdict
 from .timechange import (
     LINEAR,
@@ -145,8 +145,7 @@ def identity_clock_roundtrip(cfg: ExperimentConfig, b: ReportBundle) -> None:
 def quadratic_clock_inverse(cfg: ExperimentConfig, b: ReportBundle) -> None:
     step = cfg.param("step", 1e-3)
     t_end = cfg.param("t_end", 2.0)
-    if step <= 0:
-        raise ConfigError(f"step must be positive, got {step}")
+    check_positive("step", step, error=ConfigError)
     grid = TimeGrid.uniform(t_end, int(round(t_end / step)) + 1)
     coeffs = _coeffs(grid, 1.0 + 2.0 * grid.nodes, 0.0, eps=0.5)
     clock = build_phi(coeffs, IncreasingProcess.identity(grid))
@@ -202,7 +201,6 @@ def terminal_time_normalization(cfg: ExperimentConfig, b: ReportBundle) -> None:
     m1 = normalize_terminal_time(1.0)
     b.verdicts.append(Verdict.check("horizon_tau_1", abs(float(m1.forward.values[-1]) - 0.5), 1e-12))
     b.verdicts.append(Verdict.check("inverse_at_half", abs(float(m1.inverse_at(0.5)) - 1.0), 1e-9))
-    m3 = normalize_terminal_time(3.0)
     b.verdicts.append(
         Verdict.check("derivative_is_squared_horizon_factor",
                       abs(terminal_clock_derivative(0.75) - 16.0), 1e-12)
@@ -452,8 +450,7 @@ def psi_properties(cfg: ExperimentConfig, b: ReportBundle) -> None:
     worst_asym = 0.0
     worst_eig = 0.0
     generators = cfg.param("generators", 100)
-    if generators < 1:  # no generator would pass both verdicts unchecked
-        raise ConfigError(f"generators must be at least 1, got {generators}")
+    check_count("generators", generators, error=ConfigError)  # none would pass both verdicts unchecked
     for _ in range(generators):
         n = int(rng.integers(2, 7))
         A = rng.uniform(0.0, 3.0, size=(n, n))

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, InvariantError, PreconditionError, StructuralError
+from .errors import DomainError, InvariantError, PreconditionError, StructuralError, check_count, check_positive
 
 LINEAR = "linear"
 
@@ -146,9 +146,9 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, t_end: float, n_nodes: int) -> "TimeGrid":
-        if n_nodes < 2:
-            raise InvariantError(f"TimeGrid needs at least 2 nodes, got {n_nodes}")
-        return cls(np.linspace(0.0, float(t_end), int(n_nodes)))
+        """``n_nodes`` equally spaced nodes on ``[0, t_end]``; ``n_nodes`` is an integer of at least 2."""
+        n_nodes = check_count("node count", n_nodes, least=2, error=InvariantError)
+        return cls(np.linspace(0.0, float(t_end), n_nodes))
 
     @property
     def n_nodes(self) -> int:
@@ -396,7 +396,7 @@ class CoefficientProcesses:
 
     ``alpha_sq`` dominates ``r`` and ``u**2`` (or ``max(-r, 0)``, ``l`` and
     ``u**2`` in monotone mode) and never falls below the declared floor
-    ``eps``, so the clock built from it is strictly increasing.
+    ``eps``, positive and finite, so the clock built from it is strictly increasing.
     """
 
     r: SampledPath
@@ -407,8 +407,7 @@ class CoefficientProcesses:
     l: SampledPath | None = None
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise InvariantError("eps floor must be strictly positive")
+        check_positive("eps floor", self.eps, error=InvariantError)
         if self.mode not in ("lipschitz", "monotone"):
             raise InvariantError(f"unknown mode {self.mode!r}")
         grid = self.r.grid

@@ -39,6 +39,7 @@ from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy.interpolate import CubicSpline
 from scipy.sparse import csr_array
 
@@ -48,6 +49,7 @@ from .errors import (
     SchemeError,
     StructuralError,
     UnsupportedError,
+    check_count,
 )
 from .timechange import (
     LINEAR,
@@ -152,10 +154,9 @@ def _path_nodes(W: BrownianEnsemble, idx: np.ndarray) -> np.ndarray:
 
 
 def simulate_brownian(grid: TimeGrid, paths: int, dim: int, seed: int) -> BrownianEnsemble:
-    """Gaussian increments with variance equal to the step size; deterministic per seed."""
-    for name, count in (("path count", paths), ("dimension", dim)):
-        if not (isinstance(count, (int, np.integer)) and count >= 1):
-            raise PreconditionError(f"{name} must be a positive integer, got {count!r}")
+    """Gaussian increments of the step's variance, deterministic per seed; ``paths`` and ``dim`` are counts."""
+    check_count("path count", paths)
+    check_count("dimension", dim)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((paths, grid.n_nodes - 1, dim))
     z *= np.sqrt(grid.steps)[None, :, None]
@@ -220,8 +221,7 @@ class TerminalRule:
                 raise InvariantError("a fixed terminal rule takes no coordinate or bounds")
         elif self.kind != "first_exit":
             raise InvariantError(f"unknown terminal rule {self.kind!r}")
-        if not (isinstance(self.coord, (int, np.integer)) and self.coord >= 0):
-            raise InvariantError(f"coordinate must be a non-negative integer, got {self.coord!r}")
+        check_count("coordinate", self.coord, least=0, error=InvariantError)
         if not self.lower < self.upper:  # False for NaN
             raise InvariantError(f"exit bounds need lower < upper, got {self.lower} and {self.upper}")
 
@@ -458,8 +458,7 @@ def check_uniform_lipschitz(
     split into y-only, z-only and joint perturbations so linear drivers attain
     their constant exactly.  Zero-denominator probes are skipped.
     """
-    if n_probes < 1:
-        raise PreconditionError("need at least one probe")
+    check_count("probe count", n_probes)
     worst = 0.0
     for t, w, y, yp, z, zp in _probe_batches(n_probes, box, 1, t_range, seed):
         third = y.size // 3
@@ -755,7 +754,8 @@ def solve_picard_oracle(
 
     Takes a plain problem with its ``ensemble``, or a
     :class:`TransformedProblem` alone, solved on the noise it carries.
-    Starting from ``(Y, Z) = (0, 0)``, each of ``iterations`` sweeps solves
+    Starting from ``(Y, Z) = (0, 0)``, each of ``iterations`` sweeps (a
+    positive integer, else :class:`PreconditionError`) solves
     the discrete backward equation with the driver evaluated at the previous
     iterate, on ``n_space`` states spanning 6 standard deviations of the
     state either side of 0, using 21-node Gauss-Hermite quadrature for the
@@ -791,6 +791,7 @@ def solve_picard_oracle(
     node by node and field by field (``tests/wiener_reference.py`` keeps
     that loop).
     """
+    check_count("iterations", iterations)
     problem, ensemble, state, state_var = _unpack(problem_or_transformed, ensemble)
     if problem.k != 1 or problem.d != 1:
         raise UnsupportedError("the fixed-point oracle covers k = d = 1 problems")
@@ -827,7 +828,7 @@ def solve_picard_oracle(
     distances = []
     diverging = 0
 
-    for _ in range(max(1, iterations)):
+    for _ in range(iterations):
         y_new = np.zeros_like(y_field)
         z_new = np.zeros_like(z_field)
         y_new[n - 1] = payoff_on(grid.nodes[-1], xs)
@@ -877,16 +878,12 @@ def solve_picard_oracle(
 
 @dataclass(frozen=True)
 class PolynomialPayoff:
-    """Terminal value ``p(W_T)`` with plain power-basis coefficients ``c0 + c1 x + ...``."""
+    """Terminal value ``p(W_T)`` with plain power-basis coefficients ``c0 + c1 x + ...``, by ``polyval``."""
 
     coefficients: tuple
 
     def __call__(self, tau, w_tau):
-        x = np.asarray(w_tau)[..., 0]
-        out = np.zeros_like(x, dtype=float)
-        for c in reversed(self.coefficients):
-            out = out * x + c
-        return out
+        return polyval(np.asarray(w_tau)[..., 0], self.coefficients)
 
 
 def _gaussian_poly_mean(coeffs, mean, var):

@@ -309,6 +309,27 @@ def test_message_problem_reads_the_generator_once():
     assert problem.driver.k1(0.0) == m1
 
 
+def test_message_loss_bound_is_the_largest_loss_at_both_ends_in_one_call(monkeypatch):
+    # one loss falls and one rises over the horizon, so the bound needs both ends
+    from tcbsde import chain
+
+    reads, seen = [], []
+
+    def loss(t, i):
+        if np.ndim(t):
+            reads.append((np.asarray(t).tolist(), np.asarray(i).tolist()))
+        return np.where(np.asarray(i) == 0, 2.0 - 0.5 * np.asarray(t), 0.5 + np.asarray(t))
+
+    def killed(model, loss_rate, target, horizon, paths, seed, loss_bound):
+        seen.append((reads[-1], loss_bound))
+        return 1.0, 0.0, 0.0
+
+    monkeypatch.setattr(chain, "simulate_killed_chain", killed)
+    message_transmission(line_model(2.0), loss, source=0, target=1, horizon=2.0, paths=10, seed=0, n_nodes=21)
+    # 2.0 at t = 0 in state 0, 2.5 at t = 2 in state 1
+    assert seen == [(([0.0, 0.0, 2.0, 2.0], [0, 1, 0, 1]), 2.5)] and type(seen[0][1]) is float
+
+
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------

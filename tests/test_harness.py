@@ -45,10 +45,10 @@ def test_config_file_parsing(tmp_path):
 
 
 def test_config_rejects_bad_values(tmp_path):
-    with pytest.raises(ConfigError):
-        ExperimentConfig(scenario="x", seed=-1)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(scenario="x", paths=0)
+    # a fractional seed or path count would fail inside NumPy once run
+    for fields in ({"seed": -1}, {"seed": 2.5}, {"seed": True}, {"paths": 0}, {"paths": 2.5}):
+        with pytest.raises(ConfigError, match="must be a (non-negative|positive) integer"):
+            ExperimentConfig(scenario="x", **fields)
     for tol in (-1e-9, math.nan, math.inf):
         with pytest.raises(ConfigError):
             ExperimentConfig(scenario="x", tol=tol)

@@ -16,6 +16,8 @@ from tcbsde.timechange import TimeGrid
 from tcbsde.wiener import SolutionEnsemble
 from tcbsde.chain import ChainSolution
 
+from profile_reference import reference_loss_rate, reference_rate_fn
+
 
 def small_solution():
     g = TimeGrid.uniform(1.0, 4)
@@ -371,3 +373,72 @@ def test_loaded_callbacks_on_arrays_are_the_per_time_calls_stacked(tmp_path_fact
     kills = np.array([cfg.loss_rate(s, i) for s, i in zip(t.tolist(), states.tolist())], dtype=float)
     batch = cfg.loss_rate(t, states)
     assert batch.shape == kills.shape and batch.tobytes() == kills.tobytes()
+
+
+# a rate at t = 0 is validated, so the value coefficient of a constant or a
+# linear profile is not negative; a later coefficient, and the value
+# coefficient of a polynomial, may be -0.0
+_SIGNED = st.one_of(st.just(-0.0), _COEFF)
+_MIXED = st.one_of(
+    st.builds("constant {!r}".format, _START),
+    st.builds("linear {!r} {!r}".format, _START, _SIGNED),
+    st.builds(
+        lambda a, c: "polynomial " + " ".join(map(repr, [a, *c])),
+        st.one_of(st.just(-0.0), _START),
+        st.lists(_SIGNED, max_size=4),
+    ),
+)
+_EDGES = [(a, b) for a in range(3) for b in range(3) if a != b]
+
+
+def _same(new, old):
+    new, old = np.asarray(new), np.asarray(old, dtype=float)
+    return new.dtype == np.float64 and new.shape == old.shape and new.tobytes() == old.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rates=st.lists(st.one_of(st.none(), _MIXED), min_size=len(_EDGES), max_size=len(_EDGES)),
+    losses=st.lists(st.one_of(st.none(), _MIXED), min_size=3, max_size=3),
+    t=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=20),
+    seed=st.integers(0, 2**31),
+)
+def test_loaded_callbacks_are_the_old_per_profile_closures_bit_for_bit(tmp_path_factory, rates, losses, t, seed):
+    # the profiles' degrees differ, so the coefficient tables are zero-padded
+    names = "abc"
+    rate_lines = "".join(
+        f"{names[a]}->{names[b]} = {spec}\n" for (a, b), spec in zip(_EDGES, rates) if spec is not None
+    )
+    loss_lines = "".join(f"{name} = {spec}\n" for name, spec in zip(names, losses) if spec is not None)
+    p = tmp_path_factory.mktemp("chain") / "chain.ini"
+    p.write_text(
+        f"[chain]\nstates = a b c\ninitial = a\nrate_bound = 20.0\n[rates]\n{rate_lines}[loss]\n{loss_lines}"
+    )
+    cfg = load_chain_model(p)
+    rate_fn = reference_rate_fn(3, [(b, a, spec) for (a, b), spec in zip(_EDGES, rates) if spec is not None])
+    loss_rate = reference_loss_rate({i: spec for i, spec in enumerate(losses) if spec is not None})
+    t = np.array(t)
+    states = np.random.default_rng(seed).integers(0, 3, t.size)
+    assert _same(cfg.model.rate_fn(t), rate_fn(t))
+    assert _same(cfg.loss_rate(t, states), loss_rate(t, states))
+    for s, i in zip(t.tolist(), states.tolist()):
+        assert _same(cfg.model.rate_fn(s), rate_fn(s))
+        assert _same(cfg.loss_rate(s, i), loss_rate(s, i))
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.one_of(st.just(-0.0), _START), b=_SIGNED, t=st.floats(0.0, 10.0))
+def test_each_profile_reads_as_the_polynomial_of_its_coefficients(tmp_path_factory, a, b, t):
+    # one rule for all three, so "constant -0.0" reads 0.0 at t >= 0, as
+    # "polynomial -0.0" does
+    p = tmp_path_factory.mktemp("chain") / "chain.ini"
+    p.write_text(
+        "[chain]\nstates = a b c\ninitial = a\nrate_bound = 20.0\n[rates]\n"
+        f"a->b = constant {a!r}\nb->c = linear {a!r} {b!r}\n"
+        f"[loss]\na = polynomial {a!r}\nb = polynomial {a!r} {b!r}\nc = constant {a!r}\n"
+    )
+    cfg = load_chain_model(p)
+    A = cfg.model.rate_fn(t)
+    loss = cfg.loss_rate(np.full(3, t), np.arange(3))
+    assert _same(A[1, 0], loss[0]) and _same(loss[2], loss[0])
+    assert _same(A[2, 1], loss[1])

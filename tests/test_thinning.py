@@ -462,7 +462,7 @@ def test_chain_paths_batch_contract():
         paths.states_at([0.5, 0.2])
 
 
-@pytest.mark.parametrize("paths", [0, -1, 2.5])
+@pytest.mark.parametrize("paths", [0, -1, 2.5, True])
 def test_path_count_must_be_a_positive_integer(paths):
     model = two_state()
     with pytest.raises(PreconditionError):

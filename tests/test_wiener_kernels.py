@@ -38,6 +38,7 @@ from tcbsde.wiener import (
     solve_picard_oracle,
     transform_driver,
 )
+from profile_reference import reference_polynomial_payoff
 from util import coeffs_on, grid_uniform, linear_problem
 from wiener_reference import (
     reference_oracle_read_out,
@@ -479,3 +480,26 @@ def test_oracle_read_out_edge_rules():
     assert math.copysign(1.0, got[0]) == -1.0  # below the grid: the first value, -0.0
     assert got[3] == got[4] == 8.0 and math.isnan(got[5])
     assert got[6] == np.inf and got[7] == np.inf and math.isnan(got[8])
+
+
+_POINT = st.one_of(st.floats(-5.0, 5.0), st.sampled_from([-0.0, math.inf, -math.inf]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    coefficients=st.lists(
+        st.one_of(st.floats(-3.0, 3.0), st.just(-0.0), st.integers(-3, 3)), min_size=1, max_size=6
+    ),
+    points=st.lists(_POINT, min_size=1, max_size=12),
+    shape=st.sampled_from(["one point", "paths", "paths by nodes"]),
+)
+def test_polynomial_payoff_is_the_horner_loop_bit_for_bit(coefficients, points, shape):
+    w = np.array(points)
+    w = {"one point": w[:1], "paths": w[:, None], "paths by nodes": np.stack([w, w[::-1]], axis=1)[..., None]}[shape]
+    payoff = PolynomialPayoff(tuple(coefficients))
+    # an infinite point meets a zero coefficient in both evaluators alike
+    with np.errstate(all="ignore"):
+        new = np.asarray(payoff(1.0, w))
+        old = np.asarray(reference_polynomial_payoff(coefficients, w))
+    assert new.dtype == old.dtype == np.float64
+    assert new.shape == old.shape and new.tobytes() == old.tobytes()

@@ -109,8 +109,9 @@ def test_lsmc_first_exit_freezes_payoff():
         ("first_exit", 0, math.nan, 0.5, "need lower < upper"),
         ("first_exit", -1, -0.5, 0.5, "non-negative integer"),
         ("exit", 0, -0.5, 0.5, "unknown terminal rule"),
+        ("first_exit", True, -0.5, 0.5, "non-negative integer"),
     ],
-    ids=["fixed with bounds", "crossed bounds", "NaN bound", "negative coord", "unknown kind"],
+    ids=["fixed with bounds", "crossed bounds", "NaN bound", "negative coord", "unknown kind", "bool coord"],
 )
 def test_terminal_rule_rejects_a_rule_that_solves_another_problem(kind, coord, lower, upper, match):
     # each would solve another problem: bounds ignored, every path stopped
