@@ -243,14 +243,15 @@ def _column_sums(A: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_rate_batch(A: np.ndarray, t: np.ndarray, total: np.ndarray, bound: float):
-    """Generator invariants on a stack of rate matrices and the thinning bound on ``total``.
+def _check_generator(A: np.ndarray, t: np.ndarray):
+    """Generator invariants on a stack of rate matrices at the times ``t``.
 
-    Each test runs on the whole batch; only a failure searches for the first
-    matrix that fails it.  A stack that repeats one matrix (stride 0 on its
-    first axis, as ``MarkovChainModel.rates`` broadcasts a time-constant
-    matrix) is checked as that one matrix: its first failure is at ``t[0]``,
-    as it would be in the full stack.  The bound is checked on all of ``total``.
+    The rates are finite, no off-diagonal rate is negative and every column
+    sums to zero.  Each test runs on the whole batch; only a failure searches
+    for the first matrix that fails it.  A stack that repeats one matrix
+    (stride 0 on its first axis, as ``MarkovChainModel.rates`` broadcasts a
+    time-constant matrix) is checked as that one matrix: its first failure is
+    at ``t[0]``, as it would be in the full stack.
     """
     if A.strides[0] == 0:
         A = A[:1]
@@ -270,6 +271,11 @@ def _check_rate_batch(A: np.ndarray, t: np.ndarray, total: np.ndarray, bound: fl
     if unbalanced.any():
         k = np.argmax(unbalanced.any(axis=1))
         raise InvariantError(f"columns do not sum to zero at t={t[k]}")
+
+
+def _check_rate_batch(A: np.ndarray, t: np.ndarray, total: np.ndarray, bound: float):
+    """``_check_generator`` on ``A``, then the thinning bound on all of ``total``."""
+    _check_generator(A, t)
     bad = np.flatnonzero(total > bound * (1.0 + 1e-9))
     if bad.size:
         k = bad[0]
@@ -479,12 +485,14 @@ def check_gamma_balanced(
 ) -> BalanceReport:
     """Probe the four balance requirements; report the worst violation of each.
 
-    Each probe draws t, the state, y, z, z' and the shift in that order and
-    calls the rates, ``eta``, ``f`` twice and the shifted ``eta``; the worst
-    values are reductions over the stacked probes, so a NaN anywhere gives a
-    NaN field and fails the check.
+    Each probe draws t on ``[0, t_max]`` (``t_max`` positive and finite),
+    the state, y, z, z' and the shift in that order and calls the rates,
+    ``eta``, ``f`` twice and the shifted ``eta``; the worst values are
+    reductions over the stacked probes, so a NaN anywhere gives a NaN field
+    and fails the check.
     """
     check_count("probe count", probes)
+    check_positive("t_max", t_max)
     rng = np.random.default_rng(seed)
     N = model.n_states
     box = _BALANCE_PROBE_BOX
@@ -546,46 +554,26 @@ def _require_contracting_clock(clock: TimeChangeMap) -> None:
         )
 
 
-@dataclass(eq=False)
-class _ClockedChainModel(MarkovChainModel):
-    """A model read through a clock: ``A~(u) = A(s) / alpha^2(s)`` with ``s = inv(u)``.
-
-    ``rates`` reads the clock once per call, for one time (through
-    ``inverse_density_at``) or a stack of them; ``rate_fn`` is ``rates``
-    itself, so a copy made by ``dataclasses.replace`` keeps the clock.
-    """
-
-    base: MarkovChainModel
-    clock: TimeChangeMap
-    rate_fn: RateFn = field(init=False, repr=False)
-
-    def __post_init__(self):
-        super().__post_init__()
-        self.rate_fn = self.rates
-
-    def rates(self, u) -> np.ndarray:
-        if isinstance(u, np.ndarray) and u.ndim:
-            s = np.asarray(self.clock.inverse_at(u), dtype=float)
-            return self.base.rates(s) * (1.0 / np.asarray(self.clock.density_at(s)))[:, None, None]
-        s, a2 = self.clock.inverse_density_at(u)
-        return self.base.rates(s) * (1.0 / a2)
-
-
 def transform_chain(model: MarkovChainModel, clock: TimeChangeMap) -> MarkovChainModel:
     """Rate matrix on the new time scale: ``A~(u) = A(inv(u)) inv'(u)``.
 
-    The derivative ``inv'(u) = 1 / alpha^2(inv(u))`` never exceeds 1 here, so
-    the transformed chain is never faster than the original and the declared
+    A plain :class:`MarkovChainModel` whose ``rate_fn`` reads the clock once
+    per call, through ``inverse_density_at``, for one time or an array, and
+    scales ``model.rates(s)`` by ``1 / alpha^2(s)``; a copy made by
+    ``dataclasses.replace`` keeps it.  The derivative
+    ``inv'(u) = 1 / alpha^2(inv(u))`` never exceeds 1 here, so the
+    transformed chain is never faster than the original and the declared
     bound carries over.
     """
     _require_contracting_clock(clock)
-    return _ClockedChainModel(
-        n_states=model.n_states,
-        initial=model.initial,
-        rate_bound=model.rate_bound,
-        base=model,
-        clock=clock,
-    )
+    read, base_rates = clock.inverse_density_at, model.rates
+
+    def rate_fn(u):
+        s, a2 = read(u)
+        w = 1.0 / a2
+        return base_rates(s) * (w if isinstance(w, float) else w[:, None, None])
+
+    return MarkovChainModel(model.n_states, rate_fn, model.initial, model.rate_bound)
 
 
 def transform_chain_driver(
@@ -797,7 +785,10 @@ def solve_chain_bsde(
     ``markov-ode``: value function from the backward ODE system, integrated
     to ``rtol``/``atol``; requires the Markovian flag and deterministic rates,
     and takes no path count: it simulates nothing and returns no per-path
-    view.  The no-hit tail probability at the horizon is reported in the
+    view.  It first checks the generator at the grid nodes, in one array
+    read of ``problem.model.rates`` (through the clock for a clocked
+    problem): finite rates, no negative off-diagonal rate, zero column sums,
+    as the simulators check theirs.  The no-hit tail probability at the horizon is reported in the
     metadata.  ``picard``: per-step fixed point to ``fixed_point_tol`` on
     ``paths`` simulated paths drawn from ``seed``, conditional expectations
     by state-indicator averaging, Z from least squares of Y-jumps on M-jumps
@@ -813,6 +804,7 @@ def solve_chain_bsde(
         # NaN never meets the step test and fails every step; inf accepts any step
         check_positive("rtol", rtol)
         check_positive("atol", atol)
+        _check_generator(problem.model.rates(grid.nodes), grid.nodes)
         values, tail, nfev, steps, rejected = _ode_solve(problem, grid, rtol, atol)
         return ChainSolution(
             grid=grid,
@@ -1029,8 +1021,9 @@ def build_message_problem(
     The loss rate enters as a discount; the driver is z-free, so the
     compensator itself is an admissible perturbation and balance is exact
     with ratio 1.  The y-coefficient envelope is ``max_x r(t, x)``, read
-    with one ``loss_rate`` call per state over all grid nodes; the driver
-    calls it at one time and state.
+    with one ``loss_rate`` call per state over all grid nodes; it must be
+    non-negative, and a NaN in it fails that test too.  The driver calls
+    ``loss_rate`` at one time and state.
     """
     if not (0 <= target < model.n_states):
         raise ConfigError("target state is not in the state space")
@@ -1044,8 +1037,8 @@ def build_message_problem(
 
     nodes = horizon_grid.nodes
     c_vals = np.maximum.reduce([_loss_at(loss_rate, nodes, np.full(nodes.size, i)) for i in range(N)])
-    if np.any(c_vals < 0):
-        raise PreconditionError("loss rates must be non-negative")
+    if not np.all(c_vals >= 0):  # NaN fails too
+        raise PreconditionError(f"loss rates must be non-negative, got {np.min(c_vals)}")
     beta, beta_tilde = 1.0, 1.0
     k1, k2 = _hitting_time_controls(model, target, beta, beta_tilde)
     return ChainBSDEProblem(

@@ -371,13 +371,18 @@ class TimeChangeMap:
     def density_at(self, t):
         return self.density.at(t)
 
-    def inverse_density_at(self, u) -> tuple[float, float]:
-        """``(s, alpha_sq(s))`` with ``s = inverse(u)``, for one time, as Python floats.
+    def inverse_density_at(self, u) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+        """``(s, alpha_sq(s))`` with ``s = inverse(u)``: the one clock read of the transformed coefficients.
 
-        One scalar clock read for the transformed coefficients, which are the
-        base ones at ``s`` scaled by ``1 / alpha_sq(s)``.  Same bits and same
-        ``DomainError`` as ``inverse_at`` followed by ``density_at``.
+        The transformed coefficients are the base ones at ``s`` scaled by
+        ``1 / alpha_sq(s)``.  One time gives two Python floats, read by
+        ``_lookup`` without NumPy; an array of times gives two arrays of its
+        shape.  Either way the bits and the ``DomainError`` are those of
+        ``inverse_at`` followed by ``density_at``.
         """
+        if isinstance(u, np.ndarray) and u.ndim:
+            s = self.inverse.at(u)
+            return s, self.density.at(s)
         s = self.inverse._lookup(float(u))
         return s, self.density._lookup(s)
 

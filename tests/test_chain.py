@@ -485,7 +485,8 @@ def test_rerooted_clocked_model_keeps_its_clock(monkeypatch):
     grid = TimeGrid.uniform(2.0, 81)
     A = np.array([[-1.0, 0.0], [1.0, 0.0]])
     base = MarkovChainModel(2, lambda t: A * per_time(1.0 + t), 1, rate_bound=3.0)
-    tilde = transform_chain(base, chain_clock(SampledPath(grid, 1.0 + grid.nodes, LINEAR), c2=0.0))
+    clock = chain_clock(SampledPath(grid, 1.0 + grid.nodes, LINEAR), c2=0.0)
+    tilde = transform_chain(base, clock)
     seen = []
     orig = chain.build_message_problem
 
@@ -498,9 +499,13 @@ def test_rerooted_clocked_model_keeps_its_clock(monkeypatch):
         tilde, lambda t, i: 0.5, source=0, target=1, horizon=1.0, paths=200, seed=0, n_nodes=21
     )
     rerooted = seen[0]
-    assert rerooted.initial == 0 and rerooted.clock is tilde.clock
+    assert rerooted.initial == 0 and rerooted.rate_fn is tilde.rate_fn
     u = np.linspace(0.0, 1.0, 17)
+    s = clock.inverse_at(u)
+    assert np.array_equal(rerooted.rates(u), base.rates(s) * (1.0 / clock.density_at(s))[:, None, None])
     assert np.array_equal(rerooted.rates(u), tilde.rates(u))
     for t in u.tolist():
+        s = float(clock.inverse_at(t))
+        assert np.array_equal(rerooted.rates(t), base.rates(s) * (1.0 / float(clock.density_at(s))))
         assert np.array_equal(rerooted.rates(t), tilde.rates(t))
         assert np.array_equal(rerooted.rate_fn(t), tilde.rates(t))

@@ -25,7 +25,7 @@ from tcbsde.errors import PreconditionError, SchemeError
 from tcbsde.timechange import LINEAR, SampledPath, TimeChangeMap, TimeGrid
 
 from ode_reference import reference_ode_solve
-from util import deadline
+from util import deadline, per_time
 
 RTOL, ATOL = 1e-8, 1e-10
 
@@ -96,7 +96,7 @@ def split_free_states():
     ])
     grid = TimeGrid.uniform(2.0, 41)
     problem = build_message_problem(
-        MarkovChainModel(5, lambda t: A * (1.0 + 0.3 * t), 0, rate_bound=3.0),
+        MarkovChainModel(5, lambda t: A * per_time(1.0 + 0.3 * t), 0, rate_bound=3.0),
         lambda t, i: 0.5 + 0.1 * i * t, target=3, horizon_grid=grid,
     )
     problem = replace(
@@ -133,9 +133,11 @@ def test_ode_matches_closure_reference(case):
 
 
 def test_clocked_rhs_reads_the_clock_once(monkeypatch):
-    # one scalar clock read per call, for the inverse and the density alike,
-    # and no SampledPath.at anywhere in the solve; the closures read the
-    # clock five times: rates twice, the driver twice and the terminal once
+    # one scalar clock read per call, for the inverse and the density alike;
+    # the only SampledPath.at calls of the solve are the one array read of
+    # the generator check, at the grid nodes and at their inverse; the
+    # closures read the clock five times: rates twice, the driver twice and
+    # the terminal once
     problem, grid = CASES["linear-loss"]()
     reads = [0]
     per_call = []
@@ -166,7 +168,9 @@ def test_clocked_rhs_reads_the_clock_once(monkeypatch):
     sol = solve_chain_bsde(problem, "markov-ode", grid)
     assert len(per_call) == sol.metadata["rhs_evaluations"] > 0
     assert set(per_call) == {1}
-    assert at_calls == []
+    assert [type(t) for t in at_calls] == [np.ndarray, np.ndarray]
+    assert np.array_equal(at_calls[0], grid.nodes)
+    assert np.array_equal(at_calls[1], at(problem.clock.inverse, grid.nodes))
 
 
 def test_clocked_problem_views_follow_the_base():

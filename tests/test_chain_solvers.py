@@ -8,6 +8,7 @@ from scipy.linalg import expm
 
 from tcbsde.errors import (
     DomainError,
+    InvariantError,
     PreconditionError,
     SchemeError,
     StructuralError,
@@ -286,6 +287,32 @@ def test_message_rejects_unknown_target():
     grid = TimeGrid.uniform(5.0, 51)
     with pytest.raises(ConfigError):
         build_message_problem(model, lambda t, i: 0.0, target=7, horizon_grid=grid)
+
+
+def test_message_rejects_a_nan_loss_rate():
+    # a loss that turns NaN after t = 1 is no non-negative loss; unchecked, it
+    # failed later, in the clock or in the ODE, for another reason
+    grid = TimeGrid.uniform(3.0, 31)
+    loss = lambda t, i: np.where(np.asarray(t) > 1.0, np.nan, 0.5)
+    with pytest.raises(PreconditionError, match="loss rates must be non-negative, got nan"):
+        build_message_problem(line_model(1.0), loss, target=1, horizon_grid=grid)
+    with pytest.raises(PreconditionError, match="loss rates must be non-negative, got -0.5"):
+        build_message_problem(line_model(1.0), lambda t, i: -0.5, target=1, horizon_grid=grid)
+
+
+def test_markov_ode_checks_the_generator():
+    # column 0 sums to -0.5: picard raises on it, and so must markov-ode,
+    # directly and through the clock
+    A = np.array([[-1.5, 0.0], [1.0, 0.0]])
+    model = MarkovChainModel(2, lambda t: A, 0, rate_bound=1.5)
+    grid = TimeGrid.uniform(3.0, 31)
+    problem = build_message_problem(model, lambda t, i: 0.1, target=1, horizon_grid=grid)
+    clock = chain_clock(problem.driver.c_path, problem.driver.c2, target="image")
+    for prob, g in ((problem, grid), (transform_chain_problem(problem, clock), clock.target_grid)):
+        with pytest.raises(InvariantError, match="columns do not sum to zero at t=0.0"):
+            solve_chain_bsde(prob, "markov-ode", g)
+    with pytest.raises(InvariantError, match="columns do not sum to zero"):
+        solve_chain_bsde(problem, "picard", grid, paths=200)
 
 
 def test_message_problem_reads_the_generator_once():

@@ -121,6 +121,15 @@ def test_probe_counts_are_positive_integers():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("t_max", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+def test_balance_probe_time_range_is_positive_and_finite(t_max):
+    # unchecked, NaN and infinity end in a bare OverflowError and -1.0 in a bare ValueError
+    model = two_state_model()
+    driver = flat_driver(TimeGrid.uniform(1.0, 11), model)
+    with pytest.raises(PreconditionError, match="t_max must be positive and finite"):
+        check_gamma_balanced(driver, model, probes=5, t_max=t_max)
+
+
 @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -0.1], ids=["nan", "inf", "zero", "negative"])
 def test_coefficient_floor_is_positive_and_finite(eps):
     # a NaN floor would give an all-NaN alpha_sq that every comparison passes

@@ -266,11 +266,12 @@ def test_batched_transformed_rates_are_bit_identical():
     clock = chain_clock(SampledPath(grid, 1.0 + grid.nodes**2, LINEAR), c2=0.0)
     tilde = transform_chain(base, clock)
     grid2 = TimeGrid.uniform(clock.target_grid.t_end, 51)
-    twice = transform_chain(tilde, chain_clock(SampledPath(grid2, 1.5 + np.sin(grid2.nodes), LINEAR), c2=0.0))
+    clock2 = chain_clock(SampledPath(grid2, 1.5 + np.sin(grid2.nodes), LINEAR), c2=0.0)
+    twice = transform_chain(tilde, clock2)
     rng = np.random.default_rng(0)
-    for model in (tilde, twice):
-        T = model.clock.target_grid.t_end
-        u = np.concatenate([[0.0, T], rng.uniform(0.0, T, 200), model.clock.target_grid.nodes[:5]])
+    for model, clock in ((tilde, clock), (twice, clock2)):
+        T = clock.target_grid.t_end
+        u = np.concatenate([[0.0, T], rng.uniform(0.0, T, 200), clock.target_grid.nodes[:5]])
         stack = model.rates(u)
         assert stack.shape == (u.size, 3, 3)
         for k in range(u.size):

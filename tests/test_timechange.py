@@ -196,10 +196,11 @@ def _read_or_error(read, u):
     data=st.data(),
 )
 def test_inverse_density_read_matches_two_lookups(steps, density, target, m, data):
-    # the fused scalar read against inverse.at then density.at: same bits as
-    # Python floats, and the same DomainError message, at every node, both
-    # ends, the 1e-12 slack on either side, beyond it and at non-finite times;
-    # a uniform target past the clock's top sends the inverse to +inf there
+    # the fused read against inverse.at then density.at: same bits, as Python
+    # floats for one time and as arrays for an array of times, and the same
+    # DomainError message, at every node, both ends, the 1e-12 slack on
+    # either side, beyond it and at non-finite times; a uniform target past
+    # the clock's top sends the inverse to +inf there
     grid = TimeGrid(np.concatenate([[0.0], np.cumsum(steps)]))
     a2 = np.array(density[: grid.n_nodes])
     v = IncreasingProcess.identity(grid)
@@ -225,6 +226,23 @@ def test_inverse_density_read_matches_two_lookups(steps, density, target, m, dat
                 continue
             assert type(got) is tuple and [type(x) for x in got] == [float, float]
             assert same_bits(got[0], ref[0]) and same_bits(got[1], ref[1])
+
+    # an array of the times that read: the bits of the two array lookups and
+    # of the reads one time at a time; one bad time among them, anywhere,
+    # gives the DomainError of its own read
+    good = [u for u in us if not isinstance(_read_or_error(two_lookups, u), str)]
+    times = np.array(good)
+    got, ref = clock.inverse_density_at(times), two_lookups(times)
+    assert [type(x) for x in got] == [np.ndarray, np.ndarray]
+    assert got[0].shape == got[1].shape == times.shape
+    assert same_bits(got[0], ref[0]) and same_bits(got[1], ref[1])
+    ones = [clock.inverse_density_at(u) for u in good]
+    assert same_bits(got[0], [s for s, _ in ones]) and same_bits(got[1], [d for _, d in ones])
+    for u in us:
+        one = _read_or_error(clock.inverse_density_at, u)
+        if isinstance(one, str):
+            with_bad = np.insert(times, data.draw(st.integers(0, times.size)), u)
+            assert _read_or_error(clock.inverse_density_at, with_bad) == one
 
 
 def test_increasing_process_floor():
