@@ -319,12 +319,12 @@ def _thin(
     draw on ``(0, exit]``.  A path leaves the batch at the horizon, when it
     is killed, or on entering ``target``.  Returns the jump log and the
     masks of the paths that reached the target and that were killed.  The
-    horizon and the bound must be positive and finite.
+    horizon and the bound are positive and finite, the seed an integer >= 0.
     """
     check_count("path count", paths)
     check_positive("horizon", horizon)
     bound = check_positive("rate bound", model.rate_bound + loss_bound)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count("seed", seed, least=0))
     initial = np.full(paths, int(model.initial))
     t = np.zeros(paths)
     state = initial.copy()
@@ -486,18 +486,19 @@ def check_gamma_balanced(
     """Probe the four balance requirements; report the worst violation of each.
 
     Each probe draws t on ``[0, t_max]`` (``t_max`` positive and finite),
-    the state, y, z, z' and the shift in that order and calls the rates,
-    ``eta``, ``f`` twice and the shifted ``eta``; the worst values are
-    reductions over the stacked probes, so a NaN anywhere gives a NaN field
-    and fails the check.
+    the state, y, z, z' and the shift in that order and calls ``eta``,
+    ``f`` twice and the shifted ``eta``.  The rates at every probe's time
+    are then read in one call, and each probe takes its state's column.
+    The worst values are reductions over the stacked probes, so a NaN
+    anywhere gives a NaN field and fails the check.
     """
     check_count("probe count", probes)
     check_positive("t_max", t_max)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count("seed", seed, least=0))
     N = model.n_states
     box = _BALANCE_PROBE_BOX
     gamma = driver.gamma
-    gaps, etas, axs, shifted = [], [], [], []
+    ts, xs, lhss, dzs, etas, shifted = [], [], [], [], [], []
     for _ in range(probes):
         t = float(rng.uniform(0.0, t_max))
         x = int(rng.integers(0, N))
@@ -505,14 +506,15 @@ def check_gamma_balanced(
         z = rng.uniform(-box, box, size=N)
         zp = rng.uniform(-box, box, size=N)
         alpha = float(rng.uniform(-box, box))
-        ax = model.rates(t)[:, x]
-        eta = np.asarray(driver.eta(t, x, z, zp), dtype=float)
-        lhs = driver.f(t, x, y, z) - driver.f(t, x, y, zp)
-        gaps.append(lhs - float((z - zp) @ (eta - ax)))
-        etas.append(eta)
-        axs.append(ax)
+        ts.append(t)
+        xs.append(x)
+        etas.append(np.asarray(driver.eta(t, x, z, zp), dtype=float))
+        lhss.append(driver.f(t, x, y, z) - driver.f(t, x, y, zp))
+        dzs.append(z - zp)
         shifted.append(driver.eta(t, x, z + alpha * np.ones(N), zp))
-    eta, ax = np.array(etas, dtype=float), np.array(axs, dtype=float)
+    ax = model.rates(np.array(ts))[np.arange(probes), :, xs]
+    gaps = [lhs - float(dz @ (e - a)) for lhs, dz, e, a in zip(lhss, dzs, etas, ax)]
+    eta = np.array(etas, dtype=float)
     shifted = np.array(shifted, dtype=float)
     # a ratio off [gamma, 1/gamma] counts by its distance; against a zero
     # compensator the perturbation itself is the violation (0/0 reads as 1)
@@ -678,18 +680,22 @@ class ChainSolution:
     stop_idx: np.ndarray | None = None
 
     def value_at(self, t: float, state: int) -> float:
-        """Linear interpolation in time; ``t`` must lie in the grid range up to 1e-12."""
+        """Linear interpolation in time; ``t`` in the grid range up to 1e-12, ``state`` a state index."""
         lo, hi = float(self.grid.nodes[0]), self.grid.t_end
         if not math.isfinite(t) or t < lo - 1e-12 or t > hi + 1e-12:
             raise DomainError(f"value_at({t}) outside solution grid range [{lo}, {hi}]")
         N = self.state_values.shape[1]
-        if not 0 <= state < N:
+        if check_count("value_at state", state, least=0, error=DomainError) >= N:
             raise DomainError(f"value_at state {state} outside the states 0..{N - 1}")
         col = self.state_values[:, state]
         return float(np.interp(t, self.grid.nodes, col))
 
 
-def _ode_solve(problem: ChainBSDEProblem, grid: TimeGrid, rtol: float, atol: float):
+# the backward ODE's relative and absolute step tolerances
+_ODE_RTOL, _ODE_ATOL = 1e-8, 1e-10
+
+
+def _ode_solve(problem: ChainBSDEProblem, grid: TimeGrid):
     """Value function on ``grid`` and the no-hit tail probability, in one integration.
 
     The state is ``[u_free, q_free]``: ``u`` is the value off the hitting set,
@@ -755,7 +761,7 @@ def _ode_solve(problem: ChainBSDEProblem, grid: TimeGrid, rtol: float, atol: flo
     x0 = np.concatenate(([g(read(T)[0], i) for i in free_list], np.ones(n_free)))
     r_eval = T - grid.nodes[::-1]
     try:
-        y, nfev, steps, rejected = rk45(rhs, T, x0, r_eval, rtol, atol)
+        y, nfev, steps, rejected = rk45(rhs, T, x0, r_eval, _ODE_RTOL, _ODE_ATOL)
     except SchemeError as exc:
         raise SchemeError(f"backward ODE integration failed: {exc}") from None
     values = np.empty((grid.n_nodes, N))
@@ -775,21 +781,18 @@ def solve_chain_bsde(
     grid: TimeGrid,
     paths: int | None = None,
     seed: int = 0,
-    *,
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
-    fixed_point_tol: float = 1e-12,
 ) -> ChainSolution:
     """Backward solution on a truncated horizon with the hitting set as boundary.
 
     ``markov-ode``: value function from the backward ODE system, integrated
-    to ``rtol``/``atol``; requires the Markovian flag and deterministic rates,
-    and takes no path count: it simulates nothing and returns no per-path
-    view.  It first checks the generator at the grid nodes, in one array
-    read of ``problem.model.rates`` (through the clock for a clocked
-    problem): finite rates, no negative off-diagonal rate, zero column sums,
-    as the simulators check theirs.  The no-hit tail probability at the horizon is reported in the
-    metadata.  ``picard``: per-step fixed point to ``fixed_point_tol`` on
+    to relative tolerance 1e-8 and absolute tolerance 1e-10; requires the
+    Markovian flag and deterministic rates, and takes no path count: it
+    simulates nothing and returns no per-path view.  It first checks the
+    generator at the grid nodes, in one array read of ``problem.model.rates``
+    (through the clock for a clocked problem): finite rates, no negative
+    off-diagonal rate, zero column sums, as the simulators check theirs.
+    The no-hit tail probability at the horizon is reported in the metadata.
+    ``picard``: per-step fixed point to a residual of 1e-12 on
     ``paths`` simulated paths drawn from ``seed``, conditional expectations
     by state-indicator averaging, Z from least squares of Y-jumps on M-jumps
     (identified up to the bracket's null direction), which feeds the driver
@@ -801,11 +804,8 @@ def solve_chain_bsde(
             raise UnsupportedError("markov-ode needs a Markovian driver")
         if paths is not None:
             raise PreconditionError("markov-ode simulates no paths; pass no path count")
-        # NaN never meets the step test and fails every step; inf accepts any step
-        check_positive("rtol", rtol)
-        check_positive("atol", atol)
         _check_generator(problem.model.rates(grid.nodes), grid.nodes)
-        values, tail, nfev, steps, rejected = _ode_solve(problem, grid, rtol, atol)
+        values, tail, nfev, steps, rejected = _ode_solve(problem, grid)
         return ChainSolution(
             grid=grid,
             state_values=values,
@@ -820,10 +820,7 @@ def solve_chain_bsde(
     if scheme != "picard":
         raise PreconditionError(f"unknown scheme {scheme!r}")
     check_count("path count", paths)
-    # NaN never meets the residual test, inf accepts the first iterate, and
-    # the iteration cap takes the logarithm of the tolerance
-    check_positive("fixed_point_tol", fixed_point_tol)
-    return _picard_solve(problem, grid, paths, seed, fixed_point_tol)
+    return _picard_solve(problem, grid, paths, seed)
 
 
 def _stop_indices(ST: np.ndarray, hitting_set: frozenset) -> np.ndarray:
@@ -837,8 +834,10 @@ def _stop_indices(ST: np.ndarray, hitting_set: frozenset) -> np.ndarray:
     return idx
 
 
-# the fixed point runs at least this many iterations before judging non-convergence,
-# and no more than the ceiling however slowly the declared slope contracts
+# the fixed point's residual tolerance; it runs at least this many iterations
+# before judging non-convergence, and no more than the ceiling however slowly
+# the declared slope contracts
+_FIXED_POINT_TOL = 1e-12
 _FIXED_POINT_MIN_ITERATIONS = 100
 _FIXED_POINT_MAX_ITERATIONS = 10_000
 
@@ -855,7 +854,7 @@ def _fixed_point_cap(slope: float, first_residual: float, tol: float) -> int:
     return min(max(need, _FIXED_POINT_MIN_ITERATIONS), _FIXED_POINT_MAX_ITERATIONS)
 
 
-def _picard_solve(problem, grid, paths, seed, fp_tol):
+def _picard_solve(problem, grid, paths, seed):
     """The ``picard`` scheme, step-major: each step reads contiguous rows.
 
     The grid states ``ST`` and the path values ``YT`` are ``(nodes, paths)``
@@ -918,15 +917,15 @@ def _picard_solve(problem, grid, paths, seed, fp_tol):
                 y_new = cond + f(t, i, y, z) * dtj
                 residual = abs(y_new - y)
                 y = y_new
-                if residual <= fp_tol:
+                if residual <= _FIXED_POINT_TOL:
                     break
                 if k == 1:
-                    cap = _fixed_point_cap(dtj * c_max, residual, fp_tol)
+                    cap = _fixed_point_cap(dtj * c_max, residual, _FIXED_POINT_TOL)
                 if k >= _FIXED_POINT_MIN_ITERATIONS:
                     # past |y| = 2**13 one rounding step exceeds the default
                     # absolute tolerance, so from here on judge the residual
                     # relative to |y|; a NaN residual fails the comparison
-                    if residual <= fp_tol * max(1.0, abs(y)):
+                    if residual <= _FIXED_POINT_TOL * max(1.0, abs(y)):
                         break
                     if k >= cap:
                         raise SchemeError(
@@ -1007,7 +1006,6 @@ class MessageReport:
     mc_killed: float
     tail_probability: float
     horizon: float
-    agrees: bool
 
 
 def build_message_problem(
@@ -1103,6 +1101,10 @@ def simulate_killed_chain(
     return est, se, float(np.mean(killed))
 
 
+# nodes of the message equation's grid on [0, horizon]
+_MESSAGE_NODES = 201
+
+
 def message_transmission(
     model: MarkovChainModel,
     loss_rate: LossFn,
@@ -1111,14 +1113,13 @@ def message_transmission(
     horizon: float,
     paths: int,
     seed: int,
-    *,
-    n_nodes: int = 201,
 ) -> MessageReport:
     """Reach probability two ways: the tamed backward equation and killed-chain MC.
 
-    The equation route builds the y-coefficient clock, transforms the chain
-    and driver, solves the backward ODE system on the stretched horizon and
-    maps the value function back.  The Monte Carlo route kills the walker at
+    The equation route builds the y-coefficient clock on 201 nodes over
+    ``[0, horizon]``, transforms the chain and driver, solves the backward
+    ODE system on the stretched horizon and maps the value function back.
+    The Monte Carlo route kills the walker at
     the loss rate and counts arrivals.  ``loss_rate`` takes one time and
     state or arrays of both (see ``LossFn``); its bound is its largest value
     at times 0 and ``horizon``, read in one call over both times and every
@@ -1126,7 +1127,7 @@ def message_transmission(
     """
     if model.initial != source:
         model = replace(model, initial=source)
-    grid = TimeGrid.uniform(horizon, n_nodes)
+    grid = TimeGrid.uniform(horizon, _MESSAGE_NODES)
     problem = build_message_problem(model, loss_rate, target, grid)
     clock = chain_clock(problem.driver.c_path, problem.driver.c2, target="image")
     tilde = transform_chain_problem(problem, clock)
@@ -1140,7 +1141,6 @@ def message_transmission(
         model, loss_rate, target, horizon, paths, seed, loss_bound
     )
     tail = tilde_sol.metadata.get("tail_probability", float("nan"))
-    agrees = abs(y0 - est) <= 3.0 * se + 1e-6
     return MessageReport(
         reach_probability=y0,
         values=sol,
@@ -1149,5 +1149,4 @@ def message_transmission(
         mc_killed=kfrac,
         tail_probability=tail,
         horizon=horizon,
-        agrees=agrees,
     )

@@ -245,11 +245,9 @@ def transformed_driver_lipschitz(cfg: ExperimentConfig, b: ReportBundle) -> None
         tp = transform_driver(prob, clock)
         horizon = float(clock.forward.values[-1])
         ratio_t = check_uniform_lipschitz(
-            tp.problem.driver, n_probes, 3.0, t_range=(0.0, horizon), seed=cfg.seed + i
+            tp.problem.driver, n_probes, t_range=(0.0, horizon), seed=cfg.seed + i
         )
-        ratio_raw = check_uniform_lipschitz(
-            prob.driver, n_probes, 3.0, t_range=(0.0, 1.0), seed=cfg.seed + i
-        )
+        ratio_raw = check_uniform_lipschitz(prob.driver, n_probes, t_range=(0.0, 1.0), seed=cfg.seed + i)
         worst_transformed = max(worst_transformed, ratio_t)
         best_raw = max(best_raw, ratio_raw)
         rows.append([i, float(np.max(prob.coeffs.alpha_sq.values)), ratio_t, ratio_raw])
@@ -401,7 +399,7 @@ def bounded_solution(cfg: ExperimentConfig, b: ReportBundle) -> None:
     )
     W = simulate_brownian(g, P, 1, cfg.seed)
     tol = 0.02 if cfg.tol is None else cfg.tol
-    rep = bounded_solution_check(prob, 1.0, W, tol=tol, seed=cfg.seed)
+    rep = bounded_solution_check(prob, 1.0, W, seed=cfg.seed)
     b.estimates["sup_abs_y"] = rep.sup_abs_y
     b.verdicts.append(Verdict.check("sup_abs_y", rep.sup_abs_y, 1.0 + tol))
     b.verdicts.append(

@@ -154,10 +154,13 @@ def _path_nodes(W: BrownianEnsemble, idx: np.ndarray) -> np.ndarray:
 
 
 def simulate_brownian(grid: TimeGrid, paths: int, dim: int, seed: int) -> BrownianEnsemble:
-    """Gaussian increments of the step's variance, deterministic per seed; ``paths`` and ``dim`` are counts."""
+    """Gaussian increments of the step's variance, deterministic per seed.
+
+    ``paths`` and ``dim`` are counts, and ``seed`` an integer >= 0.
+    """
     check_count("path count", paths)
     check_count("dimension", dim)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count("seed", seed, least=0))
     z = rng.standard_normal((paths, grid.n_nodes - 1, dim))
     z *= np.sqrt(grid.steps)[None, :, None]
     return BrownianEnsemble(grid=grid, increments=z, seed=seed)
@@ -419,8 +422,10 @@ def transform_driver(
 # probes come in this many batches, each at one sampled time: drivers are
 # vectorized per time
 _PROBE_TIME_BATCHES = 50
-# half-width of the probe box of the comparison and boundedness checks
+# half-width of the probe box of the comparison and boundedness checks, and
+# of the Lipschitz ratio's
 _PROBE_BOX = 2.0
+_LIPSCHITZ_PROBE_BOX = 3.0
 _COMPARISON_PROBES = 200
 _BOUNDEDNESS_PROBES = 100
 
@@ -429,10 +434,10 @@ def _probe_batches(n_probes: int, box: float, dim: int, t_range: tuple[float, fl
     """Random probe points, one batch per sampled time: ``(t, w, y, y', z, z')``.
 
     ``max(1, n_probes // _PROBE_TIME_BATCHES)`` points per batch, every
-    coordinate uniform on ``[-box, box]``.  The draw order is part of the
-    output: the ``transformed-driver-lipschitz`` table reads it.
+    coordinate uniform on ``[-box, box]``; ``seed`` is an integer >= 0.  The
+    draw order is part of the output: ``transformed-driver-lipschitz`` reads it.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count("seed", seed, least=0))
     m = max(1, n_probes // _PROBE_TIME_BATCHES)
     for _ in range(_PROBE_TIME_BATCHES):
         t = float(rng.uniform(*t_range))
@@ -447,7 +452,6 @@ def _probe_batches(n_probes: int, box: float, dim: int, t_range: tuple[float, fl
 def check_uniform_lipschitz(
     driver: Driver,
     n_probes: int,
-    box: float,
     *,
     t_range: tuple[float, float] = (0.0, 1.0),
     seed: int = 0,
@@ -456,11 +460,12 @@ def check_uniform_lipschitz(
 
     Probes are grouped by sampled time (drivers are vectorized per time) and
     split into y-only, z-only and joint perturbations so linear drivers attain
-    their constant exactly.  Zero-denominator probes are skipped.
+    their constant exactly; every coordinate is drawn on ``[-3, 3]``.
+    Zero-denominator probes are skipped.
     """
     check_count("probe count", n_probes)
     worst = 0.0
-    for t, w, y, yp, z, zp in _probe_batches(n_probes, box, 1, t_range, seed):
+    for t, w, y, yp, z, zp in _probe_batches(n_probes, _LIPSCHITZ_PROBE_BOX, 1, t_range, seed):
         third = y.size // 3
         zp[:third] = z[:third]  # y-only
         yp[third : 2 * third] = y[third : 2 * third]  # z-only
@@ -737,8 +742,9 @@ def _build_operator(n_space: int, span: float, n_quad: int, var: float) -> np.nd
 _MEMO_OPERATORS = 32
 _grid_operator = lru_cache(maxsize=_MEMO_OPERATORS)(_build_operator)
 
-# oracle state grid: Gauss-Hermite nodes per expectation, and the grid's
-# half-width in standard deviations of the whole state path
+# oracle state grid: its states, Gauss-Hermite nodes per expectation, and
+# the grid's half-width in standard deviations of the whole state path
+_N_SPACE = 201
 _N_QUAD = 21
 _SPAN_SIGMAS = 6.0
 
@@ -747,8 +753,6 @@ def solve_picard_oracle(
     problem_or_transformed,
     ensemble: BrownianEnsemble | None = None,
     iterations: int = 8,
-    *,
-    n_space: int = 201,
 ) -> SolutionEnsemble:
     """Fixed-point oracle: iterate the frozen-driver equation on a state grid.
 
@@ -757,7 +761,7 @@ def solve_picard_oracle(
     Starting from ``(Y, Z) = (0, 0)``, each of ``iterations`` sweeps (a
     positive integer, else :class:`PreconditionError`) solves
     the discrete backward equation with the driver evaluated at the previous
-    iterate, on ``n_space`` states spanning 6 standard deviations of the
+    iterate, on 201 states spanning 6 standard deviations of the
     state either side of 0, using 21-node Gauss-Hermite quadrature for the
     one-step conditional expectations --
     deliberately independent of the regression machinery it is used to check.
@@ -768,17 +772,16 @@ def solve_picard_oracle(
     variance ``v``.  Each solve builds one spline of the identity, reads its
     coefficients once, and never evaluates it.  For each distinct ``v``
     among the steps, :func:`_expectation_operator` gives the
-    ``(n_space, n_space)`` matrix of that map as one product of a sparse
-    weight matrix with those coefficients; the weight matrix lives only
-    while its operator is built (84 entries a row, 0.2 MB at
-    ``n_space = 201``).  Every sweep step is then one matrix-vector product.
-    The spline coefficients and the operators are kept process-wide, keyed
-    by ``(n_space, span)`` and ``(n_space, span, 21, var)`` with the exact
-    floats the solve computes, so a later solve on the same state grid builds
-    none of them.  The memo is bounded: at most 32 operators (``8 n_space^2``
-    bytes each, 10.3 MB at ``n_space = 201``) and the coefficients and
-    gradient matrix of at most 2 state grids (``40 n_space^2`` bytes each,
-    1.6 MB).  A solve with more distinct step variances than that keeps the
+    ``(201, 201)`` matrix of that map as one product of a sparse weight
+    matrix with those coefficients; the weight matrix lives only while its
+    operator is built (84 entries a row, 0.2 MB).  Every sweep step is then
+    one matrix-vector product.  The spline coefficients and the operators
+    are kept process-wide, keyed by ``(201, span)`` and
+    ``(201, span, 21, var)`` with the exact floats the solve computes, so a
+    later solve on the same state grid builds none of them.  The memo is
+    bounded: at most 32 operators (0.32 MB each, 10.3 MB in all) and the
+    coefficients and gradient matrix of at most 2 state grids (1.6 MB
+    each).  A solve with more distinct step variances than that keeps the
     32 smallest in the memo and builds the others for itself, so solving
     that grid again reuses those 32.  One solve still holds an operator for
     each distinct step variance, so a grid whose step variances all differ
@@ -802,7 +805,7 @@ def solve_picard_oracle(
 
     total_sd = math.sqrt(float(np.sum(state_var)))
     span = _SPAN_SIGMAS * max(total_sd, 1e-8)
-    xs = np.linspace(-span, span, n_space)
+    xs = np.linspace(-span, span, _N_SPACE)
 
     rule = problem.terminal
     if rule.kind == "first_exit" and rule.coord != 0:
@@ -811,20 +814,20 @@ def solve_picard_oracle(
     def payoff_on(tnode, x):
         return np.asarray(problem.payoff(np.full(x.shape, tnode), x[:, None]), dtype=float)
 
-    _, grad = _identity_spline(n_space, span)
+    _, grad = _identity_spline(_N_SPACE, span)
     # only the smallest variances go through the memo: a least-recently-used
     # memo asked for more than it keeps in a fixed order would evict each
     # operator before a repeated solve asks for it again
     expect_ops = {
         var: (_grid_operator if k < _MEMO_OPERATORS else _build_operator)(
-            n_space, span, _N_QUAD, var
+            _N_SPACE, span, _N_QUAD, var
         )
         for k, var in enumerate(sorted(set(state_var.tolist())))
     }
     mask = rule.outside(xs)
 
-    y_field = np.zeros((n, n_space))
-    z_field = np.zeros((n, n_space))
+    y_field = np.zeros((n, _N_SPACE))
+    z_field = np.zeros((n, _N_SPACE))
     distances = []
     diverging = 0
 
@@ -905,16 +908,21 @@ def closed_form_linear(
     ``exp(int_0^T r) E[p(G)]`` with ``G ~ N(-int_0^T u, T)``; the measure
     shift enters with a minus sign because the martingale integral is added.
     The derivation is validated against the fixed-point oracle in the test
-    suite before this function is used as an oracle itself.
+    suite before this function is used as an oracle itself.  ``T`` lies in
+    the coefficient grid's range; the integrals of the linear paths ``r``
+    and ``u`` run exactly up to it, also when it falls between two nodes.
     """
     if not isinstance(payoff, PolynomialPayoff):
         raise UnsupportedError("closed form supports polynomial terminal values only")
     nodes = r.grid.nodes
+    if not T >= 0.0:  # NaN fails too
+        raise PreconditionError(f"horizon must be non-negative, got {T!r}")
     if T > nodes[-1] + 1e-12:
         raise PreconditionError("horizon exceeds the coefficient grid")
-    mask = nodes <= T + 1e-12
-    rr = np.trapezoid(r.values[mask], nodes[mask])
-    uu = np.trapezoid(u.values[mask], nodes[mask])
+    ts = nodes[nodes <= T + 1e-12]
+    if T > ts[-1] + 1e-12:  # inside an interval: the last piece ends at T
+        ts = np.append(ts, T)
+    rr, uu = (np.trapezoid(p.at(ts), ts) for p in (r, u))
     mean = _gaussian_poly_mean(payoff.coefficients, -uu, T)
     return math.exp(rr) * mean
 
@@ -1060,7 +1068,6 @@ class ComparisonReport:
     node_ses: np.ndarray
     violating_nodes: int
     violation_fraction: float
-    passed: bool
 
 
 def comparison_experiment(
@@ -1073,8 +1080,9 @@ def comparison_experiment(
     """Order check for a dominated pair: solve both on shared noise, compare Y.
 
     Dominance of the inputs (driver and payoff) is verified on random probes
-    first.  The verdict counts grid nodes whose mean gap is below ``-3 SE``;
-    the raw pathwise minimum is reported alongside.
+    first.  The report counts the grid nodes whose mean gap is below
+    ``-3 SE``, and gives the raw pathwise minimum alongside; the caller
+    judges them.
     Scalar solutions only: the multidimensional comparison machinery is out
     of scope.
     """
@@ -1107,15 +1115,12 @@ def comparison_experiment(
         node_ses=ses,
         violating_nodes=int(np.sum(viol)),
         violation_fraction=float(np.mean(viol)),
-        passed=not bool(np.any(viol)),
     )
 
 
 @dataclass(frozen=True)
 class BoundednessReport:
     sup_abs_y: float
-    bound: float
-    passed: bool
     z_accumulation: np.ndarray  # running E int_0^{t ^ tau} |Z|^2
 
 
@@ -1124,7 +1129,6 @@ def bounded_solution_check(
     M: float,
     ensemble: BrownianEnsemble,
     *,
-    tol: float = 0.02,
     seed: int = 0,
 ) -> BoundednessReport:
     """Solve a monotone-decreasing scalar problem through the ``u^2 + 1`` clock.
@@ -1132,8 +1136,9 @@ def bounded_solution_check(
     Preconditions probed: ``f(t, 0, 0) = 0``, monotone decreasing in y, and
     ``|xi| <= M`` on the realized payoffs.  The clock density used here is
     ``u^2 + 1`` (not the Lipschitz maximum), after which the solve runs with
-    the bound-preserving bin regression and maps back; the report compares
-    ``sup |Y|`` with ``M`` and accumulates ``E int |Z|^2``.
+    the bound-preserving bin regression and maps back; the report gives
+    ``sup |Y|`` up to each path's stop, for the caller to compare with
+    ``M``, and accumulates ``E int |Z|^2``.
     """
     if problem.k != 1:
         raise UnsupportedError("boundedness check covers scalar solutions only")
@@ -1166,9 +1171,4 @@ def bounded_solution_check(
     zacc = np.cumsum(
         np.mean(np.where(alive[:, :-1], z2[:, :-1], 0.0), axis=0) * sol.grid.steps
     )
-    return BoundednessReport(
-        sup_abs_y=sup_abs,
-        bound=M,
-        passed=sup_abs <= M * (1.0 + tol) + 1e-12,
-        z_accumulation=zacc,
-    )
+    return BoundednessReport(sup_abs_y=sup_abs, z_accumulation=zacc)

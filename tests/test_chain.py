@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -24,6 +25,7 @@ from tcbsde.chain import (
     transform_chain_problem,
 )
 
+from balance_reference import reference_balance
 from util import per_time, rate_stack
 
 
@@ -271,6 +273,74 @@ def test_semi_norm_shift_invariance(shift, z0, z1):
 # ---------------------------------------------------------------------------
 
 
+def _varying_rates(t):
+    return rate_stack(t, [[-(1.0 + t), 0.5, 0.0], [1.0 + t, -1.0, 0.2], [0.0, 0.5, -0.2]])
+
+
+def _weighted_driver(grid):
+    # every field nonzero: out of state 0 a rate off [gamma, 1/gamma] = [1/2, 2],
+    # out of state 1 a dependence on z_0, and an f off the difference
+    # identity by 0.1 z_0^2
+    w = np.array([1.0, 2.5, 0.5])
+
+    def eta(t, i, z, zp):
+        col = _varying_rates(t)[:, i]
+        if i == 0:
+            return w * col
+        if i == 1:
+            return col * (1.0 + 0.1 * np.tanh(z[0]))
+        return col
+
+    def f(t, i, y, z):
+        return float(z @ (eta(t, i, z, None) - _varying_rates(t)[:, i])) + 0.1 * z[0] ** 2 - (1.0 + 2.0 * t) * y
+
+    return GammaBalancedDriver(
+        f=f, eta=eta, gamma=0.5, c_path=SampledPath(grid, 1.0 + 2.0 * grid.nodes, LINEAR),
+        c1=0.0, c2=0.0, beta_hat=0.0, beta=1.0, beta_tilde=1.0,
+        k1=lambda t: 1.0, k2=lambda t: 1.0,
+    )
+
+
+def _balance_case(case):
+    grid = TimeGrid.uniform(5.0, 51)
+    if case == "constant":
+        model = two_state_model(1.0, 2.0)
+        return flat_driver(grid, model), model, 5.0
+    drv = _weighted_driver(grid)
+    model = MarkovChainModel(3, _varying_rates, 0, rate_bound=10.0)
+    if case == "time-varying":
+        return drv, model, 5.0
+    clock = chain_clock(drv.c_path, c2=0.0)
+    return transform_chain_driver(drv, clock), transform_chain(model, clock), float(clock.target_grid.t_end)
+
+
+@pytest.mark.parametrize(
+    "case, probes, calls",
+    [
+        ("constant", 200, 1),
+        ("constant", 2, 2),  # m = N with an (N, N) return: one more call at the first time
+        ("time-varying", 200, 1),
+        ("time-varying", 3, 1),
+        ("clocked", 200, 1),
+        ("clocked", 3, 1),
+    ],
+)
+def test_balance_reads_the_rates_once_and_keeps_its_report(case, probes, calls):
+    driver, model, t_max = _balance_case(case)
+    seen = []
+
+    def rate_fn(t):
+        seen.append(np.ndim(t))
+        return model.rate_fn(t)
+
+    counted = replace(model, rate_fn=rate_fn)
+    rep = check_gamma_balanced(driver, counted, probes, t_max=t_max, seed=11)
+    assert len(seen) == calls and seen[0] == 1
+    ref = reference_balance(driver, model, probes, t_max=t_max, seed=11)
+    assert dataclasses.astuple(rep) == dataclasses.astuple(ref)
+    assert all(type(v) is type(r) for v, r in zip(dataclasses.astuple(rep), dataclasses.astuple(ref)))
+
+
 def test_compensator_driver_is_balanced():
     grid = TimeGrid.uniform(1.0, 11)
     model = two_state_model(1.0, 2.0)
@@ -496,7 +566,7 @@ def test_rerooted_clocked_model_keeps_its_clock(monkeypatch):
 
     monkeypatch.setattr(chain, "build_message_problem", spy)
     chain.message_transmission(
-        tilde, lambda t, i: 0.5, source=0, target=1, horizon=1.0, paths=200, seed=0, n_nodes=21
+        tilde, lambda t, i: 0.5, source=0, target=1, horizon=1.0, paths=200, seed=0
     )
     rerooted = seen[0]
     assert rerooted.initial == 0 and rerooted.rate_fn is tilde.rate_fn

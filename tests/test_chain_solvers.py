@@ -245,7 +245,7 @@ def test_message_no_loss_certain_delivery():
         model, lambda t, i: 0.0, source=0, target=1, horizon=25.0, paths=2000, seed=4
     )
     assert rep.reach_probability == pytest.approx(1.0, abs=2e-3)
-    assert rep.agrees
+    assert abs(rep.reach_probability - rep.mc_estimate) <= 3.0 * rep.mc_se + 1e-6
 
 
 def test_message_competing_exponentials():
@@ -256,7 +256,6 @@ def test_message_competing_exponentials():
     )
     assert abs(rep.reach_probability - 0.5) <= 0.02
     assert abs(rep.reach_probability - rep.mc_estimate) <= 3.0 * rep.mc_se
-    assert rep.agrees
 
 
 def test_message_time_varying_loss():
@@ -352,7 +351,7 @@ def test_message_loss_bound_is_the_largest_loss_at_both_ends_in_one_call(monkeyp
         return 1.0, 0.0, 0.0
 
     monkeypatch.setattr(chain, "simulate_killed_chain", killed)
-    message_transmission(line_model(2.0), loss, source=0, target=1, horizon=2.0, paths=10, seed=0, n_nodes=21)
+    message_transmission(line_model(2.0), loss, source=0, target=1, horizon=2.0, paths=10, seed=0)
     # 2.0 at t = 0 in state 0, 2.5 at t = 2 in state 1
     assert seen == [(([0.0, 0.0, 2.0, 2.0], [0, 1, 0, 1]), 2.5)] and type(seen[0][1]) is float
 

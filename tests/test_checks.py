@@ -1,9 +1,10 @@
 """The two input rules every layer shares: a count is an integer, a positive number is finite.
 
 ``check_count`` and ``check_positive`` on their own, then each entry point
-that reads a count or a positive number through them, on the inputs that
-an unchecked read would misread: a fractional or ``bool`` count, a NaN or
-infinite floor, horizon or time.
+that reads a count, a seed, a state index or a positive number through
+them, on the inputs that an unchecked read would misread: a fractional or
+``bool`` count, seed or state, a negative seed, a NaN or infinite floor,
+horizon or time.
 """
 
 import math
@@ -13,14 +14,18 @@ import pytest
 
 from tcbsde.chain import (
     ChainPath,
+    ChainSolution,
     MarkovChainModel,
+    build_message_problem,
     check_gamma_balanced,
     occupancy,
     simulate_chain,
     simulate_killed_chain,
+    solve_chain_bsde,
 )
 from tcbsde.errors import (
     ConfigError,
+    DomainError,
     InvariantError,
     PreconditionError,
     SchemeError,
@@ -29,7 +34,9 @@ from tcbsde.errors import (
 )
 from tcbsde.timechange import TimeGrid
 from tcbsde.wiener import (
+    bounded_solution_check,
     check_uniform_lipschitz,
+    comparison_experiment,
     simulate_brownian,
     solve_lsmc,
     solve_picard_oracle,
@@ -95,7 +102,7 @@ def test_oracle_takes_a_positive_integer_sweep_count(iterations):
     prob = linear_problem(g, 0.5, 0.0, (1.0,))
     W = simulate_brownian(g, 20, 1, seed=0)
     with pytest.raises(PreconditionError, match="iterations must be a positive integer"):
-        solve_picard_oracle(prob, W, iterations=iterations, n_space=21)
+        solve_picard_oracle(prob, W, iterations=iterations)
 
 
 @pytest.mark.parametrize("n_nodes", [3.9, 1, 2.0, True], ids=["fraction", "one", "float", "bool"])
@@ -108,12 +115,48 @@ def test_uniform_grid_takes_an_integer_node_count_of_at_least_two(n_nodes):
 def test_probe_counts_are_positive_integers():
     # unchecked, the Lipschitz probe would run on 2.5 and the balance probe fail as a bare TypeError
     with pytest.raises(PreconditionError, match="probe count must be a positive integer"):
-        check_uniform_lipschitz(lambda t, w, y, z: np.zeros(y.shape), 2.5, 1.0)
+        check_uniform_lipschitz(lambda t, w, y, z: np.zeros(y.shape), 2.5)
     model = two_state_model()
     driver = flat_driver(TimeGrid.uniform(1.0, 11), model)
     for probes in (2.5, 0):
         with pytest.raises(PreconditionError, match="probe count must be a positive integer"):
             check_gamma_balanced(driver, model, probes=probes)
+
+
+def _integer_entry_points():
+    """Each entry point that takes a seed, or a state index, called on that one input."""
+    g = grid_uniform(1.0, 11)
+    W = simulate_brownian(g, 20, 1, seed=0)
+    prob = linear_problem(g, 0.5, 0.0, (1.0,))
+    model = two_state_model()
+    driver = flat_driver(g, model)
+    message = build_message_problem(model, lambda t, i: 0.5, 1, g)
+    sol = ChainSolution(g, np.zeros((g.n_nodes, 2)), "markov-ode")
+    zero = lambda t, w, y, z: np.zeros(y.shape)  # noqa: E731
+    return {
+        "simulate_brownian": lambda v: simulate_brownian(g, 5, 1, v),
+        "simulate_chain": lambda v: simulate_chain(model, 1.0, 5, v),
+        "simulate_killed_chain": lambda v: simulate_killed_chain(model, lambda t, i: 0.5, 1, 1.0, 5, v, 0.5),
+        "picard": lambda v: solve_chain_bsde(message, "picard", g, paths=5, seed=v),
+        "check_gamma_balanced": lambda v: check_gamma_balanced(driver, model, 5, seed=v),
+        "check_uniform_lipschitz": lambda v: check_uniform_lipschitz(zero, 10, seed=v),
+        "comparison_experiment": lambda v: comparison_experiment(prob, prob, W, seed=v),
+        "bounded_solution_check": lambda v: bounded_solution_check(prob, 1.0, W, seed=v),
+        "value_at": lambda v: sol.value_at(0.5, v),
+    }
+
+
+@pytest.mark.parametrize("value", [-1, 2.5, True], ids=["negative", "fraction", "bool"])
+@pytest.mark.parametrize("entry", sorted(_integer_entry_points()))
+def test_seeds_and_states_are_non_negative_integers(entry, value):
+    # unchecked, a seed of -1 raised a bare ValueError, 2.5 a bare TypeError,
+    # and True ran as seed 1; a state of 1.5 raised IndexError and True ValueError
+    if entry == "value_at":
+        error, what = DomainError, "value_at state"
+    else:
+        error, what = PreconditionError, "seed"
+    with pytest.raises(error, match=f"{what} must be a non-negative integer, got {value!r}"):
+        _integer_entry_points()[entry](value)
 
 
 # ---------------------------------------------------------------------------

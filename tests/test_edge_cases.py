@@ -80,7 +80,7 @@ def test_exit_problem_cross_scheme_agreement():
     )
     W = simulate_brownian(g, 10_000, 1, seed=3)
     lsmc = solve_lsmc(prob, W, basis="bins")
-    picard = solve_picard_oracle(prob, W, iterations=2, n_space=401)
+    picard = solve_picard_oracle(prob, W, iterations=2)
     # symmetric interval: both routes near (1 - survival)/2, well inside 1/2
     assert abs(lsmc.y0() - picard.y0()) <= 0.02
     assert 0.4 < lsmc.y0() < 0.5

@@ -214,6 +214,33 @@ def test_closed_form_trivial_cases():
     assert closed_form_linear(r0, u0, PolynomialPayoff((0.0, 0.0, 1.0)), 1.0) == pytest.approx(1.0)
 
 
+def test_closed_form_integrates_up_to_the_horizon():
+    # the integrals stopped at the last node at or below T: e^0.5 at T = 0.55
+    g = grid_uniform(1.0, 11)
+    one, zero = path(g, 1.0), path(g, 0.0)
+    assert closed_form_linear(one, zero, PolynomialPayoff((1.0,)), 0.55) == pytest.approx(math.exp(0.55), rel=1e-14)
+    # r = 1 + t and u = 2 t: int_0^T r = T + T^2 / 2, and E[G^2] = (T^2)^2 + T for G ~ N(-T^2, T)
+    r, u = path(g, 1.0 + g.nodes), path(g, 2.0 * g.nodes)
+    T = 0.37
+    want = math.exp(T + T * T / 2.0) * (T**4 + T)
+    assert closed_form_linear(r, u, PolynomialPayoff((0.0, 0.0, 1.0)), T) == pytest.approx(want, rel=1e-14)
+    # at a node, and within 1e-12 of it, no point is added: the trapezoid over the nodes
+    for T in (1.0, 1.0 - 5e-13, 0.5):
+        upto = g.nodes <= T + 1e-12
+        rr = np.trapezoid(r.values[upto], g.nodes[upto])
+        uu = np.trapezoid(u.values[upto], g.nodes[upto])
+        want = math.exp(rr) * (uu * uu + T)
+        assert closed_form_linear(r, u, PolynomialPayoff((0.0, 0.0, 1.0)), T) == want
+
+
+@pytest.mark.parametrize("T", [-1.0, math.nan], ids=["negative", "nan"])
+def test_closed_form_rejects_a_negative_or_nan_horizon(T):
+    # unchecked, -1 gave 1.0 for payoff 1 and -1.0 for x^2, and NaN gave 1.0
+    g = grid_uniform(1.0, 11)
+    with pytest.raises(PreconditionError, match="horizon must be non-negative"):
+        closed_form_linear(path(g, 1.0), path(g, 0.0), PolynomialPayoff((0.0, 0.0, 1.0)), T)
+
+
 def test_closed_form_sign_convention_vs_picard():
     # r = 0.1, u = 0, xi = 1: the added-martingale convention discounts with
     # exp(+0.1); the fixed-point oracle must agree before the closed form is
@@ -489,7 +516,7 @@ def test_comparison_identical():
     prob = martingale_problem(g, (0.5,))
     W = simulate_brownian(g, 1000, 1, seed=14)
     rep = comparison_experiment(prob, prob, W)
-    assert rep.passed and rep.min_gap_pathwise == pytest.approx(0.0, abs=1e-12)
+    assert rep.violating_nodes == 0 and rep.min_gap_pathwise == pytest.approx(0.0, abs=1e-12)
 
 
 def test_comparison_constant_terminals():
@@ -498,7 +525,7 @@ def test_comparison_constant_terminals():
     prob_b = martingale_problem(g, (0.0,))
     W = simulate_brownian(g, 1000, 1, seed=15)
     rep = comparison_experiment(prob_a, prob_b, W)
-    assert rep.passed
+    assert rep.violating_nodes == 0
     assert np.allclose(rep.node_means, 1.0, atol=1e-10)
 
 
@@ -518,7 +545,7 @@ def test_comparison_dominated_pair():
     prob_b = replace(base, driver=decay, payoff=lambda tau, w: np.zeros(tau.shape))
     W = simulate_brownian(g, 10_000, 1, seed=16)
     rep = comparison_experiment(prob_a, prob_b, W)
-    assert rep.passed and rep.violating_nodes == 0
+    assert rep.violating_nodes == 0
     # Y_0 is the same on every path, so its gap has no spread at all
     assert rep.node_ses[0] == 0.0
 
@@ -565,7 +592,7 @@ def test_bounded_solution_zero_terminal():
     prob = _cubic_problem(g, lambda tau, w: np.zeros(tau.shape))
     W = simulate_brownian(g, 2000, 1, seed=17)
     rep = bounded_solution_check(prob, 1.0, W)
-    assert rep.passed and rep.sup_abs_y <= 1e-10
+    assert rep.sup_abs_y <= 1e-10
 
 
 def test_bounded_solution_sign_terminal():
@@ -574,7 +601,6 @@ def test_bounded_solution_sign_terminal():
     W = simulate_brownian(g, 8000, 1, seed=18)
     rep = bounded_solution_check(prob, 1.0, W)
     assert rep.sup_abs_y <= 1.0 + 0.02
-    assert rep.passed
     # E int |Z|^2 stays bounded along the grid
     assert np.all(np.isfinite(rep.z_accumulation))
     assert rep.z_accumulation[-1] < 10.0

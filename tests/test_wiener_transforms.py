@@ -285,7 +285,7 @@ def test_transform_linear_z_driver():
 
 
 def test_lipschitz_ratio_zero_driver():
-    assert check_uniform_lipschitz(lambda t, w, y, z: np.zeros(y.shape), 1000, 2.0) == 0.0
+    assert check_uniform_lipschitz(lambda t, w, y, z: np.zeros(y.shape), 1000) == 0.0
 
 
 def test_lipschitz_ratio_transformed_vs_raw():
@@ -293,9 +293,9 @@ def test_lipschitz_ratio_transformed_vs_raw():
     prob = linear_problem(g, 2.0, 0.0, (1.0,), eps=1.0)
     clock = build_phi(prob.coeffs, IncreasingProcess.identity(g))
     tp = transform_driver(prob, clock)
-    ratio_t = check_uniform_lipschitz(tp.problem.driver, 2000, 2.0, t_range=(0.0, 2.0), seed=4)
+    ratio_t = check_uniform_lipschitz(tp.problem.driver, 2000, t_range=(0.0, 2.0), seed=4)
     assert ratio_t == pytest.approx(1.0, abs=1e-12)
-    ratio_raw = check_uniform_lipschitz(prob.driver, 2000, 2.0, seed=4)
+    ratio_raw = check_uniform_lipschitz(prob.driver, 2000, seed=4)
     assert ratio_raw == pytest.approx(2.0, abs=1e-12)
 
 
@@ -305,9 +305,7 @@ def test_lipschitz_ratio_time_varying_never_exceeds_one():
     clock = build_phi(prob.coeffs, IncreasingProcess.identity(g))
     tp = transform_driver(prob, clock)
     horizon = clock.forward.values[-1]
-    ratio = check_uniform_lipschitz(
-        tp.problem.driver, 4000, 3.0, t_range=(0.0, float(horizon)), seed=9
-    )
+    ratio = check_uniform_lipschitz(tp.problem.driver, 4000, t_range=(0.0, float(horizon)), seed=9)
     assert ratio <= 1.0 + 1e-9
 
 
