@@ -12,8 +12,10 @@ the wrapped right-hand side and the per-step interpolant objects.
 Every stage sum, error estimate and interpolant stays the NumPy ``dot`` that
 SciPy makes (a pure-Python stage sum rounds differently), called as the
 array method; only scalar time and step-size arithmetic runs on Python
-floats, where each operation is rounded once exactly as in NumPy.  The
-tableau is SciPy's own.  Work whose result SciPy recomputes is done once:
+floats, where each operation is rounded once exactly as in NumPy.  Scaling
+by ``h``, adding ``y`` and dividing by the error scale run in place on the
+fresh result of a ``dot``, as IEEE sums and products commute.  The tableau
+is SciPy's own.  Work whose result SciPy recomputes is done once:
 the accepted step's ``abs(y_new)`` is the next step's ``abs(y)``, and
 ``t_eval`` is searched only in a step that holds an evaluation time.
 """
@@ -87,13 +89,23 @@ def rk45(fun, t_end: float, y0: np.ndarray, t_eval: np.ndarray, rtol: float, ato
             h_abs = h
             K[0] = f
             for s, (c, Ks, a) in enumerate(stages, start=1):
-                K[s] = fun(t + c * h, y + Ks.dot(a) * h)
-            y_new = y + h * KT_stages.dot(_B)
+                v = Ks.dot(a)
+                v *= h
+                v += y
+                K[s] = fun(t + c * h, v)
+            y_new = KT_stages.dot(_B)
+            y_new *= h
+            y_new += y
             f_new = K[-1] = fun(t + h, y_new)  # not t_new: SciPy rounds t + h again
             nfev += 6
             abs_y_new = np.abs(y_new)
-            scale = atol + np.maximum(abs_y, abs_y_new) * rtol
-            error_norm = _rms(KT.dot(_E) * h / scale)
+            scale = np.maximum(abs_y, abs_y_new)
+            scale *= rtol
+            scale += atol
+            err = KT.dot(_E)
+            err *= h
+            err /= scale
+            error_norm = _rms(err)
             if error_norm < 1:
                 factor = _MAX_FACTOR
                 if error_norm:

@@ -486,8 +486,8 @@ def check_gamma_balanced(
     """Probe the four balance requirements; report the worst violation of each.
 
     Each probe draws t on ``[0, t_max]`` (``t_max`` positive and finite),
-    the state, y, z, z' and the shift in that order and calls ``eta``,
-    ``f`` twice and the shifted ``eta``.  The rates at every probe's time
+    the state, then y, z, z' and the shift in one uniform draw, and calls
+    ``eta``, ``f`` twice and the shifted ``eta``.  The rates at every probe's time
     are then read in one call, and each probe takes its state's column.
     The worst values are reductions over the stacked probes, so a NaN
     anywhere gives a NaN field and fails the check.
@@ -502,16 +502,14 @@ def check_gamma_balanced(
     for _ in range(probes):
         t = float(rng.uniform(0.0, t_max))
         x = int(rng.integers(0, N))
-        y = float(rng.uniform(-box, box))
-        z = rng.uniform(-box, box, size=N)
-        zp = rng.uniform(-box, box, size=N)
-        alpha = float(rng.uniform(-box, box))
+        v = rng.uniform(-box, box, size=2 * N + 2)
+        y, z, zp, alpha = float(v[0]), v[1 : N + 1], v[N + 1 : 2 * N + 1], float(v[-1])
         ts.append(t)
         xs.append(x)
         etas.append(np.asarray(driver.eta(t, x, z, zp), dtype=float))
         lhss.append(driver.f(t, x, y, z) - driver.f(t, x, y, zp))
         dzs.append(z - zp)
-        shifted.append(driver.eta(t, x, z + alpha * np.ones(N), zp))
+        shifted.append(driver.eta(t, x, z + alpha, zp))
     ax = model.rates(np.array(ts))[np.arange(probes), :, xs]
     gaps = [lhs - float(dz @ (e - a)) for lhs, dz, e, a in zip(lhss, dzs, etas, ax)]
     eta = np.array(etas, dtype=float)
@@ -700,17 +698,18 @@ def _ode_solve(problem: ChainBSDEProblem, grid: TimeGrid):
 
     The state is ``[u_free, q_free]``: ``u`` is the value off the hitting set,
     ``q`` the probability of no hit by the horizon (terminal 1 off the set,
-    0 on it, no driver term).  Both share one rate evaluation per call.
+    0 on it, no driver term).  Both share one generator product per call.
 
     A clocked problem is solved as its base problem at ``s = inv(t)``, with
-    rates and driver scaled by ``w = 1 / alpha^2(s)``: each call makes one
-    scalar clock read (``inverse_density_at``) for the rates, the driver and
-    the terminal alike.  An unclocked problem is its own base, with
-    ``s = t`` and ``w = 1``.  The right-hand side writes the free states
-    into the state-by-column buffer through one ``(2, run)`` view per run of
-    consecutive free states, made once; its output is one copy of the
-    generator product's free rows, plus the driver terms, whose ``y`` is
-    the Python float of the state's entry of ``x``.
+    rates and driver scaled by ``w = 1 / alpha^2(s)``: each distinct time
+    makes one scalar clock read (``inverse_density_at``) for the rates, the
+    driver and the terminal alike (a step's last stage and closing call
+    share ``t + h``).  An unclocked problem is its own base, with ``s = t``
+    and ``w = 1``.  A base generator given as a stride-0 stack (constant in
+    time) at the base times of 0 and the horizon is read once per solve.
+    The free states fill the state-by-column buffer in one assignment, and
+    the output is one copy of the generator product's free rows, plus the
+    driver terms, whose ``y`` is the Python float of the state's entry of ``x``.
 
     The integrator is ``_rk45.rk45``, the Dormand-Prince 5(4) stepper of
     ``scipy.integrate.solve_ivp(method="RK45")`` repeated bit for bit.  Also
@@ -727,38 +726,37 @@ def _ode_solve(problem: ChainBSDEProblem, grid: TimeGrid):
     if not free.size:
         raise PreconditionError("every state is terminal; nothing to solve")
     n_free, free_list = free.size, free.tolist()
-    # runs of consecutive free states as (state slice, position slice) pairs:
-    # basic slices gather and scatter them for less than an index array
-    firsts = [k for k, i in enumerate(free_list) if k == 0 or free_list[k - 1] != i - 1]
-    runs = [
-        (slice(free_list[a], free_list[b - 1] + 1), slice(a, b))
-        for a, b in zip(firsts, firsts[1:] + [n_free])
-    ]
-    rows = runs[0][0] if len(runs) == 1 else free  # the free rows of the product
+    # the free rows: a basic slice, cheaper than an index array, when they are one run
+    one_run = free_list[-1] - free_list[0] + 1 == n_free
+    rows = slice(free_list[0], free_list[-1] + 1) if one_run else free
     rates, f, g = base.model.rates, base.driver.f, base.terminal_fn
     T = grid.t_end
+    # the base reads a time-constant matrix once: a stride-0 stack at two of its times
+    s_0, s_T = read(0.0)[0], read(T)[0]
+    A = rates(s_0) if rates(np.array([s_0, s_T])).strides[0] == 0 else None
 
     U = np.zeros((N, 2))  # columns u and q; C order fixes how the product below sums
-    # each run's (2, run) view of the columns u and q, the layout of x
-    fills = [(U.T[:, states], pos) for states, pos in runs]
+    last_r = s = w = AwT = None  # the last read, kept for a call at the same r
 
     def rhs(r, x):
-        s, a2 = read(T - r)
-        w = 1.0 / a2
-        X = x.reshape(2, n_free)
-        for view, pos in fills:
-            view[...] = X[:, pos]
-        for i in hit:
-            U[i, 0] = g(s, i)
+        nonlocal last_r, s, w, AwT
+        if r != last_r:
+            s, a2 = read(T - r)
+            w = 1.0 / a2
+            AwT = ((rates(s) if A is None else A) * w).T
+            for i in hit:
+                U[i, 0] = g(s, i)
+            last_r = r
+        U[rows] = x.reshape(2, n_free).T
         u = U[:, 0].copy()
         # fresh on every call, as the integrator keeps the last one it got
-        out = (rates(s) * w).T.dot(U)[rows].T.ravel()
+        out = AwT.dot(U)[rows].T.ravel()
         y = x.tolist()  # the free states' values, first in x
         for k, i in enumerate(free_list):
             out[k] += f(s, i, y[k], u) * w
         return out  # dx/dr = -dx/dt
 
-    x0 = np.concatenate(([g(read(T)[0], i) for i in free_list], np.ones(n_free)))
+    x0 = np.concatenate(([g(s_T, i) for i in free_list], np.ones(n_free)))
     r_eval = T - grid.nodes[::-1]
     try:
         y, nfev, steps, rejected = rk45(rhs, T, x0, r_eval, _ODE_RTOL, _ODE_ATOL)

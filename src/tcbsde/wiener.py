@@ -116,10 +116,10 @@ class BrownianEnsemble:
 def _path_nodes(W: BrownianEnsemble, idx: np.ndarray) -> np.ndarray:
     """The path values at non-decreasing nodes ``idx``, ``(P, idx.size, d)``.
 
-    The one running sum of the increments.  One ``(P, d)`` row holds every
-    path's value at one node; it steps from node 0 up to the highest wanted
-    node, each step added to every path at once, and is copied out at each
-    wanted node.  The values are those of ``np.cumsum`` along the steps
+    The one running sum of the increments, in the output: each wanted
+    node's ``(P, d)`` block is the previous one's plus the steps between
+    them, each step added to every path at once, up to the highest wanted
+    node.  The values are those of ``np.cumsum`` along the steps
     after a zero: each path's steps are added in order, and the first step
     is copied, not added to 0.0 (which would turn -0.0 into 0.0).  The
     result is read-only and node-major in memory, so each node's block is
@@ -137,16 +137,17 @@ def _path_nodes(W: BrownianEnsemble, idx: np.ndarray) -> np.ndarray:
         return W._node_read[1]
     inc = W.increments
     out = np.empty((idx.size,) + inc.shape[::2])
-    row = np.zeros(inc.shape[::2])  # the paths at node `node`
-    node = 0
+    prev, node = np.zeros(inc.shape[::2]), 0  # prev: the paths at node `node`
     for pos, want in enumerate(idx.tolist()):
+        row = out[pos]
+        if want == node:
+            row[...] = prev
         for j in range(node, want):
             if j == 0:
                 np.copyto(row, inc[:, 0])
             else:
-                np.add(row, inc[:, j], out=row)
-        node = want
-        out[pos] = row
+                np.add(row if j > node else prev, inc[:, j], out=row)
+        node, prev = want, row
     out = out.transpose(1, 0, 2)
     out.setflags(write=False)
     W._node_read = (np.array(idx), out)

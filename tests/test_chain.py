@@ -277,14 +277,24 @@ def _varying_rates(t):
     return rate_stack(t, [[-(1.0 + t), 0.5, 0.0], [1.0 + t, -1.0, 0.2], [0.0, 0.5, -0.2]])
 
 
-def _weighted_driver(grid):
+def _five_state_rates(t):
+    return rate_stack(t, [
+        [-(1.0 + t), 0.5, 0.0, 0.3, 0.2],
+        [0.4 + t, -1.0, 0.2, 0.0, 0.4],
+        [0.3, 0.2, -(0.3 + 0.5 * t), 0.4, 0.0],
+        [0.2, 0.0, 0.5 * t, -1.0, 0.2],
+        [0.1, 0.3, 0.1, 0.3, -0.8],
+    ])
+
+
+def _weighted_driver(grid, rates=_varying_rates, w=(1.0, 2.5, 0.5)):
     # every field nonzero: out of state 0 a rate off [gamma, 1/gamma] = [1/2, 2],
     # out of state 1 a dependence on z_0, and an f off the difference
     # identity by 0.1 z_0^2
-    w = np.array([1.0, 2.5, 0.5])
+    w = np.array(w)
 
     def eta(t, i, z, zp):
-        col = _varying_rates(t)[:, i]
+        col = rates(t)[:, i]
         if i == 0:
             return w * col
         if i == 1:
@@ -292,7 +302,7 @@ def _weighted_driver(grid):
         return col
 
     def f(t, i, y, z):
-        return float(z @ (eta(t, i, z, None) - _varying_rates(t)[:, i])) + 0.1 * z[0] ** 2 - (1.0 + 2.0 * t) * y
+        return float(z @ (eta(t, i, z, None) - rates(t)[:, i])) + 0.1 * z[0] ** 2 - (1.0 + 2.0 * t) * y
 
     return GammaBalancedDriver(
         f=f, eta=eta, gamma=0.5, c_path=SampledPath(grid, 1.0 + 2.0 * grid.nodes, LINEAR),
@@ -306,6 +316,9 @@ def _balance_case(case):
     if case == "constant":
         model = two_state_model(1.0, 2.0)
         return flat_driver(grid, model), model, 5.0
+    if case == "five-state":
+        drv = _weighted_driver(grid, _five_state_rates, (1.0, 2.5, 0.5, 1.0, 1.5))
+        return drv, MarkovChainModel(5, _five_state_rates, 0, rate_bound=10.0), 5.0
     drv = _weighted_driver(grid)
     model = MarkovChainModel(3, _varying_rates, 0, rate_bound=10.0)
     if case == "time-varying":
@@ -323,6 +336,8 @@ def _balance_case(case):
         ("time-varying", 3, 1),
         ("clocked", 200, 1),
         ("clocked", 3, 1),
+        ("five-state", 200, 1),
+        ("five-state", 5, 1),
     ],
 )
 def test_balance_reads_the_rates_once_and_keeps_its_report(case, probes, calls):

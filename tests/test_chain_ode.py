@@ -1,8 +1,9 @@
 """The backward ODE of ``solve_chain_bsde("markov-ode")``.
 
 A clocked problem is solved as its base problem read at ``s = inv(u)``, with
-one clock read per right-hand side; ``ode_reference`` evaluates the same
-problem closure by closure, and the two must agree bit for bit.
+one clock read per distinct right-hand-side time; ``ode_reference``
+evaluates the same problem closure by closure, and the two must agree bit
+for bit.
 """
 
 import math
@@ -134,11 +135,11 @@ def test_ode_matches_closure_reference(case):
 
 
 def test_clocked_rhs_reads_the_clock_once(monkeypatch):
-    # one scalar clock read per call, for the inverse and the density alike;
-    # the only SampledPath.at calls of the solve are the one array read of
-    # the generator check, at the grid nodes and at their inverse; the
-    # closures read the clock five times: rates twice, the driver twice and
-    # the terminal once
+    # one scalar clock read per distinct evaluation time, for the inverse and
+    # the density alike, and none at a repeated time: a step's last stage and
+    # its closing call both evaluate at t + h, so every step attempt repeats
+    # one time; the only SampledPath.at calls of the solve are the one array
+    # read of the generator check, at the grid nodes and at their inverse
     problem, grid = CASES["linear-loss"]()
     reads = [0]
     per_call = []
@@ -157,7 +158,7 @@ def test_clocked_rhs_reads_the_clock_once(monkeypatch):
         def rhs(r, x):
             before = reads[0]
             out = fun(r, x)
-            per_call.append(reads[0] - before)
+            per_call.append((r, reads[0] - before))
             return out
 
         return rk45(rhs, *args)
@@ -167,11 +168,53 @@ def test_clocked_rhs_reads_the_clock_once(monkeypatch):
     monkeypatch.setattr(SampledPath, "at", counting_at)
     monkeypatch.setattr(chain, "rk45", counting_rk45)
     sol = solve_chain_bsde(problem, "markov-ode", grid)
-    assert len(per_call) == sol.metadata["rhs_evaluations"] > 0
-    assert set(per_call) == {1}
+    meta = sol.metadata
+    assert len(per_call) == meta["rhs_evaluations"] > 0
+    times = [r for r, _ in per_call]
+    assert [n for _, n in per_call] == [int(k == 0 or r != times[k - 1]) for k, r in enumerate(times)]
+    assert sum(n == 0 for _, n in per_call) == meta["steps"] + meta["rejected_steps"]
     assert [type(t) for t in at_calls] == [np.ndarray, np.ndarray]
     assert np.array_equal(at_calls[0], grid.nodes)
     assert np.array_equal(at_calls[1], at(problem.clock.inverse, grid.nodes))
+
+
+def with_counted_rates(problem, seen):
+    # the base model's rate_fn, recording the dimension of each time argument
+    clocked = isinstance(problem, chain._ClockedChainProblem)
+    base = problem.base if clocked else problem
+    rate_fn = base.model.rate_fn
+
+    def counting(t):
+        seen.append(np.ndim(t))
+        return rate_fn(t)
+
+    base = replace(base, model=replace(base.model, rate_fn=counting))
+    return replace(problem, base=base) if clocked else base
+
+
+@pytest.mark.parametrize(
+    "case", ["constant-loss", "linear-loss", "quadratic-loss", "three-state-direct", "split-free-states"]
+)
+def test_markov_ode_reads_the_rates_once_per_solve_or_per_distinct_time(case):
+    problem, grid = CASES[case]()
+    seen = []
+    sol = solve_chain_bsde(with_counted_rates(problem, seen), "markov-ode", grid)
+    values, tail, nfev = reference_ode_solve(problem, grid, RTOL, ATOL)
+    assert np.array_equal(sol.state_values, values) and sol.metadata["tail_probability"] == tail
+    meta = sol.metadata
+    assert meta["rhs_evaluations"] == nfev
+    # the generator check and the constancy test read arrays
+    assert seen[:2] == [1, 1]
+    scalar = seen[2:]
+    assert set(scalar) <= {0}
+    if case == "split-free-states":
+        # time-varying: one read per distinct time, and a step attempt's last
+        # stage and closing call share theirs
+        assert len(scalar) == nfev - meta["steps"] - meta["rejected_steps"]
+    else:
+        # time-constant: read once, plus the m = N check of the constancy
+        # test on two-state chains, whatever the right-hand-side count
+        assert len(scalar) == (2 if problem.model.n_states == 2 else 1)
 
 
 def test_clocked_problem_views_follow_the_base():

@@ -60,6 +60,29 @@ def test_bit_equal_to_solve_ivp(system):
     assert_matches_scipy(*system)
 
 
+@st.composite
+def stiff_linear_systems(draw):
+    # eigenvalues of -300 to -2000 on a horizon of 0.5 to 1 put the explicit
+    # stepper at its stability limit, where the controller rejects steps
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Q = rng.normal(0.0, 1.0, (n, n))
+    k = 10.0 ** draw(st.floats(2.5, 3.0))
+    M = -k * (np.eye(n) + 0.5 * Q @ Q.T / n) + rng.normal(0.0, 1.0, (n, n))
+    t_end = draw(st.floats(0.5, 1.0))
+    t_eval = np.unique(np.concatenate(([0.0], np.sort(rng.uniform(0.0, t_end, 5)), [t_end])))
+    rtol = 10.0 ** draw(st.floats(-4.0, -2.0))
+    atol = 10.0 ** draw(st.floats(-7.0, -4.0))
+    return linear(M, rng.normal(0.0, 1.0, n)), t_end, rng.normal(0.0, 2.0, n), t_eval, rtol, atol
+
+
+@settings(max_examples=30, deadline=None)
+@given(stiff_linear_systems())
+def test_bit_equal_to_solve_ivp_through_rejected_steps(system):
+    _, rejected = assert_matches_scipy(*system)
+    assert rejected > 0
+
+
 def test_bit_equal_through_rejected_steps():
     # a stiff pull toward cos(t) makes the explicit stepper reject steps
     fun = lambda t, y: -800.0 * (y - np.array([math.cos(t), math.sin(t)]))  # noqa: E731

@@ -363,7 +363,7 @@ def test_path_nodes_are_the_values_at_the_index_bit_for_bit(
     ref = reference_path_values(inc)
     idx = [int(p * steps) for p in picks]
     idx += {"first": [0], "last": [steps], "both": [0, steps], "neither": []}[ends]
-    idx = np.array(sorted(set(idx)))
+    idx = np.array(sorted(idx))  # non-decreasing: a node may repeat
     W = BrownianEnsemble(grid=g, increments=inc, seed=seed)
     at_idx = wiener._path_nodes(W, idx)
     assert "values" not in W.__dict__
