@@ -27,7 +27,6 @@ from .timechange import (
     TimeGrid,
     build_clock_from_density,
     build_phi,
-    generalized_inverse,
     integrate_stieltjes,
     normalize_terminal_time,
     substitution_check,

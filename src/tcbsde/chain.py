@@ -704,7 +704,9 @@ def _ode_solve(problem: ChainBSDEProblem, grid: TimeGrid):
     rates and driver scaled by ``w = 1 / alpha^2(s)``: each distinct time
     makes one scalar clock read (``inverse_density_at``) for the rates, the
     driver and the terminal alike (a step's last stage and closing call
-    share ``t + h``).  An unclocked problem is its own base, with ``s = t``
+    share ``t + h``).  The hitting set's terminal values at the output
+    nodes take one array read of the nodes, bit-equal to the scalar reads.
+    An unclocked problem is its own base, with ``s = t``
     and ``w = 1``.  A base generator given as a stride-0 stack (constant in
     time) at the base times of 0 and the horizon is read once per solve.
     The free states fill the state-by-column buffer in one assignment, and
@@ -716,7 +718,8 @@ def _ode_solve(problem: ChainBSDEProblem, grid: TimeGrid):
     returns the number of right-hand-side evaluations and the numbers of
     accepted and rejected steps.
     """
-    if isinstance(problem, _ClockedChainProblem):
+    clocked = isinstance(problem, _ClockedChainProblem)
+    if clocked:
         base, read = problem.base, problem.clock.inverse_density_at
     else:
         base, read = problem, lambda t: (float(t), 1.0)
@@ -764,8 +767,9 @@ def _ode_solve(problem: ChainBSDEProblem, grid: TimeGrid):
         raise SchemeError(f"backward ODE integration failed: {exc}") from None
     values = np.empty((grid.n_nodes, N))
     values[:, free] = y[:n_free].T[::-1]  # on the forward grid
-    for j, t in enumerate(grid.nodes.tolist()):
-        s = read(t)[0]
+    # the base times of the nodes in one array read, with the scalar reads' bits
+    s_nodes = read(grid.nodes)[0] if clocked else grid.nodes
+    for j, s in enumerate(s_nodes.tolist()):
         for i in hit:
             values[j, i] = g(s, i)
     q = np.zeros(N)

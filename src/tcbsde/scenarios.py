@@ -313,8 +313,9 @@ def linear_equivalence(cfg: ExperimentConfig, b: ReportBundle) -> None:
     gap = float(np.max(np.abs(direct.Y - mapped.Y)))
     b.estimates["sup_gap_relative"] = gap / scale
     # the image target gives the transformed solve the direct solve's step
-    # variances; when they agree bit for bit the two schemes are one scheme,
-    # term for term, and sup_gap_relative measures rounding only
+    # variances; its time steps are the exact clock increments, trapezoid
+    # sums of alpha^2, against a driver read at the left node, so
+    # sup_gap_relative is the O(h) gap between the two Euler schemes
     b.metadata["step_variances_identical"] = str(np.array_equal(tp.state_var, W.grid.steps))
     b.verdicts.append(Verdict.check("sup_gap_relative", gap / scale, 0.03))
     b.verdicts.append(_oracle_not_diverging(direct, stretched))
@@ -526,12 +527,21 @@ def message_transmission_scenario(cfg: ExperimentConfig, b: ReportBundle) -> Non
         )
     )
 
+    horizon_tv = cfg.param("horizon_tv", 12.0)
     rep_tv = message_transmission(
         model, lambda t, i: 1.0 + t, source=0, target=1,
-        horizon=cfg.param("horizon_tv", 12.0), paths=P, seed=cfg.seed + 1,
+        horizon=horizon_tv, paths=P, seed=cfg.seed + 1,
     )
     b.estimates["reach_time_varying"] = rep_tv.reach_probability
     b.estimates["reach_time_varying_se"] = rep_tv.mc_se
+    # the integral of exp(-2t - t^2/2) over [0, horizon]: the hop at rate 1
+    # comes before the horizon and before the loss at rate 1 + t
+    exact_tv = math.exp(2.0) * math.sqrt(2.0 * math.pi) * 0.5 * (
+        math.erfc(math.sqrt(2.0)) - math.erfc((horizon_tv + 2.0) / math.sqrt(2.0))
+    )
+    b.verdicts.append(
+        Verdict.check("time_varying_closed_form", abs(rep_tv.reach_probability - exact_tv), 1e-6)
+    )
     b.verdicts.append(
         Verdict.check(
             "time_varying_vs_killed_mc",

@@ -1,22 +1,21 @@
-"""Discrete clocks, generalized inverses and time-changed paths.
+"""Discrete clocks, their exact inverses and time-changed paths.
 
-Everything here lives on finite time grids, interpolated linearly between
-nodes.  An increasing process with density ``alpha_sq`` against an integrator
-``v`` defines a clock
+Paths live on finite time grids, interpolated linearly between nodes.  A
+clock density ``alpha_sq``, positive and linear between its nodes, defines a
+clock
 
-    phi(t) = integral_0^t alpha_sq dv
+    phi(t) = integral_0^t alpha_sq ds
 
-whose generalized inverse
-
-    C(s) = inf{t : A(t) > s},    inf(empty set) = +inf
-
-maps the new time scale back.  Continuous-time identities (integral
-substitution, round trips, derivative reciprocity) become refinement-limit
-properties; ``substitution_check`` measures the discretization residual
-rather than pretending it is zero.
-
-Quadrature is left-point Stieltjes throughout, matching the predictable
-integrand convention of the stochastic integrals elsewhere in the package.
+that is quadratic between nodes and strictly increasing.  Its node values
+are trapezoid sums, and its inverse ``C = phi^{-1}``, which maps the new
+time scale back, is read in closed form between nodes (see
+:class:`TimeChangeMap`).  So the identities of the clock alone (round
+trips, derivative reciprocity) hold to rounding.  Those that integrate one
+sampled path against another, such as the integral substitution, are
+refinement-limit properties: ``substitution_check`` measures the
+discretization residual rather than pretending it is zero.  Its sums are
+left-point Stieltjes sums, matching the predictable integrand convention
+of the stochastic integrals elsewhere in the package.
 
 All types are immutable after construction and all operations are pure, so
 instances can be shared freely across threads and path ensembles.
@@ -44,6 +43,14 @@ def _readonly(a) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
+
+
+def _check_times(t: np.ndarray, lo: float, hi: float) -> None:
+    """The ``DomainError`` of a read at times ``t`` of a range ``[lo, hi]``, up to ``_SLACK`` past either end."""
+    if np.any(~np.isfinite(t)):
+        raise DomainError("evaluation at non-finite time")
+    if np.any(t < lo - _SLACK) or np.any(t > hi + _SLACK):
+        raise DomainError(f"evaluation outside grid range [{lo}, {hi}]")
 
 
 def _interval_index(nodes: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -247,12 +254,7 @@ class SampledPath:
             return np.float64(self._lookup(float(t)))
         nodes = self.grid.nodes
         t = np.asarray(t, dtype=float)
-        if np.any(~np.isfinite(t)):
-            raise DomainError("evaluation at non-finite time")
-        if np.any(t < nodes[0] - _SLACK) or np.any(t > nodes[-1] + _SLACK):
-            raise DomainError(
-                f"evaluation outside grid range [{nodes[0]}, {nodes[-1]}]"
-            )
+        _check_times(t, nodes[0], nodes[-1])
         if self.is_scalar:
             return np.interp(t, nodes, self.values)
         out = interp_columns(nodes, self.values, t.ravel())
@@ -310,19 +312,54 @@ class IncreasingProcess:
         return cls(SampledPath(grid, grid.nodes.copy(), LINEAR), eps=1.0)
 
 
+def _invert_clock(nodes: np.ndarray, phi: np.ndarray, a2: np.ndarray, u: np.ndarray):
+    """``(s, alpha_sq(s))`` with ``phi(s) = u`` for an array ``u`` inside the clock range.
+
+    The array form of ``TimeChangeMap``'s scalar read, with the same
+    operations in the same order, so the bits are the same: one search of
+    the clock's node values, then the closed form on each level's interval.
+    Levels inside the slack below the range read the first node, levels at
+    or past its top the last.  ``u`` is not checked here.
+    """
+    n = nodes.size
+    k = np.searchsorted(phi, u, side="right") - 1  # -1 below the clock, n - 1 at or past its top
+    j = np.clip(k, 0, n - 2)
+    t0, a = nodes.take(j), a2.take(j)
+    b = (a2.take(j + 1) - a) / (nodes.take(j + 1) - t0)
+    r = u - phi.take(j)
+    h = 2.0 * r / (a + np.sqrt(a * a + 2.0 * b * r))
+    s, d = t0 + h, a + b * h
+    for edge, i in ((k < 0, 0), (k == n - 1, n - 1)):
+        if edge.any():
+            s[edge], d[edge] = nodes[i], a2[i]
+    return s, d
+
+
 @dataclass(frozen=True)
 class TimeChangeMap:
-    """A clock, its generalized inverse on a target grid, and the clock density.
+    """A clock ``phi``, its inverse on a target grid, and the clock density.
 
-    ``density`` is ``alpha_sq`` against the integrator on the source grid, and
-    it is the only source of the time-change derivative: ``derivative_at``
-    composes ``1 / density(inverse(t))``, which keeps products like
-    ``derivative(t) * alpha_sq(inverse(t))`` at 1 to rounding.
+    ``density`` is ``alpha_sq`` on the source grid, positive and linear
+    between nodes, and ``forward`` holds ``phi(t) = integral_0^t alpha_sq ds``
+    at the source nodes.  So ``phi`` is quadratic between nodes, and the
+    reads evaluate it and its inverse exactly there.  On the interval from
+    ``t_k``, write ``alpha_sq = a + b h`` at ``t_k + h``.  Then
+    ``phi(t_k + h) = phi(t_k) + h (a + b h / 2)``, and the level ``u``, with
+    ``r = u - phi(t_k)``, is reached at
+
+        s = t_k + 2 r / (a + sqrt(a**2 + 2 b r)),
+
+    a form that stays stable as ``b -> 0``.  ``derivative_at`` is
+    ``1 / alpha_sq(s)``, the exact derivative of ``inverse_at``, so
+    products like ``derivative(u) * alpha_sq(inverse(u))`` are 1 to
+    rounding.  ``inverse`` holds the inverse at the target nodes, for
+    ``crossing``; a target node past the clock's top holds ``+inf``, the
+    infimum of an empty set, which ``crossing`` rejects.
     """
 
     forward: IncreasingProcess
     inverse: SampledPath
-    density: SampledPath  # alpha_sq against v, on the source grid
+    density: SampledPath  # alpha_sq on the source grid
 
     @property
     def source_grid(self) -> TimeGrid:
@@ -332,11 +369,42 @@ class TimeChangeMap:
     def target_grid(self) -> TimeGrid:
         return self.inverse.grid
 
-    def forward_at(self, t):
-        return self.forward.at(t)
+    @cached_property
+    def _scalar_table(self) -> tuple[list, list, list]:
+        """Source nodes, clock values and densities as Python floats, for the scalar read.
 
-    def inverse_at(self, s):
-        return self.inverse.at(s)
+        The lists of the forward's and the density's own ``_scalar_table``:
+        a clock keeps no copy of its own.
+        """
+        nodes, phi = self.forward.path._scalar_table
+        return nodes, phi, self.density._scalar_table[1]
+
+    def forward_at(self, t):
+        """``phi`` at time(s) ``t`` of the source grid, quadratic between nodes, up to ``1e-12`` past either end."""
+        nodes, phi, a2 = self.source_grid.nodes, self.forward.values, self.density.values
+        t = np.asarray(t, dtype=float)
+        _check_times(t, nodes[0], nodes[-1])
+        n = nodes.size
+        k = np.searchsorted(nodes, t, side="right") - 1
+        j = np.clip(k, 0, n - 2)
+        h = t - nodes[j]
+        b = (a2[j + 1] - a2[j]) / (nodes[j + 1] - nodes[j])
+        out = np.where(k < 0, phi[0], np.where(k == n - 1, phi[-1], phi[j] + h * (a2[j] + 0.5 * b * h)))
+        return out[()]
+
+    def _read(self, u) -> tuple:
+        """``inverse_density_at`` in NumPy types: ``float64`` scalars for one time."""
+        u = np.asarray(u, dtype=float)
+        if u.ndim:
+            return self.inverse_density_at(u)
+        s, d = self.inverse_density_at(float(u))
+        return np.float64(s), np.float64(d)
+
+    def inverse_at(self, u):
+        return self._read(u)[0]
+
+    def derivative_at(self, u):
+        return 1.0 / self._read(u)[1]
 
     def crossing(self, direction: str, grid: TimeGrid) -> tuple[np.ndarray, TimeGrid]:
         """Query times and output grid for carrying values on ``grid`` across the clock.
@@ -365,9 +433,6 @@ class TimeChangeMap:
             )
         return times, out
 
-    def derivative_at(self, s):
-        return 1.0 / self.density.at(self.inverse.at(s))
-
     def density_at(self, t):
         return self.density.at(t)
 
@@ -375,16 +440,36 @@ class TimeChangeMap:
         """``(s, alpha_sq(s))`` with ``s = inverse(u)``: the one clock read of the transformed coefficients.
 
         The transformed coefficients are the base ones at ``s`` scaled by
-        ``1 / alpha_sq(s)``.  One time gives two Python floats, read by
-        ``_lookup`` without NumPy; an array of times gives two arrays of its
-        shape.  Either way the bits and the ``DomainError`` are those of
-        ``inverse_at`` followed by ``density_at``.
+        ``1 / alpha_sq(s)``.  Each read makes one interval search of the
+        clock's node values and evaluates the closed form of the class
+        docstring there, with ``alpha_sq(s) = a + b h``.  One time gives two
+        Python floats, read without NumPy from ``_scalar_table``; an array
+        of times gives two arrays of its shape, read by ``_invert_clock``.
+        Both do the same arithmetic, so their bits agree, and both raise
+        ``SampledPath.at``'s ``DomainError`` for the clock range
+        ``[0, phi(T)]``, up to ``1e-12`` past either end.
         """
         if isinstance(u, np.ndarray) and u.ndim:
-            s = self.inverse.at(u)
-            return s, self.density.at(s)
-        s = self.inverse._lookup(float(u))
-        return s, self.density._lookup(s)
+            nodes, phi = self.source_grid.nodes, self.forward.values
+            u = np.asarray(u, dtype=float)
+            _check_times(u, phi[0], phi[-1])
+            return _invert_clock(nodes, phi, self.density.values, u)
+        ts, ps, ds = self._scalar_table
+        u = float(u)
+        if not ps[0] - _SLACK <= u <= ps[-1] + _SLACK:
+            if not math.isfinite(u):
+                raise DomainError("evaluation at non-finite time")
+            raise DomainError(f"evaluation outside grid range [{ps[0]}, {ps[-1]}]")
+        k = bisect_right(ps, u)  # how many clock nodes lie at or below u
+        if not k:  # inside the slack below the clock
+            return ts[0], ds[0]
+        if k == len(ps):
+            return ts[-1], ds[-1]
+        t0, a = ts[k - 1], ds[k - 1]
+        b = (ds[k] - a) / (ts[k] - t0)
+        r = u - ps[k - 1]
+        h = 2.0 * r / (a + math.sqrt(a * a + 2.0 * b * r))
+        return t0 + h, a + b * h
 
     @classmethod
     def identity(cls, grid: TimeGrid) -> "TimeChangeMap":
@@ -393,6 +478,30 @@ class TimeChangeMap:
             inverse=SampledPath(grid, grid.nodes.copy(), LINEAR),
             density=SampledPath(grid, np.ones(grid.n_nodes), LINEAR),
         )
+
+
+@dataclass(frozen=True)
+class _SampledMap(TimeChangeMap):
+    """A map known by its samples alone: every read interpolates them linearly.
+
+    ``normalize_terminal_time`` returns one.  Its forward values are samples
+    of ``t / (1 + t)``, not the integral of its density, so the closed form
+    of :class:`TimeChangeMap` does not describe it.  Its inverse is read off
+    the samples of ``t / (1 - t)`` on the target grid instead.
+    """
+
+    def forward_at(self, t):
+        return self.forward.at(t)
+
+    def inverse_at(self, u):
+        return self.inverse.at(u)
+
+    def derivative_at(self, u):
+        return 1.0 / self.density.at(self.inverse.at(u))
+
+    def inverse_density_at(self, u):
+        s = self.inverse.at(u)
+        return s, self.density.at(s)
 
 
 @dataclass(frozen=True)
@@ -458,10 +567,12 @@ class CoefficientProcesses:
 
 
 def integrate_stieltjes(h: SampledPath, v: IncreasingProcess) -> SampledPath:
-    """Running integral of ``h`` against ``dv`` by left-point Stieltjes sums.
+    """Running integral of ``h`` against ``dv`` at the grid nodes, by trapezoid sums.
 
-    ``h`` and ``v`` must share a grid.  The output is non-decreasing whenever
-    ``h >= 0`` and is continuous piecewise-linear in time.
+    ``h`` and ``v`` must share a grid.  Both are linear between nodes, so
+    on each step the integral is ``dv`` times the mean of ``h`` at its ends,
+    and the node values are exact up to rounding.  The output is
+    non-decreasing whenever ``h >= 0``.
     """
     if not h.grid.same_as(v.grid):
         raise StructuralError("integrand and integrator live on different grids")
@@ -470,12 +581,12 @@ def integrate_stieltjes(h: SampledPath, v: IncreasingProcess) -> SampledPath:
     dv = np.diff(v.values)
     if np.any(dv < 0):
         raise InvariantError("integrator is decreasing")
-    out = np.concatenate([[0.0], np.cumsum(h.values[:-1] * dv)])
+    out = np.concatenate([[0.0], np.cumsum(0.5 * (h.values[:-1] + h.values[1:]) * dv)])
     return SampledPath(h.grid, out, LINEAR)
 
 
 def _integral_at(integral: SampledPath, h: SampledPath, x: SampledPath, t) -> np.ndarray:
-    # Continuous extension of the left-point sum: finished intervals plus
+    # Continuous extension of a left-point sum: finished intervals plus
     # h(left node) * (X(t) - X(left node)) on the straddled one.  Exact for
     # h == const.
     nodes = integral.grid.nodes
@@ -483,35 +594,6 @@ def _integral_at(integral: SampledPath, h: SampledPath, x: SampledPath, t) -> np
     idx = np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, nodes.size - 1)
     base = integral.values[idx]
     return base + h.values[idx] * (x.at(t) - x.values[idx])
-
-
-def generalized_inverse(A: IncreasingProcess, target: TimeGrid) -> SampledPath:
-    """Right-continuous inverse ``C(s) = inf{t : A(t) > s}`` sampled on ``target``.
-
-    Levels at or above ``sup A`` get the +inf sentinel (``inf`` of an empty
-    set), never an error.
-    """
-    nodes = A.grid.nodes
-    vals = A.values
-    s = target.nodes
-    out = np.empty(s.size)
-    k = np.searchsorted(vals, s, side="right")  # first index with A > s
-    overflow = k >= vals.size
-    out[overflow] = math.inf
-    ok = ~overflow
-    ki = k[ok]
-    si = s[ok]
-    res = np.empty(ki.size)
-    at_zero = ki == 0
-    res[at_zero] = nodes[0]
-    inner = ~at_zero
-    lo = ki[inner] - 1
-    hi = ki[inner]
-    denom = vals[hi] - vals[lo]
-    theta = np.where(denom > 0, (si[inner] - vals[lo]) / np.where(denom > 0, denom, 1.0), 1.0)
-    res[inner] = nodes[lo] + theta * (nodes[hi] - nodes[lo])
-    out[ok] = res
-    return SampledPath(target, out, LINEAR)
 
 
 def build_phi(
@@ -540,31 +622,36 @@ def build_clock_from_density(
 ) -> TimeChangeMap:
     """Clock from an explicit density path; shared by the Wiener and chain builds.
 
-    The map keeps ``alpha_sq`` as its density; the derivative of the inverse,
-    ``1 / alpha_sq(inverse(t))``, is composed from it on demand.
+    The clock integrates against ``dt``: ``v`` must be the identity on the
+    density's grid, as every build in the package passes it.  The density
+    must stay at or above ``eps > 0``, so the clock is strictly increasing.
+    The clock's node values are the trapezoid sums of
+    :func:`integrate_stieltjes`, exact for a density linear between nodes.
+    The map keeps ``alpha_sq`` as its density and reads the clock and its
+    inverse in closed form between nodes (see :class:`TimeChangeMap`).  The
+    inverse's values at the target nodes come from the same read; a target
+    node past the clock's top holds ``+inf``.
     """
     if not alpha_sq.grid.same_as(v.grid):
         raise StructuralError("density and integrator live on different grids")
+    if not np.array_equal(v.values, v.grid.nodes):
+        raise PreconditionError("the clock integrates against dt: the integrator must be the identity")
+    eps = check_positive("eps floor", eps, error=InvariantError)
+    a2 = alpha_sq.values
+    if np.any(a2 < eps * (1.0 - 1e-12)):
+        raise InvariantError("clock density falls below the declared eps floor")
     phi_path = integrate_stieltjes(alpha_sq, v)
-    dv = np.diff(v.values)
-    dt = v.grid.steps
-    slope_floor = eps * float(np.min(dv / dt))
-    forward = IncreasingProcess(phi_path, eps=max(slope_floor, 0.0))
+    forward = IncreasingProcess(phi_path, eps=eps)
+    phi = phi_path.values
     if target is None:
-        target = TimeGrid.uniform(float(phi_path.values[-1]), v.grid.n_nodes)
+        target = TimeGrid.uniform(float(phi[-1]), v.grid.n_nodes)
     elif target == "image":
-        target = TimeGrid(phi_path.values.copy())
-    inverse_raw = generalized_inverse(forward, target)
-    inv_vals = inverse_raw.values.copy()
-    # The strict inverse returns the +inf sentinel at s = sup(phi).  A
-    # strictly increasing clock continues past its sampled range, so the
-    # continuation value at the closed top of the range is the grid end.
-    sup = float(phi_path.values[-1])
-    at_top = ~np.isfinite(inv_vals) & (target.nodes <= sup * (1.0 + 1e-12) + 1e-300)
-    inv_vals[at_top] = v.grid.t_end
-    return TimeChangeMap(
-        forward=forward, inverse=SampledPath(target, inv_vals, LINEAR), density=alpha_sq
-    )
+        target = TimeGrid(phi.copy())
+    levels = target.nodes
+    inverse = np.full(levels.size, math.inf)
+    reached = levels <= phi[-1] + _SLACK
+    inverse[reached] = _invert_clock(v.grid.nodes, phi, a2, levels[reached])[0]
+    return TimeChangeMap(forward=forward, inverse=SampledPath(target, inverse, LINEAR), density=alpha_sq)
 
 
 def time_change_path(X: SampledPath, C: TimeChangeMap, direction: str) -> SampledPath:
@@ -636,7 +723,9 @@ def normalize_terminal_time(tau: float) -> TimeChangeMap:
     ``t / (1 - t)`` is sampled on the squashed range, and the density
     ``(1 + t)**-2`` of ``t / (1 + t)`` on the source grid gives its derivative
     ``(1 - t)**-2``, exact at both ends of the range (the density is linear
-    between source nodes).  A degenerate ``tau = 0`` yields a zero transformed horizon; the
+    between source nodes).  Its forward values are not the integral of that
+    density, so every read of the map interpolates its samples
+    (``_SampledMap``).  A degenerate ``tau = 0`` yields a zero transformed horizon; the
     map is still returned on a token positive range.
     """
     if not np.isfinite(tau) or tau < 0:
@@ -649,7 +738,7 @@ def normalize_terminal_time(tau: float) -> TimeChangeMap:
     tgt_end = horizon if horizon > 0 else 0.5
     tgt = TimeGrid.uniform(tgt_end, _TERMINAL_CLOCK_NODES)
     inv_vals = np.array([terminal_clock_inverse(s) for s in tgt.nodes])
-    return TimeChangeMap(
+    return _SampledMap(
         forward=forward,
         inverse=SampledPath(tgt, inv_vals, LINEAR),
         density=SampledPath(src, (1.0 + src.nodes) ** -2, LINEAR),

@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from tcbsde import chain
 from tcbsde.chain import (
@@ -138,16 +139,22 @@ def test_clocked_rhs_reads_the_clock_once(monkeypatch):
     # one scalar clock read per distinct evaluation time, for the inverse and
     # the density alike, and none at a repeated time: a step's last stage and
     # its closing call both evaluate at t + h, so every step attempt repeats
-    # one time; the only SampledPath.at calls of the solve are the one array
-    # read of the generator check, at the grid nodes and at their inverse
+    # one time.  The solve's own array read of the clock is the hitting set's
+    # terminal values', at the grid nodes (the generator check reads through
+    # the rate callback, bound before the patch), and nothing in the solve
+    # reads a SampledPath
     problem, grid = CASES["linear-loss"]()
     reads = [0]
     per_call = []
+    array_reads = []
     at_calls = []
     read, at = TimeChangeMap.inverse_density_at, SampledPath.at
 
     def counting_read(self, u):
-        reads[0] += 1
+        if isinstance(u, np.ndarray):
+            array_reads.append(u)
+        else:
+            reads[0] += 1
         return read(self, u)
 
     def counting_at(self, t):
@@ -156,9 +163,9 @@ def test_clocked_rhs_reads_the_clock_once(monkeypatch):
 
     def counting_rk45(fun, *args):
         def rhs(r, x):
-            before = reads[0]
+            before = reads[0], len(array_reads)
             out = fun(r, x)
-            per_call.append((r, reads[0] - before))
+            per_call.append((r, reads[0] - before[0], len(array_reads) - before[1]))
             return out
 
         return rk45(rhs, *args)
@@ -170,12 +177,46 @@ def test_clocked_rhs_reads_the_clock_once(monkeypatch):
     sol = solve_chain_bsde(problem, "markov-ode", grid)
     meta = sol.metadata
     assert len(per_call) == meta["rhs_evaluations"] > 0
-    times = [r for r, _ in per_call]
-    assert [n for _, n in per_call] == [int(k == 0 or r != times[k - 1]) for k, r in enumerate(times)]
-    assert sum(n == 0 for _, n in per_call) == meta["steps"] + meta["rejected_steps"]
-    assert [type(t) for t in at_calls] == [np.ndarray, np.ndarray]
-    assert np.array_equal(at_calls[0], grid.nodes)
-    assert np.array_equal(at_calls[1], at(problem.clock.inverse, grid.nodes))
+    times = [r for r, _, _ in per_call]
+    assert [n for _, n, _ in per_call] == [int(k == 0 or r != times[k - 1]) for k, r in enumerate(times)]
+    assert sum(n == 0 for _, n, _ in per_call) == meta["steps"] + meta["rejected_steps"]
+    assert all(m == 0 for _, _, m in per_call)
+    assert len(array_reads) == 1 and np.array_equal(array_reads[0], grid.nodes)
+    assert at_calls == []
+
+
+def test_clocked_tail_is_the_direct_tail():
+    # the no-hit tail through the clock of a loss 1 + t: the clock and its
+    # inverse are exact between nodes, so the transformed rates carry the
+    # original intensity and the tail is the sub-generator's, at 31 nodes
+    A = np.array([[-2.0, 1.0, 0.0], [1.5, -2.0, 0.0], [0.5, 1.0, 0.0]])
+    model = MarkovChainModel(3, lambda t: A, 0, rate_bound=2.0)
+    problem = build_message_problem(model, lambda t, i: 1.0 + t, 2, TimeGrid.uniform(3.0, 31))
+    clock = chain_clock(problem.driver.c_path, problem.driver.c2, target="image")
+    sol = solve_chain_bsde(transform_chain_problem(problem, clock), "markov-ode", clock.target_grid)
+    exact = expm(A[:2, :2] * 3.0)[:, 0].sum()
+    assert abs(sol.metadata["tail_probability"] - exact) <= 1e-8
+
+
+def test_clocked_message_value_is_the_closed_form():
+    # a unit hop against the loss 1 + t reaches the target with probability
+    # e^2 sqrt(2 pi) (Phi(T + 2) - Phi(2)), through the clock at 51 nodes
+    horizon = 8.0
+    problem, grid = clocked_message(lambda t, i: 1.0 + t, horizon=horizon, nodes=51)
+    sol = chain.map_chain_solution(solve_chain_bsde(problem, "markov-ode", grid), problem.clock)
+    exact = math.exp(2.0) * math.sqrt(2.0 * math.pi) * 0.5 * (
+        math.erfc(math.sqrt(2.0)) - math.erfc((horizon + 2.0) / math.sqrt(2.0))
+    )
+    assert abs(sol.value_at(0.0, 0) - exact) <= 1e-8
+
+
+def test_clocked_linear_loss_solve_rejects_few_steps():
+    # the clocked right-hand side is smooth between the clock's nodes and has
+    # no kink at them, so the stepper rejects almost no step; a sampled,
+    # linearly interpolated inverse put a slope jump at every node (92
+    # rejected steps of 308 attempts)
+    problem, grid = CASES["linear-loss"]()
+    assert solve_chain_bsde(problem, "markov-ode", grid).metadata["rejected_steps"] <= 5
 
 
 def with_counted_rates(problem, seen):

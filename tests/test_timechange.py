@@ -16,7 +16,6 @@ from tcbsde.timechange import (
     TimeGrid,
     build_clock_from_density,
     build_phi,
-    generalized_inverse,
     integrate_stieltjes,
     interp_columns,
     normalize_terminal_time,
@@ -187,62 +186,100 @@ def _read_or_error(read, u):
         return str(exc)
 
 
+@st.composite
+def clock_densities(draw):
+    """A random clock density, linear between nodes: 2 to 31 nodes, values in [1, 50]."""
+    steps = draw(st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=30))
+    grid = TimeGrid(np.concatenate([[0.0], np.cumsum(steps)]))
+    values = draw(st.lists(st.floats(1.0, 50.0), min_size=grid.n_nodes, max_size=grid.n_nodes))
+    return SampledPath(grid, np.array(values), LINEAR)
+
+
+def density_clock(alpha_sq, target=None):
+    return build_clock_from_density(alpha_sq, identity_process(alpha_sq.grid), 1.0, target=target)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    steps=st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=30),
-    density=st.lists(st.floats(1.0, 50.0), min_size=31, max_size=31),
-    target=st.sampled_from(["image", 1.0, 1.5]),
+    alpha_sq=clock_densities(),
+    target=st.sampled_from(["image", 0.5, 1.0, 1.5]),
     m=st.integers(2, 40),
     data=st.data(),
 )
-def test_inverse_density_read_matches_two_lookups(steps, density, target, m, data):
-    # the fused read against inverse.at then density.at: same bits, as Python
-    # floats for one time and as arrays for an array of times, and the same
-    # DomainError message, at every node, both ends, the 1e-12 slack on
-    # either side, beyond it and at non-finite times; a uniform target past
-    # the clock's top sends the inverse to +inf there
-    grid = TimeGrid(np.concatenate([[0.0], np.cumsum(steps)]))
-    a2 = np.array(density[: grid.n_nodes])
-    v = IncreasingProcess.identity(grid)
-    phi_end = float(np.sum(a2[:-1] * grid.steps))
-    tgt = target if target == "image" else TimeGrid.uniform(target * phi_end, m)
-    clock = build_clock_from_density(SampledPath(grid, a2, LINEAR), v, 1.0, target=tgt)
-    end = clock.target_grid.t_end
-    us = [float(x) for x in clock.target_grid.nodes]
-    us += [-1e-12, -5e-13, end + 5e-13, end + 1e-12, -2e-12, 2.0 * end + 1.0]
+def test_inverse_density_read_is_one_read_for_a_time_or_an_array(alpha_sq, target, m, data):
+    # one time gives two Python floats and an array of times two arrays of
+    # its shape, with the same bits and the same DomainError at every clock
+    # node, inside every interval, at both ends, in the 1e-12 slack on
+    # either side, beyond it and at non-finite times; inverse_at and
+    # derivative_at are the same read.  The inverse's values at the target
+    # nodes are the array read's, and +inf at a node past the clock's top
+    phi = density_clock(alpha_sq).forward.values
+    end = float(phi[-1])
+    tgt = target if target == "image" else TimeGrid.uniform(target * end, m)
+    clock = density_clock(alpha_sq, tgt)
+    us = phi.tolist() + (0.5 * (phi[:-1] + phi[1:])).tolist()
+    us += [-1e-12, -5e-13, end + 5e-13, end + 1e-12, -2e-12, end + 2e-12, 2.0 * end + 1.0]
     us += [math.nan, math.inf, -math.inf]
     us += data.draw(st.lists(st.floats(0.0, end), min_size=1, max_size=10))
 
-    def two_lookups(u):
-        s = clock.inverse.at(u)
-        return s, clock.density.at(s)
-
+    good = []
     for u in us:
+        ref = _read_or_error(clock.inverse_density_at, np.array([u]))
         for cast in (float, np.float64):
             got = _read_or_error(clock.inverse_density_at, cast(u))
-            ref = _read_or_error(two_lookups, cast(u))
             if isinstance(ref, str):
                 assert got == ref
                 continue
             assert type(got) is tuple and [type(x) for x in got] == [float, float]
             assert same_bits(got[0], ref[0]) and same_bits(got[1], ref[1])
+        if not isinstance(ref, str):
+            good.append(u)
+    assert _read_or_error(clock.inverse_density_at, 2.0 * end + 1.0) == (
+        f"evaluation outside grid range [0.0, {end}]"
+    )
 
-    # an array of the times that read: the bits of the two array lookups and
-    # of the reads one time at a time; one bad time among them, anywhere,
-    # gives the DomainError of its own read
-    good = [u for u in us if not isinstance(_read_or_error(two_lookups, u), str)]
+    # one bad time among the good ones, anywhere, gives the DomainError of its own read
     times = np.array(good)
-    got, ref = clock.inverse_density_at(times), two_lookups(times)
+    got = clock.inverse_density_at(times)
     assert [type(x) for x in got] == [np.ndarray, np.ndarray]
     assert got[0].shape == got[1].shape == times.shape
-    assert same_bits(got[0], ref[0]) and same_bits(got[1], ref[1])
     ones = [clock.inverse_density_at(u) for u in good]
     assert same_bits(got[0], [s for s, _ in ones]) and same_bits(got[1], [d for _, d in ones])
+    assert same_bits(clock.inverse_at(times), got[0]) and same_bits(clock.derivative_at(times), 1.0 / got[1])
     for u in us:
         one = _read_or_error(clock.inverse_density_at, u)
         if isinstance(one, str):
             with_bad = np.insert(times, data.draw(st.integers(0, times.size)), u)
             assert _read_or_error(clock.inverse_density_at, with_bad) == one
+
+    levels = clock.target_grid.nodes
+    reached = levels <= end + 1e-12
+    assert same_bits(clock.inverse.values[reached], clock.inverse_density_at(levels[reached])[0])
+    assert np.all(clock.inverse.values[~reached] == math.inf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha_sq=clock_densities(), data=st.data())
+def test_exact_clock_inverts_its_forward_and_differentiates(alpha_sq, data):
+    # forward_at(inverse_at(u)) is u to rounding anywhere in the clock range,
+    # and bit for bit at the clock's nodes, where the inverse is the source
+    # node itself.  derivative_at is the slope of inverse_at: a centred
+    # difference across a ten-thousandth of an interval's clock increment,
+    # at a point inside it, matches it to the difference's own error
+    clock = density_clock(alpha_sq)
+    nodes, a2, phi = alpha_sq.grid.nodes, alpha_sq.values, clock.forward.values
+    end = float(phi[-1])
+    assert same_bits(clock.inverse_at(phi), nodes)
+    assert same_bits(clock.forward_at(nodes), phi)
+    us = np.array(data.draw(st.lists(st.floats(0.0, end), min_size=1, max_size=20)))
+    rounding = 1e-14 * (end + float(np.max(a2)) * float(nodes[-1]))
+    assert np.max(np.abs(clock.forward_at(clock.inverse_at(us)) - us)) <= rounding
+
+    theta = data.draw(st.floats(0.1, 0.9))
+    mid = phi[:-1] + theta * np.diff(phi)
+    delta = 1e-4 * np.diff(phi)
+    centred = (clock.inverse_at(mid + delta) - clock.inverse_at(mid - delta)) / (2.0 * delta)
+    assert np.allclose(centred, clock.derivative_at(mid), rtol=1e-4, atol=0.0)
 
 
 def test_increasing_process_floor():
@@ -394,7 +431,7 @@ def test_integrate_linear_integrand_against_antiderivative():
     g = TimeGrid.uniform(1.0, 1001)
     h = SampledPath(g, g.nodes.copy(), LINEAR)
     out = integrate_stieltjes(h, identity_process(g))
-    assert abs(out.values[-1] - 0.5) <= 2e-3
+    assert abs(out.values[-1] - 0.5) <= 1e-12
 
 
 def test_integrate_grid_mismatch():
@@ -404,48 +441,49 @@ def test_integrate_grid_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# generalized_inverse
+# the clock's inverse
 # ---------------------------------------------------------------------------
 
 
 def test_inverse_linear_clock():
     g = TimeGrid.uniform(1.0, 101)
-    A = IncreasingProcess(SampledPath(g, 2.0 * g.nodes, LINEAR))
-    target = TimeGrid(np.array([0.0, 1.0, 1.5]))
-    C = generalized_inverse(A, target)
-    assert C.at(1.0) == pytest.approx(0.5, abs=1e-12)
+    clock = density_clock(const_path(g, 2.0), TimeGrid(np.array([0.0, 1.0, 1.5])))
+    assert clock.inverse_at(1.0) == pytest.approx(0.5, abs=1e-12)
+    assert np.allclose(clock.inverse.values, [0.0, 0.5, 0.75], rtol=0.0, atol=1e-12)
 
 
 def test_inverse_quadratic_clock():
-    # oracle: t + t^2 = 2  =>  t = (-1 + 3) / 2 = 1
-    g = TimeGrid.uniform(2.0, 2001)
-    A = IncreasingProcess(SampledPath(g, g.nodes + g.nodes**2, LINEAR))
-    target = TimeGrid(np.array([0.0, 2.0]))
-    C = generalized_inverse(A, target)
-    assert C.values[-1] == pytest.approx(1.0, abs=default_tolerance(g))
+    # oracle: t + t^2 = 2  =>  t = (-1 + 3) / 2 = 1, exact on 5 nodes, as the
+    # clock of the density 1 + 2t is quadratic between them
+    g = TimeGrid.uniform(2.0, 5)
+    clock = density_clock(SampledPath(g, 1.0 + 2.0 * g.nodes, LINEAR), TimeGrid(np.array([0.0, 2.0])))
+    assert clock.forward.values[-1] == pytest.approx(6.0, abs=1e-14)
+    assert clock.inverse.values[-1] == pytest.approx(1.0, abs=1e-14)
+    assert clock.inverse_at(0.75) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_inverse_overflow_sentinel():
+    # a target node past the clock's top reads +inf, the infimum of an empty
+    # set, in the inverse's values; a read there is outside the clock
     g = TimeGrid.uniform(1.0, 11)
-    A = identity_process(g)
-    target = TimeGrid(np.array([0.0, 0.5, 2.0]))
-    C = generalized_inverse(A, target)
-    assert math.isinf(C.values[-1])
-    assert C.values[1] == pytest.approx(0.5)
+    clock = density_clock(const_path(g, 1.0), TimeGrid(np.array([0.0, 0.5, 2.0])))
+    assert math.isinf(clock.inverse.values[-1])
+    assert clock.inverse.values[1] == pytest.approx(0.5)
+    with pytest.raises(DomainError, match="outside grid range"):
+        clock.inverse_at(2.0)
 
 
 @settings(max_examples=50, deadline=None)
 @given(
-    increments=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=30),
+    density=st.lists(st.floats(0.25, 4.0), min_size=2, max_size=30),
     levels=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=10),
 )
-def test_inverse_nondecreasing_property(increments, levels):
-    nodes = np.concatenate([[0.0], np.cumsum(np.full(len(increments), 0.25))])
-    vals = np.concatenate([[0.0], np.cumsum(increments)])
-    A = IncreasingProcess(SampledPath(TimeGrid(nodes), vals, LINEAR))
+def test_inverse_nondecreasing_property(density, levels):
+    g = TimeGrid(np.concatenate([[0.0], np.cumsum(np.full(len(density) - 1, 0.25))]))
+    alpha_sq = SampledPath(g, np.array(density), LINEAR)
     levels = sorted({0.0} | {lv for lv in levels if lv > 0.0} | {21.0})
-    C = generalized_inverse(A, TimeGrid(np.array(levels)))
-    finite = C.values[np.isfinite(C.values)]
+    clock = build_clock_from_density(alpha_sq, identity_process(g), 0.25, target=TimeGrid(np.array(levels)))
+    finite = clock.inverse.values[np.isfinite(clock.inverse.values)]
     assert np.all(np.diff(finite) >= -1e-12)
 
 
@@ -505,6 +543,18 @@ def test_build_phi_rejects_low_density():
     u = SampledPath(g, np.zeros(g.n_nodes), LINEAR)
     with pytest.raises(InvariantError):
         CoefficientProcesses(r=r, u=u, alpha_sq=r, eps=0.5)
+
+
+def test_clock_build_rejects_a_density_below_its_floor_or_another_integrator():
+    # the closed form needs a positive density and the clock integrates against dt
+    g = TimeGrid.uniform(1.0, 11)
+    with pytest.raises(InvariantError, match="eps floor"):
+        build_clock_from_density(SampledPath(g, 1.0 - g.nodes, LINEAR), identity_process(g), 0.5)
+    with pytest.raises(InvariantError, match="eps floor"):
+        build_clock_from_density(const_path(g, 1.0), identity_process(g), 0.0)
+    doubled = IncreasingProcess(SampledPath(g, 2.0 * g.nodes, LINEAR))
+    with pytest.raises(PreconditionError, match="identity"):
+        build_clock_from_density(const_path(g, 1.0), doubled, 0.5)
 
 
 def test_roundtrip_invariant():
