@@ -798,8 +798,8 @@ def solve_chain_bsde(
     ``paths`` simulated paths drawn from ``seed``, conditional expectations
     by state-indicator averaging, Z from least squares of Y-jumps on M-jumps
     (identified up to the bracket's null direction), which feeds the driver
-    and is not kept.  Its backward pass is step-major: each step reads one
-    contiguous row of the ``(nodes, paths)`` state and value arrays.
+    and is not kept; both come from counts of the paths' transitions.  It
+    checks the generator at all nodes but the last and rejects a non-finite ``c_path``.
     """
     if scheme == "markov-ode":
         if not problem.markovian:
@@ -856,26 +856,47 @@ def _fixed_point_cap(slope: float, first_residual: float, tol: float) -> int:
     return min(max(need, _FIXED_POINT_MIN_ITERATIONS), _FIXED_POINT_MAX_ITERATIONS)
 
 
-def _picard_solve(problem, grid, paths, seed):
-    """The ``picard`` scheme, step-major: each step reads contiguous rows.
+def _step_fits(ST: np.ndarray, stop: np.ndarray, A: np.ndarray, dt: np.ndarray):
+    """Counts ``n[j, i, k]`` of paths running at node j in state i and in k at j + 1, ``Q`` and scales.
 
-    The grid states ``ST`` and the path values ``YT`` are ``(nodes, paths)``
-    arrays, walked backward one row per step; ``path_states`` and ``path_Y``
-    are their transposes.  Only the free states run the fixed point: no
-    path still running sits in a hitting state, and the terminal gives its
-    value.  Each step selects a state's running paths from one key, the
-    state or -1 once stopped, and gathers their M-jumps from one ``(N, N)``
-    table, with the elementwise operations of ``eye[k] - eye[i] - A[:, i] dt``.
-    The fixed point steps on Python floats, and only the running paths'
-    values are written: the stopped ones already hold ``xi``.
+    ``Q[j, i] d / scale[j, i]`` minimises ``sum_k n_k (R_k z - d_k)^2``, the tall fit of Y-jumps
+    on M-jumps ``R_k = e_k - e_i - A[:, i] dt``, at least norm: one batched ``pinv`` at
+    ``lstsq``'s cutoff.  ``R`` is divided by its largest entry on an observed row first, so
+    that tiny rates neither overflow a kept ``1 / s`` nor lose bits to ``sqrt(n)``.
     """
-    model = problem.model
+    n, N = ST.shape[0], A.shape[1]
+    counts = np.empty((n - 1, N * N))
+    for j in range(n - 1):
+        code = ST[j] * N + ST[j + 1]
+        code[stop <= j] = N * N
+        counts[j] = np.bincount(code, minlength=N * N + 1)[:-1]
+    counts = counts.reshape(n - 1, N, N)
+    eye = np.eye(N)
+    R = (eye - eye[:, None, :]) - (np.swapaxes(A, 1, 2) * dt[:, None, None])[:, :, None, :]
+    root, rtol = np.sqrt(counts), np.finfo(float).eps * np.maximum(counts.sum(axis=2), N)
+    R = np.where(counts[..., None] > 0, R, 0.0)  # a row no path takes is no part of the fit
+    scale = np.abs(R).max(axis=(2, 3))
+    scale[scale == 0] = 1.0
+    M = root[..., None] * (R / scale[..., None, None])
+    return counts, np.linalg.pinv(M, rtol=rtol) * root[:, :, None, :], scale
+
+
+def _picard_solve(problem, grid, paths, seed):
+    """The ``picard`` scheme on transition counts: no step reads a path.
+
+    A path running at node j has ``Y_{j+1} = values[j+1, k]`` at its next state k (a path
+    stopping at j + 1 holds its hitting state's terminal), so ``_step_fits`` serves every step.
+    """
+    model, n, dt = problem.model, grid.n_nodes, grid.steps
     N = model.n_states
-    n = grid.n_nodes
-    dt = grid.steps
-    c_max = float(np.max(problem.driver.c_path.values))
+    c_path = problem.driver.c_path.values
+    if not np.isfinite(c_path).all():
+        raise PreconditionError("the Lipschitz bound c_path must be finite")
+    c_max = float(np.max(c_path))
     if np.any(dt * max(c_max, 1e-12) >= 1.0):
         raise SchemeError("per-step contraction fails: dt * Lipschitz >= 1")
+    A = model.rates(grid.nodes[:-1])
+    _check_generator(A, grid.nodes[:-1])
     log, _, _ = _thin(model, grid.t_end, paths, seed)
     S = log.states_at(grid.nodes)
     ST = S.T
@@ -883,11 +904,8 @@ def _picard_solve(problem, grid, paths, seed):
     truncated = float(np.mean(stop == n - 1))
     g = problem.terminal_fn
     nodes = grid.nodes.tolist()
-    stop_states = ST[stop, np.arange(paths)].tolist()
-    xi = np.array([g(nodes[k], i) for k, i in zip(stop.tolist(), stop_states)])
-
-    eye = np.eye(N)
-    YT = np.where(np.arange(n)[:, None] >= stop[None, :], xi[None, :], 0.0)
+    counts, Q, scale = _step_fits(ST, stop, A, dt)
+    running, scale = counts.sum(axis=2).tolist(), scale.tolist()
     values = np.zeros((n, N))
     values[n - 1] = [g(grid.t_end, i) for i in range(N)]
 
@@ -896,24 +914,14 @@ def _picard_solve(problem, grid, paths, seed):
     free = [i for i in range(N) if i not in problem.hitting_set]
     steps = dt.tolist()
     for j in range(n - 2, -1, -1):
-        t, dtj = nodes[j], steps[j]
-        A = model.rates(t)
-        active = stop > j
-        Sj, S_next, y_next = ST[j], ST[j + 1], YT[j + 1]
-        key = np.where(active, Sj, -1)  # the state of each running path, -1 once stopped
+        t, dtj, v = nodes[j], steps[j], values[j + 1]
         for i in free:
-            sel = np.flatnonzero(key == i)
-            if not sel.size:
-                values[j, i] = values[j + 1, i]
+            if not running[j][i]:
+                values[j, i] = v[i]
                 continue
-            ys = y_next[sel]
-            cond = float(ys.sum() / sel.size)  # np.mean's sum and division
-            # Z from regressing Y-jumps on M-jumps; bracket-null directions
-            # remain free, reporting uses the semi-norm.  Row k of the table
-            # is the M-jump of a step from i to k
-            dM = ((eye - eye[i]) - A[:, i] * dtj)[S_next[sel]]
-            dY = ys - cond
-            z, *_ = np.linalg.lstsq(dM, dY, rcond=None)
+            cond = float(counts[j, i] @ v) / running[j][i]
+            # bracket-null directions remain free, reporting uses the semi-norm
+            z = Q[j, i] @ (v - cond) / scale[j][i]
             y, cap = cond, _FIXED_POINT_MIN_ITERATIONS
             for k in range(1, _FIXED_POINT_MAX_ITERATIONS + 1):
                 y_new = cond + f(t, i, y, z) * dtj
@@ -937,8 +945,11 @@ def _picard_solve(problem, grid, paths, seed):
             values[j, i] = y
         for i in hit:
             values[j, i] = g(t, i)
-        np.copyto(YT[j], values[j, Sj], where=active)  # stopped paths already hold xi
 
+    YT = np.empty((n, paths))
+    for j in range(n):  # once stopped, a path keeps values[stop, its state there]
+        np.take(values[j], ST[j], out=YT[j])
+        np.copyto(YT[j], YT[j - 1], where=stop < j)
     return ChainSolution(
         grid=grid,
         state_values=values,

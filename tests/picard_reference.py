@@ -4,9 +4,12 @@
 pass went step-major: it reads the state grid column by column from a
 ``(paths, times)`` array, selects each state with a boolean mask, runs the
 inner loop over every state (hitting states included, whose selection is
-always empty) and finds the stop indices with ``np.isin``.  The grid states
-come from ``reference_states_at``, the path-major cumulative sum the batch
-used before.  The solver must agree with it bit for bit.
+always empty), fits Z by a tall ``np.linalg.lstsq`` on the selected paths'
+jumps and finds the stop indices with ``np.isin``.  The grid states come
+from ``reference_states_at``, the path-major cumulative sum the batch used
+before.  The solver, which works from transition counts, must agree with it
+to 1e-12 (relative above 1) on values, and exactly on states, stop indices,
+metadata and the non-convergence message.
 """
 
 import numpy as np

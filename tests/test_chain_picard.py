@@ -1,24 +1,30 @@
-"""The step-major Picard pass of ``solve_chain_bsde("picard")``.
+"""The Picard pass of ``solve_chain_bsde("picard")``, from transition counts.
 
 ``picard_reference`` keeps the path-major solver: boolean column masks, an
-inner loop over every state and ``np.isin`` stop indices.  The solver walks
-contiguous ``(nodes, paths)`` rows over the free states only, and must agree
-with it bit for bit on every output and on the failure message.
+inner loop over every state, a tall ``np.linalg.lstsq`` per (step, state)
+and ``np.isin`` stop indices.  The solver works from one count table and
+N-row solves, so its values agree with the reference to 1e-12 (relative to
+values above 1), its states, stop indices and metadata exactly, and its
+failure message word for word.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tcbsde.chain import (
     ChainBSDEProblem,
     GammaBalancedDriver,
     MarkovChainModel,
+    _step_fits,
+    _thin,
     solve_chain_bsde,
 )
 from tcbsde.errors import SchemeError
 from tcbsde.timechange import LINEAR, SampledPath, TimeGrid
 
-from picard_reference import reference_picard_solve
+from picard_reference import reference_picard_solve, reference_states_at, reference_stop_indices
 from util import per_time
 
 
@@ -125,10 +131,16 @@ PROBLEMS = {
 @pytest.mark.parametrize("build", PROBLEMS.values(), ids=PROBLEMS.keys())
 @pytest.mark.parametrize("seed", [1, 2])
 def test_picard_matches_path_major_reference_bit_for_bit(build, seed):
+    # the name is kept; the values now agree to 1e-12 (the count-weighted
+    # mean and the N-row solve round differently from the per-path ones),
+    # the states and stop indices still bit for bit
     problem, grid = build()
     got = solve_chain_bsde(problem, "picard", grid, paths=300, seed=seed)
     ref = reference_picard_solve(problem, grid, 300, seed)
-    for name in ("state_values", "path_Y", "path_states", "stop_idx"):
+    for name in ("state_values", "path_Y"):
+        g, r = getattr(got, name), getattr(ref, name)
+        assert np.all(np.abs(g - r) <= 1e-12 * np.maximum(1.0, np.abs(r))), name
+    for name in ("path_states", "stop_idx"):
         assert np.array_equal(getattr(got, name), getattr(ref, name)), name
     assert got.metadata == ref.metadata
     assert got.path_states.shape == got.path_Y.shape == (300, grid.n_nodes)
@@ -162,3 +174,74 @@ def test_non_convergence_raises_the_reference_message():
         reference_picard_solve(problem, grid, 100, 0)
     assert str(got.value) == str(ref.value)
     assert "did not converge" in str(got.value)
+
+
+@pytest.mark.parametrize("build", PROBLEMS.values(), ids=PROBLEMS.keys())
+def test_transition_counts_match_the_reference_masks(build):
+    problem, grid = build()
+    N, n = problem.model.n_states, grid.n_nodes
+    log, _, _ = _thin(problem.model, grid.t_end, 300, 1)
+    S = reference_states_at(log, grid.nodes)
+    stop = reference_stop_indices(S, problem.hitting_set, grid)
+    want = np.zeros((n - 1, N, N))
+    for j in range(n - 1):
+        for i in range(N):
+            sel = (stop > j) & (S[:, j] == i)
+            want[j, i] = np.bincount(S[sel, j + 1], minlength=N)
+    got, _, _ = _step_fits(S.T, stop, problem.model.rates(grid.nodes[:-1]), grid.steps)
+    assert np.array_equal(got, want)
+    # every path running at a step is counted once, and none in a hitting state
+    assert np.array_equal(got.sum(axis=(1, 2)), (stop[None, :] > np.arange(n - 1)[:, None]).sum(axis=1))
+    assert not got[:, sorted(problem.hitting_set)].any()
+
+
+_FIVE = {"min_size": 5, "max_size": 5}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    N=st.integers(2, 5),
+    i=st.integers(0, 4),
+    out=st.lists(st.floats(0.0, 3.0), **_FIVE),
+    n_k=st.lists(st.integers(0, 40), **_FIVE),
+    v=st.lists(st.floats(-5.0, 5.0), **_FIVE),
+    dt=st.floats(0.005, 0.2),
+)
+# a subnormal rate: unscaled, pinv's 1 / s overflows where lstsq gives 0
+@example(N=2, i=1, out=[2.2250738585072014e-308, 0, 0, 0, 0], n_k=[0] * 5, v=[0.0] * 5, dt=0.125)
+# a singular value 1e-14 of the largest, under lstsq's cutoff eps * 301 but
+# over pinv's default 1e-15
+@example(N=3, i=0, out=[0, 1.16e-13, 0, 0, 0], n_k=[300, 0, 1, 0, 0], v=[0.0, 0.0, 1.0, 0, 0], dt=0.005)
+def test_count_weighted_solve_is_the_tall_lstsq(N, i, out, n_k, v, dt):
+    # one state i with rates out of it, paths per next state, next values v
+    i = i % N
+    out, n_k, v = np.array(out[:N]), np.array(n_k[:N]), np.array(v[:N])
+    out[i] = 0.0
+    a = out.copy()
+    a[i] = -out.sum()
+    if not n_k.sum():
+        n_k[i] = 1
+
+    # one step of paths that all start in i and run on
+    rows = np.repeat(np.arange(N), n_k)
+    A = np.zeros((1, N, N))
+    A[0, :, i] = a
+    ST = np.stack([np.full(rows.size, i), rows])
+    counts, Q, scale = _step_fits(ST, np.ones(rows.size, dtype=int), A, np.array([dt]))
+    assert np.array_equal(counts[0, i], n_k)
+    cond = float(counts[0, i] @ v) / n_k.sum()
+    z = Q[0, i] @ (v - cond) / scale[0, i]
+
+    eye = np.eye(N)
+    dM = ((eye - eye[i]) - a * dt)[rows]
+    tall, *_ = np.linalg.lstsq(dM, v[rows] - cond, rcond=None)
+    # two backward-stable solves differ by up to about kappa * eps, so past a
+    # condition number of 100 (over the singular values lstsq keeps) the
+    # tolerance grows with it; in 100,000 random cases, some with rates down
+    # to 1e-320, the largest gap was an eighteenth of it
+    s = np.linalg.svd(dM, compute_uv=False)
+    s = s[s > s[0] * np.finfo(float).eps * max(rows.size, N)]
+    kappa = s[0] / s[-1] if s.size else 1.0
+    # equal up to the all-ones direction, which the bracket does not see
+    z, tall = z - z.mean(), tall - tall.mean()
+    assert np.max(np.abs(z - tall)) <= 1e-12 * max(1.0, kappa / 100) * max(1.0, np.max(np.abs(tall)))

@@ -167,6 +167,74 @@ def test_picard_matches_markov_ode_three_states():
     assert abs(y0_pic - y0_ode) <= 0.02 * max(abs(y0_ode), 1.0)
 
 
+def test_picard_matches_markov_ode_time_varying_rates():
+    # rates A (0.5 + 0.25 t), so rates(0) != rates(T); f = -c y + z.(0.8 A x - A x)
+    # and a terminal of 0 on the hitting state give
+    # u_free(0) = e^{-cT} expm(0.8 int_0^T (0.5 + 0.25 t) dt A_ff^T) 1, as the
+    # time factor is a scalar
+    A = np.array([[-2.0, 1.0, 0.0], [1.5, -2.0, 0.0], [0.5, 1.0, 0.0]])
+    T, c = 2.0, 0.3
+    grid = TimeGrid.uniform(T, 41)
+
+    def rates(t):
+        return A * np.asarray(0.5 + 0.25 * t)[..., None, None]
+
+    def eta(t, i, z, zp):
+        return 0.8 * rates(t)[:, i]
+
+    def f(t, i, y, z):
+        return -c * y + float(z @ (eta(t, i, z, None) - rates(t)[:, i]))
+
+    problem = ChainBSDEProblem(
+        model=MarkovChainModel(3, rates, 0, rate_bound=3.0),
+        driver=GammaBalancedDriver(
+            f=f, eta=eta, gamma=0.8,
+            c_path=SampledPath(grid, np.full(grid.n_nodes, c), LINEAR),
+            c1=0.0, c2=0.0, beta_hat=0.0, beta=1.0, beta_tilde=1.0,
+            k1=lambda t: 1.0, k2=lambda t: 1.0,
+        ),
+        hitting_set=frozenset({2}),
+        terminal_fn=lambda t, i: 0.0 if i == 2 else 1.0,
+        markovian=True,
+    )
+    assert not np.array_equal(problem.model.rates(0.0), problem.model.rates(T))
+    exact = math.exp(-c * T) * (expm(0.8 * (0.5 * T + 0.125 * T * T) * A.T[:2, :2]) @ np.ones(2))[0]
+    y0_ode = solve_chain_bsde(problem, "markov-ode", grid).state_values[0, 0]
+    assert y0_ode == pytest.approx(exact, rel=1e-6)
+    y0_pic = solve_chain_bsde(problem, "picard", grid, paths=4000, seed=3).state_values[0, 0]
+    # twice the largest |picard - ode| over twelve other seeds (100-111)
+    assert abs(y0_pic - y0_ode) <= 0.021
+
+
+def test_picard_rejects_a_non_finite_lipschitz_path():
+    # max(nan, 1e-12) is nan and dt * nan >= 1 is False, so the contraction
+    # guard alone lets a NaN node through
+    grid = TimeGrid.uniform(2.0, 21)
+    for bad in (math.nan, math.inf):
+        prob = constant_terminal_problem(line_model(), grid)
+        c = np.zeros(grid.n_nodes)
+        c[5] = bad
+        prob.driver.c_path = SampledPath(grid, c, LINEAR)
+        with pytest.raises(PreconditionError, match="c_path must be finite"):
+            solve_chain_bsde(prob, "picard", grid, paths=50, seed=0)
+
+
+@pytest.mark.parametrize("scheme, paths", [("markov-ode", None), ("picard", 200)])
+def test_generator_is_checked_at_the_grid_nodes(scheme, paths):
+    # the rates break at one interior node only, a time thinning never draws
+    grid = TimeGrid.uniform(2.0, 21)
+    bad_t = float(grid.nodes[7])
+    A = np.array([[-1.0, 0.0], [1.0, 0.0]])
+
+    def rates(t):
+        return A * np.where(np.asarray(t) == bad_t, -1.0, 1.0)[..., None, None]
+
+    model = MarkovChainModel(2, rates, 0, rate_bound=1.0)
+    problem = constant_terminal_problem(model, grid)
+    with pytest.raises(InvariantError, match=f"negative off-diagonal rate at t={bad_t}"):
+        solve_chain_bsde(problem, scheme, grid, paths=paths, seed=0)
+
+
 def test_picard_fixed_point_cap():
     # f = -L y with a declared c_path of 1 passes the contraction guard
     # (dt * 1 = 0.1 < 1) whatever the true per-step slope -L * dt is
