@@ -53,7 +53,6 @@ from .errors import (
 )
 from .timechange import (
     LINEAR,
-    IncreasingProcess,
     SampledPath,
     TimeChangeMap,
     TimeGrid,
@@ -542,9 +541,7 @@ def chain_clock(
     dens = np.maximum.reduce(
         [c_path.values, np.full(c_path.values.shape, max(c2, 0.0)), np.ones(c_path.values.shape)]
     )
-    return build_clock_from_density(
-        c_path.with_values(dens), IncreasingProcess.identity(c_path.grid), eps=1.0, target=target
-    )
+    return build_clock_from_density(c_path.with_values(dens), eps=1.0, target=target)
 
 
 def _require_contracting_clock(clock: TimeChangeMap) -> None:

@@ -146,6 +146,8 @@ class TimeGrid:
         object.__setattr__(self, "nodes", _readonly(self.nodes))
         if self.nodes.ndim != 1 or self.nodes.size < 2:
             raise InvariantError("TimeGrid needs at least 2 one-dimensional nodes")
+        if not np.all(np.isfinite(self.nodes)):
+            raise InvariantError("TimeGrid nodes must be finite")
         if self.nodes[0] != 0.0:
             raise InvariantError("TimeGrid must start at 0")
         if not np.all(np.diff(self.nodes) > 0):
@@ -155,7 +157,8 @@ class TimeGrid:
     def uniform(cls, t_end: float, n_nodes: int) -> "TimeGrid":
         """``n_nodes`` equally spaced nodes on ``[0, t_end]``; ``n_nodes`` is an integer of at least 2."""
         n_nodes = check_count("node count", n_nodes, least=2, error=InvariantError)
-        return cls(np.linspace(0.0, float(t_end), n_nodes))
+        with np.errstate(invalid="ignore"):  # an infinite end gives NaN nodes, which the grid rejects
+            return cls(np.linspace(0.0, float(t_end), n_nodes))
 
     @property
     def n_nodes(self) -> int:
@@ -269,8 +272,8 @@ class IncreasingProcess:
     """Finite, non-decreasing scalar path starting at 0, with a declared strictness floor.
 
     When ``eps > 0`` the increments must satisfy ``dA >= eps * dt`` on every
-    grid step, which turns the hypothesis "density bounded below" into a
-    checkable invariant.
+    grid step.  Only :func:`build_phi` takes one, as its integrator, and
+    it must be the identity: no clock holds one.
     """
 
     path: SampledPath
@@ -295,17 +298,6 @@ class IncreasingProcess:
                 raise InvariantError(
                     f"increments fall below the declared floor eps={self.eps}"
                 )
-
-    @property
-    def grid(self) -> TimeGrid:
-        return self.path.grid
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.path.values
-
-    def at(self, t):
-        return self.path.at(t)
 
     @classmethod
     def identity(cls, grid: TimeGrid) -> "IncreasingProcess":
@@ -339,10 +331,12 @@ def _invert_clock(nodes: np.ndarray, phi: np.ndarray, a2: np.ndarray, u: np.ndar
 class TimeChangeMap:
     """A clock ``phi``, its inverse on a target grid, and the clock density.
 
-    ``density`` is ``alpha_sq`` on the source grid, positive and linear
-    between nodes, and ``forward`` holds ``phi(t) = integral_0^t alpha_sq ds``
-    at the source nodes.  So ``phi`` is quadratic between nodes, and the
-    reads evaluate it and its inverse exactly there.  On the interval from
+    ``density`` is ``alpha_sq`` on the source grid, linear between nodes
+    and at or above a floor ``eps > 0``, and ``forward`` is the path of
+    ``phi(t) = integral_0^t alpha_sq ds`` at the source nodes, rising by at
+    least ``eps * dt`` a step up to the rounding of its running sum.  So
+    ``phi`` is quadratic between nodes, and the reads evaluate it and its
+    inverse exactly there.  On the interval from
     ``t_k``, write ``alpha_sq = a + b h`` at ``t_k + h``.  Then
     ``phi(t_k + h) = phi(t_k) + h (a + b h / 2)``, and the level ``u``, with
     ``r = u - phi(t_k)``, is reached at
@@ -357,7 +351,7 @@ class TimeChangeMap:
     infimum of an empty set, which ``crossing`` rejects.
     """
 
-    forward: IncreasingProcess
+    forward: SampledPath
     inverse: SampledPath
     density: SampledPath  # alpha_sq on the source grid
 
@@ -376,7 +370,7 @@ class TimeChangeMap:
         The lists of the forward's and the density's own ``_scalar_table``:
         a clock keeps no copy of its own.
         """
-        nodes, phi = self.forward.path._scalar_table
+        nodes, phi = self.forward._scalar_table
         return nodes, phi, self.density._scalar_table[1]
 
     def forward_at(self, t):
@@ -474,7 +468,7 @@ class TimeChangeMap:
     @classmethod
     def identity(cls, grid: TimeGrid) -> "TimeChangeMap":
         return cls(
-            forward=IncreasingProcess.identity(grid),
+            forward=SampledPath(grid, grid.nodes.copy(), LINEAR),
             inverse=SampledPath(grid, grid.nodes.copy(), LINEAR),
             density=SampledPath(grid, np.ones(grid.n_nodes), LINEAR),
         )
@@ -525,9 +519,12 @@ class CoefficientProcesses:
         if self.mode not in ("lipschitz", "monotone"):
             raise InvariantError(f"unknown mode {self.mode!r}")
         grid = self.r.grid
-        for p in (self.u, self.alpha_sq) + ((self.l,) if self.l is not None else ()):
+        for p in (self.r, self.u, self.alpha_sq) + ((self.l,) if self.l is not None else ()):
             if not grid.same_as(p.grid):
                 raise StructuralError("coefficient processes must share a grid")
+            # every comparison with NaN is false, so NaN would pass the checks below
+            if not np.all(np.isfinite(p.values)):
+                raise InvariantError("coefficient processes must be finite")
         a2 = self.alpha_sq.values
         if np.any(a2 < self.eps * (1.0 - 1e-12)):
             raise InvariantError("alpha_sq falls below the declared eps floor")
@@ -566,22 +563,16 @@ class CoefficientProcesses:
 # ---------------------------------------------------------------------------
 
 
-def integrate_stieltjes(h: SampledPath, v: IncreasingProcess) -> SampledPath:
-    """Running integral of ``h`` against ``dv`` at the grid nodes, by trapezoid sums.
+def integrate_stieltjes(h: SampledPath) -> SampledPath:
+    """Running integral of ``h`` against ``dt`` at its grid nodes, by trapezoid sums.
 
-    ``h`` and ``v`` must share a grid.  Both are linear between nodes, so
-    on each step the integral is ``dv`` times the mean of ``h`` at its ends,
-    and the node values are exact up to rounding.  The output is
-    non-decreasing whenever ``h >= 0``.
+    ``h`` is linear between nodes, so on each step the integral is ``dt``
+    times the mean of ``h`` at its ends, and the node values are exact up to
+    rounding.  The output is non-decreasing whenever ``h >= 0``.
     """
-    if not h.grid.same_as(v.grid):
-        raise StructuralError("integrand and integrator live on different grids")
     if not h.is_scalar:
         raise StructuralError("integrand must be scalar per node")
-    dv = np.diff(v.values)
-    if np.any(dv < 0):
-        raise InvariantError("integrator is decreasing")
-    out = np.concatenate([[0.0], np.cumsum(0.5 * (h.values[:-1] + h.values[1:]) * dv)])
+    out = np.concatenate([[0.0], np.cumsum(0.5 * (h.values[:-1] + h.values[1:]) * h.grid.steps)])
     return SampledPath(h.grid, out, LINEAR)
 
 
@@ -601,56 +592,57 @@ def build_phi(
     v: IncreasingProcess,
     target: TimeGrid | str | None = None,
 ) -> TimeChangeMap:
-    """Clock ``phi(t) = integral alpha_sq dv`` with its inverse and density.
+    """Clock ``phi(t) = integral_0^t alpha_sq ds`` of ``coeffs``, with its inverse and density.
 
-    The inverse is populated on ``target``: a grid, the string ``"image"`` for
-    the exact image ``phi(nodes)`` of the source grid (so mapped solutions land
-    on nodes), or None for a uniform grid spanning ``[0, phi(end)]`` with as
-    many nodes as ``v``'s grid.  The map keeps ``alpha_sq`` as its density,
-    whose floor ``CoefficientProcesses`` already checked.
+    The clock integrates against ``dt``: ``v`` must be the identity on the
+    coefficients' grid, ``IncreasingProcess.identity(coeffs.grid)``.  The
+    rest is :func:`build_clock_from_density` of ``alpha_sq`` at the floor
+    ``eps`` of ``coeffs``, which ``CoefficientProcesses`` already checked.
     """
-    if not coeffs.grid.same_as(v.grid):
+    if not coeffs.grid.same_as(v.path.grid):
         raise StructuralError("coefficients and integrator live on different grids")
-    return build_clock_from_density(coeffs.alpha_sq, v, eps=coeffs.eps, target=target)
+    if not np.array_equal(v.path.values, v.path.grid.nodes):
+        raise PreconditionError("the clock integrates against dt: the integrator must be the identity")
+    return build_clock_from_density(coeffs.alpha_sq, coeffs.eps, target=target)
 
 
 def build_clock_from_density(
     alpha_sq: SampledPath,
-    v: IncreasingProcess,
     eps: float,
     target: TimeGrid | str | None = None,
 ) -> TimeChangeMap:
-    """Clock from an explicit density path; shared by the Wiener and chain builds.
+    """Clock ``phi(t) = integral_0^t alpha_sq ds`` of a density path; shared by the Wiener and chain builds.
 
-    The clock integrates against ``dt``: ``v`` must be the identity on the
-    density's grid, as every build in the package passes it.  The density
-    must stay at or above ``eps > 0``, so the clock is strictly increasing.
-    The clock's node values are the trapezoid sums of
-    :func:`integrate_stieltjes`, exact for a density linear between nodes.
-    The map keeps ``alpha_sq`` as its density and reads the clock and its
-    inverse in closed form between nodes (see :class:`TimeChangeMap`).  The
-    inverse's values at the target nodes come from the same read; a target
-    node past the clock's top holds ``+inf``.
+    The density must stay at or above ``eps > 0``, so the clock is strictly
+    increasing, and the clock must be finite.  The clock's node values are
+    the trapezoid sums of :func:`integrate_stieltjes`, exact for a density
+    linear between nodes.  The map keeps ``alpha_sq`` as its density and
+    reads the clock and its inverse in closed form between nodes (see
+    :class:`TimeChangeMap`).  The inverse is populated on ``target``: a
+    grid, the string ``"image"`` for the exact image ``phi(nodes)`` of the
+    source grid (so mapped solutions land on nodes), or None for a uniform
+    grid spanning ``[0, phi(end)]`` with as many nodes as the density's.
+    Its values at the target nodes come from the same read; a target node
+    past the clock's top holds ``+inf``.
     """
-    if not alpha_sq.grid.same_as(v.grid):
-        raise StructuralError("density and integrator live on different grids")
-    if not np.array_equal(v.values, v.grid.nodes):
-        raise PreconditionError("the clock integrates against dt: the integrator must be the identity")
     eps = check_positive("eps floor", eps, error=InvariantError)
     a2 = alpha_sq.values
     if np.any(a2 < eps * (1.0 - 1e-12)):
         raise InvariantError("clock density falls below the declared eps floor")
-    phi_path = integrate_stieltjes(alpha_sq, v)
-    forward = IncreasingProcess(phi_path, eps=eps)
-    phi = phi_path.values
+    with np.errstate(over="ignore"):  # an overflow is caught below
+        forward = integrate_stieltjes(alpha_sq)
+    phi = forward.values
+    # the sums are non-negative or NaN, so a NaN or an overflow anywhere reaches the top
+    if not math.isfinite(phi[-1]):
+        raise InvariantError("the clock must be finite")
     if target is None:
-        target = TimeGrid.uniform(float(phi[-1]), v.grid.n_nodes)
+        target = TimeGrid.uniform(float(phi[-1]), alpha_sq.grid.n_nodes)
     elif target == "image":
         target = TimeGrid(phi.copy())
     levels = target.nodes
     inverse = np.full(levels.size, math.inf)
     reached = levels <= phi[-1] + _SLACK
-    inverse[reached] = _invert_clock(v.grid.nodes, phi, a2, levels[reached])[0]
+    inverse[reached] = _invert_clock(alpha_sq.grid.nodes, phi, a2, levels[reached])[0]
     return TimeChangeMap(forward=forward, inverse=SampledPath(target, inverse, LINEAR), density=alpha_sq)
 
 
@@ -732,8 +724,7 @@ def normalize_terminal_time(tau: float) -> TimeChangeMap:
         raise PreconditionError("tau must be finite and non-negative")
     span = tau if tau > 0 else 1.0
     src = TimeGrid.uniform(span, _TERMINAL_CLOCK_NODES)
-    fwd_vals = np.array([terminal_clock(t, tau) for t in src.nodes])
-    forward = IncreasingProcess(SampledPath(src, fwd_vals, LINEAR), eps=0.0)
+    forward = SampledPath(src, [terminal_clock(t, tau) for t in src.nodes], LINEAR)
     horizon = terminal_clock(tau, tau)  # = tau / (1 + tau) < 1
     tgt_end = horizon if horizon > 0 else 0.5
     tgt = TimeGrid.uniform(tgt_end, _TERMINAL_CLOCK_NODES)

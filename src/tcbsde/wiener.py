@@ -1139,10 +1139,13 @@ def bounded_solution_check(
     ``u^2 + 1`` (not the Lipschitz maximum), after which the solve runs with
     the bound-preserving bin regression and maps back; the report gives
     ``sup |Y|`` up to each path's stop, for the caller to compare with
-    ``M``, and accumulates ``E int |Z|^2``.
+    ``M``, and accumulates ``E int |Z|^2``.  The coefficients and the
+    ensemble must share a grid.
     """
     if problem.k != 1:
         raise UnsupportedError("boundedness check covers scalar solutions only")
+    if not problem.coeffs.grid.same_as(ensemble.grid):
+        raise StructuralError("coefficients and noise must share a grid")
     t_range = (0.0, ensemble.grid.t_end)
     for t, w, y, yp, z, _ in _probe_batches(_BOUNDEDNESS_PROBES, _PROBE_BOX, problem.d, t_range, seed):
         f0 = np.ravel(problem.driver(t, w, np.zeros_like(y), np.zeros_like(z)))
@@ -1153,10 +1156,9 @@ def bounded_solution_check(
         if np.any((y - yp) * (f1 - f2) > 1e-9):
             raise PreconditionError("driver is not monotone decreasing on a probe")
 
-    grid = ensemble.grid
     u = problem.coeffs.u
     density = u.with_values(u.values**2 + 1.0)
-    clock = build_clock_from_density(density, IncreasingProcess.identity(grid), eps=1.0)
+    clock = build_clock_from_density(density, eps=1.0)
     transformed = transform_driver(problem, clock, W=ensemble)
 
     _, xi = _terminal(transformed.problem, transformed.grid, transformed.state)

@@ -457,11 +457,9 @@ def test_transform_chain_constant_density():
 
 def test_transform_chain_rejects_fast_clock():
     grid = TimeGrid.uniform(1.0, 51)
-    from tcbsde.timechange import IncreasingProcess, build_clock_from_density
+    from tcbsde.timechange import build_clock_from_density
 
-    slow = build_clock_from_density(
-        SampledPath(grid, np.full(51, 0.5), LINEAR), IncreasingProcess.identity(grid), eps=0.5
-    )
+    slow = build_clock_from_density(SampledPath(grid, np.full(51, 0.5), LINEAR), eps=0.5)
     with pytest.raises(InvariantError):
         transform_chain(two_state_model(), slow)
 

@@ -16,7 +16,6 @@ from tcbsde.errors import (
 )
 from tcbsde.timechange import (
     LINEAR,
-    IncreasingProcess,
     SampledPath,
     TimeChangeMap,
     TimeGrid,
@@ -612,9 +611,7 @@ def growth_normalize(
     for j, t in enumerate(grid.nodes):
         f0 = max(abs(driver.f(float(t), i, 0.0, np.zeros(model.n_states))) for i in range(model.n_states))
         dens[j] = m * (f0 / (1.0 + float(t) ** driver.beta_hat) + 1.0)
-    clock = build_clock_from_density(
-        SampledPath(grid, dens, LINEAR), IncreasingProcess.identity(grid), eps=m
-    )
+    clock = build_clock_from_density(SampledPath(grid, dens, LINEAR), eps=m)
     return clock, transform_chain_driver(driver, clock)
 
 

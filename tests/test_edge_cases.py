@@ -118,13 +118,12 @@ _G = TimeGrid.uniform(1.0, 5)
 def _clock_reading(times):
     """A clock on ``_G`` whose forward values and inverse values are both ``times``.
 
-    The forward process skips its own checks, so a NaN or a negative value
-    reaches the mappers as it would from a clock built wrongly.
+    Both are plain paths, so a NaN or a negative value reaches the mappers
+    as it would from a clock built wrongly.
     """
-    forward = object.__new__(IncreasingProcess)
-    object.__setattr__(forward, "path", SampledPath(_G, times))
-    object.__setattr__(forward, "eps", 0.0)
-    return TimeChangeMap(forward=forward, inverse=SampledPath(_G, times), density=SampledPath(_G, np.ones(5)))
+    return TimeChangeMap(
+        forward=SampledPath(_G, times), inverse=SampledPath(_G, times), density=SampledPath(_G, np.ones(5))
+    )
 
 
 def _solution():

@@ -56,6 +56,20 @@ def test_grid_invariants():
     assert g.n_nodes == 11 and g.t_end == 1.0 and abs(g.max_step - 0.1) < 1e-15
 
 
+@pytest.mark.parametrize("nodes", [[0.0, 1.0, math.inf], [0.0, math.nan, 1.0], [math.nan, 1.0, 2.0]])
+def test_grid_rejects_a_non_finite_node(nodes):
+    # an infinite last node passes the start and the order checks, and a
+    # path on it reads a zero slope; finiteness is checked before the start
+    with pytest.raises(InvariantError, match="must be finite"):
+        TimeGrid(np.array(nodes))
+
+
+@pytest.mark.parametrize("t_end", [math.inf, -math.inf, math.nan])
+def test_uniform_grid_rejects_a_non_finite_end(t_end):
+    with pytest.raises(InvariantError, match="must be finite"):
+        TimeGrid.uniform(t_end, 3)
+
+
 def test_path_evaluation_rules():
     g = TimeGrid(np.array([0.0, 1.0, 2.0]))
     lin = SampledPath(g, np.array([0.0, 2.0, 6.0]), LINEAR)
@@ -196,7 +210,7 @@ def clock_densities(draw):
 
 
 def density_clock(alpha_sq, target=None):
-    return build_clock_from_density(alpha_sq, identity_process(alpha_sq.grid), 1.0, target=target)
+    return build_clock_from_density(alpha_sq, 1.0, target=target)
 
 
 @settings(max_examples=200, deadline=None)
@@ -416,13 +430,13 @@ def test_interp_columns_reads_shared_times_as_the_same_per_column_times(n, layou
 
 def test_integrate_identity_integrand():
     g = TimeGrid.uniform(1.0, 11)
-    out = integrate_stieltjes(const_path(g, 1.0), identity_process(g))
+    out = integrate_stieltjes(const_path(g, 1.0))
     assert out.values[-1] == pytest.approx(1.0, abs=0.0)
 
 
 def test_integrate_zero_integrand():
     g = TimeGrid.uniform(2.0, 21)
-    out = integrate_stieltjes(const_path(g, 0.0), identity_process(g))
+    out = integrate_stieltjes(const_path(g, 0.0))
     assert np.all(out.values == 0.0)
 
 
@@ -430,14 +444,8 @@ def test_integrate_linear_integrand_against_antiderivative():
     # oracle: d/dt (t^2 / 2) = t, so the integral at 1 is 0.5
     g = TimeGrid.uniform(1.0, 1001)
     h = SampledPath(g, g.nodes.copy(), LINEAR)
-    out = integrate_stieltjes(h, identity_process(g))
+    out = integrate_stieltjes(h)
     assert abs(out.values[-1] - 0.5) <= 1e-12
-
-
-def test_integrate_grid_mismatch():
-    g1, g2 = TimeGrid.uniform(1.0, 11), TimeGrid.uniform(1.0, 21)
-    with pytest.raises(StructuralError):
-        integrate_stieltjes(const_path(g1, 1.0), identity_process(g2))
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +490,7 @@ def test_inverse_nondecreasing_property(density, levels):
     g = TimeGrid(np.concatenate([[0.0], np.cumsum(np.full(len(density) - 1, 0.25))]))
     alpha_sq = SampledPath(g, np.array(density), LINEAR)
     levels = sorted({0.0} | {lv for lv in levels if lv > 0.0} | {21.0})
-    clock = build_clock_from_density(alpha_sq, identity_process(g), 0.25, target=TimeGrid(np.array(levels)))
+    clock = build_clock_from_density(alpha_sq, 0.25, target=TimeGrid(np.array(levels)))
     finite = clock.inverse.values[np.isfinite(clock.inverse.values)]
     assert np.all(np.diff(finite) >= -1e-12)
 
@@ -537,6 +545,29 @@ def test_build_phi_derivative_reciprocal_invariant():
         assert np.allclose(prod, 1.0, atol=1e-12)
 
 
+COEFFICIENT_BUILDS = {
+    "lipschitz": lambda p: CoefficientProcesses.lipschitz(p["r"], p["u"], eps=0.5),
+    "monotone": lambda p: CoefficientProcesses.monotone(p["r"], p["l"], p["u"], eps=0.5),
+    "fields": lambda p: CoefficientProcesses(r=p["r"], u=p["u"], alpha_sq=p["alpha_sq"], eps=0.5),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "build,field",
+    [("lipschitz", "r"), ("lipschitz", "u"), ("monotone", "r"), ("monotone", "u"), ("monotone", "l"),
+     ("fields", "alpha_sq")],
+)
+def test_coefficients_reject_a_non_finite_node(build, field, bad):
+    # every comparison with NaN is false, so a NaN node passes the floor and
+    # the dominance checks unless finiteness is checked first
+    g = TimeGrid.uniform(1.0, 11)
+    paths = {name: const_path(g, 0.5) for name in ("r", "u", "l", "alpha_sq")}
+    paths[field] = paths[field].with_values(np.where(np.arange(11) == 4, bad, 0.5))
+    with pytest.raises(InvariantError, match="must be finite"):
+        COEFFICIENT_BUILDS[build](paths)
+
+
 def test_build_phi_rejects_low_density():
     g = TimeGrid.uniform(1.0, 11)
     r = SampledPath(g, np.full(g.n_nodes, 0.1), LINEAR)
@@ -546,15 +577,71 @@ def test_build_phi_rejects_low_density():
 
 
 def test_clock_build_rejects_a_density_below_its_floor_or_another_integrator():
-    # the closed form needs a positive density and the clock integrates against dt
+    # the closed form needs a positive density, and build_phi, the one build
+    # that takes an integrator, integrates against dt on the coefficients' grid
     g = TimeGrid.uniform(1.0, 11)
     with pytest.raises(InvariantError, match="eps floor"):
-        build_clock_from_density(SampledPath(g, 1.0 - g.nodes, LINEAR), identity_process(g), 0.5)
+        build_clock_from_density(SampledPath(g, 1.0 - g.nodes, LINEAR), 0.5)
     with pytest.raises(InvariantError, match="eps floor"):
-        build_clock_from_density(const_path(g, 1.0), identity_process(g), 0.0)
+        build_clock_from_density(const_path(g, 1.0), 0.0)
+    coeffs = make_coeffs(g, 1.0, 0.0)
     doubled = IncreasingProcess(SampledPath(g, 2.0 * g.nodes, LINEAR))
     with pytest.raises(PreconditionError, match="identity"):
-        build_clock_from_density(const_path(g, 1.0), doubled, 0.5)
+        build_phi(coeffs, doubled)
+    with pytest.raises(StructuralError, match="different grids"):
+        build_phi(coeffs, identity_process(TimeGrid.uniform(1.0, 21)))
+
+
+@pytest.mark.parametrize(
+    "t_end,values",
+    [(1.0, [1.0, 2.0, math.nan, 1.0]), (1.0, [1.0, math.inf, 1.0, 1.0]), (2.0, [1e308, 1e308, 1e308])],
+    ids=["nan", "inf", "overflow"],
+)
+@pytest.mark.parametrize("target", [None, "image"])
+def test_clock_build_rejects_a_clock_that_is_not_finite(t_end, values, target):
+    # a NaN passes the floor check, as every comparison with NaN is false,
+    # and the trapezoid sums of a finite density can overflow: the clock
+    # itself is checked after the sums, before any target grid is built
+    g = TimeGrid.uniform(t_end, len(values))
+    with pytest.raises(InvariantError, match="the clock must be finite"):
+        build_clock_from_density(SampledPath(g, np.array(values), LINEAR), 1.0, target=target)
+
+
+@st.composite
+def floored_densities(draw):
+    """A floor ``eps`` and a density linear between nodes from ``eps`` to ``20 eps``: 2 to 31 nodes.
+
+    The steps, 0.01 to 1, keep each step's clock increment above the
+    rounding of the clock's running sum by far more than ``1e-9``.
+    """
+    eps = draw(st.floats(1e-3, 10.0))
+    steps = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=30))
+    grid = TimeGrid(np.concatenate([[0.0], np.cumsum(steps)]))
+    factors = draw(st.lists(st.floats(1.0, 20.0), min_size=grid.n_nodes, max_size=grid.n_nodes))
+    return SampledPath(grid, eps * np.array(factors), LINEAR), eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(density_and_floor=floored_densities(), target=st.sampled_from([None, "image"]))
+def test_clock_forward_starts_at_zero_and_rises_by_the_floor(density_and_floor, target):
+    # the clock's forward is a plain path: the density's floor alone makes
+    # it start at 0, stay finite and rise by at least eps * dt on each step
+    alpha_sq, eps = density_and_floor
+    forward = build_clock_from_density(alpha_sq, eps, target=target).forward
+    assert type(forward) is SampledPath and forward.grid is alpha_sq.grid
+    assert forward.values[0] == 0.0 and np.all(np.isfinite(forward.values))
+    assert np.all(np.diff(forward.values) >= eps * alpha_sq.grid.steps * (1.0 - 1e-9))
+
+
+def test_clock_builds_where_its_running_sum_rounds_a_step_below_the_floor():
+    # the last step adds eps * dt = 1.5625e-8 to a clock of about 0.5, whose
+    # spacing is 1.1e-16, so its increment reads 2.5e-9 short of eps * dt in
+    # relative terms.  A floor re-check of the sums rejected this clock; the
+    # density's own floor check is the one that holds
+    g = TimeGrid(np.array([0.0, 1.0, 1.015625]))
+    forward = build_clock_from_density(SampledPath(g, np.array([1.0, 1e-6, 1e-6]), LINEAR), 1e-6).forward
+    assert np.all(np.diff(forward.values) >= 1e-6 * g.steps - np.spacing(forward.values[1:]))
+    assert np.diff(forward.values)[-1] < 1e-6 * g.steps[-1] * (1.0 - 1e-9)
 
 
 def test_roundtrip_invariant():

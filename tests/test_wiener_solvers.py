@@ -617,6 +617,30 @@ def test_bounded_solution_rejects_nonvanishing_driver():
         bounded_solution_check(bad, 1.0, W)
 
 
+@pytest.mark.parametrize("check", ["bounded_solution_check", "stability_gap"])
+def test_coefficients_and_noise_must_share_a_grid(check):
+    coarse, fine = grid_uniform(1.0, 11), grid_uniform(1.0, 21)
+    W = simulate_brownian(fine, 50, 1, seed=0)
+    with pytest.raises(StructuralError, match="share a grid"):
+        if check == "bounded_solution_check":
+            bounded_solution_check(_cubic_problem(coarse, lambda tau, w: np.zeros(tau.shape)), 1.0, W)
+        else:
+            prob = linear_problem(coarse, 0.1, 0.0, (1.0,), eps=0.05)
+            stability_gap(prob, prob, W, theta=3.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_lipschitz_coefficient_stops_before_any_solve(bad):
+    # every comparison with NaN is false, and so is the contraction guard's
+    # dt * nan >= 1: a NaN node that got into a problem gave y0 = nan from
+    # solve_lsmc, without an error.  The coefficients reject it instead
+    g = grid_uniform(1.0, 11)
+    W = simulate_brownian(g, 50, 1, seed=0)
+    r = np.where(np.arange(11) == 5, bad, 0.2)
+    with pytest.raises(InvariantError, match="must be finite"):
+        solve_lsmc(linear_problem(g, r, 0.1, (1.0,), eps=0.05), W)
+
+
 def test_bounded_solution_rejects_increasing_driver():
     from dataclasses import replace
 
