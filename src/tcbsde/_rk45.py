@@ -11,13 +11,19 @@ the wrapped right-hand side and the per-step interpolant objects.
 
 Every stage sum, error estimate and interpolant stays the NumPy ``dot`` that
 SciPy makes (a pure-Python stage sum rounds differently), called as the
-array method; only scalar time and step-size arithmetic runs on Python
-floats, where each operation is rounded once exactly as in NumPy.  Scaling
-by ``h``, adding ``y`` and dividing by the error scale run in place on the
-fresh result of a ``dot``, as IEEE sums and products commute.  The tableau
-is SciPy's own.  Work whose result SciPy recomputes is done once:
-the accepted step's ``abs(y_new)`` is the next step's ``abs(y)``, and
-``t_eval`` is searched only in a step that holds an evaluation time.
+array method; only scalar arithmetic runs on Python floats, where each
+operation is rounded once exactly as in NumPy: the time and step-size
+arithmetic, and the interpolant's powers.  Those are ``x = (t_eval - t) / h``
+at each evaluation time of a step and ``x x``, ``(x x) x`` and
+``((x x) x) x``, the products of SciPy's ``np.cumprod`` in its order,
+stacked as one C-ordered ``(4, m)`` array for the ``dot``, as SciPy's are;
+one path serves any number ``m`` of times in a step.  Scaling by ``h``,
+adding ``y`` (into the output's columns) and dividing by the error scale
+run in place on the fresh result of a ``dot``, as IEEE sums and products
+commute.  The tableau is SciPy's own.  Work whose result SciPy recomputes
+is done once: the accepted step's ``abs(y_new)`` is the next step's
+``abs(y)``, and ``t_eval`` is searched only in a step that holds an
+evaluation time.
 """
 
 from __future__ import annotations
@@ -119,9 +125,13 @@ def rk45(fun, t_end: float, y0: np.ndarray, t_eval: np.ndarray, rtol: float, ato
 
         if done < n_eval and t_list[done] <= t_new:  # an evaluation time in this step
             upto = bisect_right(t_list, t_new, done)
-            x = (t_eval[done:upto] - t) / h
-            powers = np.cumprod(x[None, :].repeat(_P.shape[1], axis=0), axis=0)
-            out[:, done:upto] = h * KT.dot(_P).dot(powers) + y[:, None]
+            x = [(te - t) / h for te in t_list[done:upto]]
+            x2 = [v * v for v in x]
+            x3 = [p * v for p, v in zip(x2, x)]
+            x4 = [p * v for p, v in zip(x3, x)]
+            dense = KT.dot(_P).dot(np.array([x, x2, x3, x4]))
+            dense *= h
+            np.add(dense, y[:, None], out=out[:, done:upto])
             done = upto
         t, y, f, abs_y = t_new, y_new, f_new, abs_y_new
     return out, nfev, accepted, rejected

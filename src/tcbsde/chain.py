@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -484,22 +485,24 @@ def check_gamma_balanced(
 ) -> BalanceReport:
     """Probe the four balance requirements; report the worst violation of each.
 
-    Each probe draws t on ``[0, t_max]`` (``t_max`` positive and finite),
-    the state, then y, z, z' and the shift in one uniform draw, and calls
+    Each probe draws t on ``[0, t_max]`` (``t_max`` positive and finite) as
+    ``t_max * rng.random()``, the draw of ``rng.uniform(0.0, t_max)`` bit for
+    bit (NumPy's uniform is ``low + (high - low) U``), without its call cost;
+    then the state, then y, z, z' and the shift in one uniform draw, and calls
     ``eta``, ``f`` twice and the shifted ``eta``.  The rates at every probe's time
     are then read in one call, and each probe takes its state's column.
     The worst values are reductions over the stacked probes, so a NaN
     anywhere gives a NaN field and fails the check.
     """
     check_count("probe count", probes)
-    check_positive("t_max", t_max)
+    t_max = check_positive("t_max", t_max)
     rng = np.random.default_rng(check_count("seed", seed, least=0))
     N = model.n_states
     box = _BALANCE_PROBE_BOX
     gamma = driver.gamma
     ts, xs, lhss, dzs, etas, shifted = [], [], [], [], [], []
     for _ in range(probes):
-        t = float(rng.uniform(0.0, t_max))
+        t = t_max * rng.random()
         x = int(rng.integers(0, N))
         v = rng.uniform(-box, box, size=2 * N + 2)
         y, z, zp, alpha = float(v[0]), v[1 : N + 1], v[N + 1 : 2 * N + 1], float(v[-1])
@@ -581,13 +584,30 @@ def transform_chain_driver(
     Both ``f`` and ``eta`` pick up the factor ``inv'(u)``, so the component
     ratios against the transformed compensator cancel exactly; the transformed
     y-coefficient is ``C(inv(u)) inv'(u) <= 1`` and the zero-argument growth
-    constant drops to 1.  Each scalar callback reads the clock once, through
-    ``inverse_density_at``.  The perturbation bound ``c_path`` is read at
-    the clock's inverse through ``clock.crossing``, which checks that its
-    grid covers the clock range.
+    constant drops to 1.  ``f``, ``eta``, ``k1`` and ``k2`` share one clock
+    read per distinct time: a scalar time is read through
+    ``inverse_density_at`` only when it differs from the last one read, so a
+    balance probe's four calls at one time make one read.  The last read is
+    rebound as one ``(time, read)`` tuple, which keeps it thread-safe.  A NaN
+    equals no time and an out-of-range time is never kept, so both reach the
+    read and raise; an array of times is read through.  The perturbation
+    bound ``c_path`` is read at the clock's inverse through
+    ``clock.crossing``, which checks that its grid covers the clock range.
     """
     _require_contracting_clock(clock)
-    read = clock.inverse_density_at
+    clock_read = clock.inverse_density_at
+    last = (math.nan, None)  # the last scalar read: (u, (s, alpha_sq(s)))
+
+    def read(u):
+        nonlocal last
+        if isinstance(u, np.ndarray):
+            return clock_read(u)
+        u_last, got = last
+        if u != u_last:
+            got = clock_read(u)
+            last = (u, got)
+        return got
+
     base_f, base_eta = driver.f, driver.eta
 
     def tilde_f(u, x, y, z):
@@ -705,7 +725,9 @@ def _ode_solve(problem: ChainBSDEProblem, grid: TimeGrid):
     nodes take one array read of the nodes, bit-equal to the scalar reads.
     An unclocked problem is its own base, with ``s = t``
     and ``w = 1``.  A base generator given as a stride-0 stack (constant in
-    time) at the base times of 0 and the horizon is read once per solve.
+    time) at the base times of 0 and the horizon is read once per solve,
+    and transposed once: each distinct time scales the transpose by ``w``,
+    which gives the values and the memory order of ``(A w).T``.
     The free states fill the state-by-column buffer in one assignment, and
     the output is one copy of the generator product's free rows, plus the
     driver terms, whose ``y`` is the Python float of the state's entry of ``x``.
@@ -731,9 +753,9 @@ def _ode_solve(problem: ChainBSDEProblem, grid: TimeGrid):
     rows = slice(free_list[0], free_list[-1] + 1) if one_run else free
     rates, f, g = base.model.rates, base.driver.f, base.terminal_fn
     T = grid.t_end
-    # the base reads a time-constant matrix once: a stride-0 stack at two of its times
+    # the base reads a time-constant matrix once, transposed: a stride-0 stack at two of its times
     s_0, s_T = read(0.0)[0], read(T)[0]
-    A = rates(s_0) if rates(np.array([s_0, s_T])).strides[0] == 0 else None
+    AT = rates(s_0).T if rates(np.array([s_0, s_T])).strides[0] == 0 else None
 
     U = np.zeros((N, 2))  # columns u and q; C order fixes how the product below sums
     last_r = s = w = AwT = None  # the last read, kept for a call at the same r
@@ -743,7 +765,7 @@ def _ode_solve(problem: ChainBSDEProblem, grid: TimeGrid):
         if r != last_r:
             s, a2 = read(T - r)
             w = 1.0 / a2
-            AwT = ((rates(s) if A is None else A) * w).T
+            AwT = (rates(s).T if AT is None else AT) * w
             for i in hit:
                 U[i, 0] = g(s, i)
             last_r = r
@@ -1071,13 +1093,23 @@ def build_message_problem(
 
 
 def _hitting_time_controls(model: MarkovChainModel, target: int, beta: float, beta_tilde: float):
+    """The control functions ``(k1, k2)`` of a hitting time of ``target``.
+
+    They depend on the slowed exit rate, ``beta`` and ``beta_tilde`` alone,
+    so they are memoised on those: repeated builds of one problem integrate
+    the moments once.
+    """
+    exit_rates = -np.diag(model.rates(0.0))
+    exit0 = max(1e-6, float(np.min(np.delete(exit_rates, target))))
+    return _exit_time_controls(0.5 * exit0, float(beta), float(beta_tilde))
+
+
+@lru_cache(maxsize=64)
+def _exit_time_controls(rate: float, beta: float, beta_tilde: float):
     # K1(t) = m1 (1 + t)^{1+beta}: since 1 + t + E <= (1 + t)(1 + E), the
     # conditional moment at time t factors through m1 = E[(1 + E)^{1+beta}]
     # computed under a slowed (hence dominating) exit rate; it also dominates
     # |xi| <= 1.  K2 controls K1(tau)^{1+beta~} the same way.
-    exit_rates = -np.diag(model.rates(0.0))
-    exit0 = max(1e-6, float(np.min(np.delete(exit_rates, target))))
-    rate = 0.5 * exit0
     ts = np.linspace(0.0, 120.0 / rate, 6001)
     dens = rate * np.exp(-rate * ts)
     m1 = max(1.0, float(np.trapezoid((1.0 + ts) ** (1.0 + beta) * dens, ts)))

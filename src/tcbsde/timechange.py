@@ -311,7 +311,10 @@ def _invert_clock(nodes: np.ndarray, phi: np.ndarray, a2: np.ndarray, u: np.ndar
     operations in the same order, so the bits are the same: one search of
     the clock's node values, then the closed form on each level's interval.
     Levels inside the slack below the range read the first node, levels at
-    or past its top the last.  ``u`` is not checked here.
+    or past its top the last.  At those edge levels the closed form's
+    discriminant, whose result the edge rule overwrites, is clamped at 0:
+    rounding can make it negative there, and its root would warn.  ``u`` is
+    not checked here.
     """
     n = nodes.size
     k = np.searchsorted(phi, u, side="right") - 1  # -1 below the clock, n - 1 at or past its top
@@ -319,9 +322,12 @@ def _invert_clock(nodes: np.ndarray, phi: np.ndarray, a2: np.ndarray, u: np.ndar
     t0, a = nodes.take(j), a2.take(j)
     b = (a2.take(j + 1) - a) / (nodes.take(j + 1) - t0)
     r = u - phi.take(j)
-    h = 2.0 * r / (a + np.sqrt(a * a + 2.0 * b * r))
+    below, top = k < 0, k == n - 1
+    disc = a * a + 2.0 * b * r
+    np.maximum(disc, 0.0, out=disc, where=below | top)
+    h = 2.0 * r / (a + np.sqrt(disc))
     s, d = t0 + h, a + b * h
-    for edge, i in ((k < 0, 0), (k == n - 1, n - 1)):
+    for edge, i in ((below, 0), (top, n - 1)):
         if edge.any():
             s[edge], d[edge] = nodes[i], a2[i]
     return s, d

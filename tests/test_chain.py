@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcbsde.errors import ConfigError, InvariantError, PreconditionError, StructuralError
+from tcbsde.errors import ConfigError, DomainError, InvariantError, PreconditionError, StructuralError
 from tcbsde.timechange import LINEAR, SampledPath, TimeChangeMap, TimeGrid
 from tcbsde.chain import (
     BalanceReport,
@@ -432,6 +432,26 @@ def test_balance_report_holds_python_scalars():
                                           rep.worst_sum, rep.worst_shift_invariance))
 
 
+@pytest.mark.parametrize("t_max", [5.0, 178.6688, 39.99999999999999, 1e-300, 3.0e300])
+def test_probe_time_draw_is_numpys_uniform_draw(t_max):
+    # check_gamma_balanced draws a probe's time as t_max * rng.random(), the
+    # draw of rng.uniform(0.0, t_max), which is low + (high - low) U: in the
+    # probe loop's order (the time, the state, the sized uniform) both forms
+    # must give the same bits, or a NumPy release that changes uniform would
+    # move the balance tables without a failing test
+    probes, N = 20_000, 3
+    fast, slow = np.random.default_rng(17), np.random.default_rng(17)
+    t_fast, t_slow = [], []
+    for _ in range(probes):
+        t_fast.append(t_max * fast.random())
+        t_slow.append(float(slow.uniform(0.0, t_max)))
+        assert int(fast.integers(0, N)) == int(slow.integers(0, N))
+        fast.uniform(-2.0, 2.0, size=2 * N + 2)
+        slow.uniform(-2.0, 2.0, size=2 * N + 2)
+    assert np.array_equal(np.array(t_fast).view(np.uint64), np.array(t_slow).view(np.uint64))
+    assert np.array_equal(fast.random(4), slow.random(4))
+
+
 # ---------------------------------------------------------------------------
 # chain transforms
 # ---------------------------------------------------------------------------
@@ -519,9 +539,8 @@ def test_balance_survives_transform_with_same_gamma():
     assert np.all(tilde_drv.c_path.values <= 1.0 + 1e-9)
 
 
-def test_clocked_callbacks_read_the_clock_once(monkeypatch):
-    # one scalar clock read per evaluation, for the inverse and the density
-    # alike, and no SampledPath.at
+def _counted_clock_reads(monkeypatch):
+    """Patch the clock read and ``SampledPath.at`` to record their calls."""
     reads, calls = [], []
     orig_read, orig_at = TimeChangeMap.inverse_density_at, SampledPath.at
 
@@ -535,30 +554,83 @@ def test_clocked_callbacks_read_the_clock_once(monkeypatch):
 
     # patched first: the callbacks bind the read when they are built
     monkeypatch.setattr(TimeChangeMap, "inverse_density_at", counted_read)
+    return reads, calls, lambda: monkeypatch.setattr(SampledPath, "at", counted_at)
+
+
+def test_clocked_driver_reads_the_clock_once_per_time(monkeypatch):
+    # the driver's f, eta, k1 and k2 share one scalar clock read per distinct
+    # time; the model and the terminal read once per call; none calls
+    # SampledPath.at
+    reads, calls, count_at = _counted_clock_reads(monkeypatch)
     grid = TimeGrid.uniform(2.0, 81)
     model = two_state_model(1.0, 2.0)
-    drv = flat_driver(grid, model, c=0.5)
+    drv = replace(flat_driver(grid, model, c=0.5), k1=lambda t: 1.0 + t, k2=lambda t: 2.0 + t * t)
     clock = chain_clock(SampledPath(grid, 1.0 + grid.nodes, LINEAR), c2=0.0)
     tilde_model = transform_chain(model, clock)
     tilde_drv = transform_chain_driver(drv, clock)
     problem = transform_chain_problem(
         ChainBSDEProblem(model, drv, frozenset({1}), lambda t, i: t + i), clock
     )
-    monkeypatch.setattr(SampledPath, "at", counted_at)
+    count_at()
     z = np.array([0.3, -0.2])
-    for evaluate in (
-        lambda u: tilde_model.rates(u),
+    callbacks = (
         lambda u: tilde_drv.f(u, 0, 0.7, z),
         lambda u: tilde_drv.eta(u, 1, z, z),
         lambda u: tilde_drv.k1(u),
         lambda u: tilde_drv.k2(u),
-        lambda u: problem.terminal_fn(u, 1),
-    ):
+    )
+    s, a2 = clock.inverse_density_at(1.3)
+    reads.clear()
+    values = [evaluate(1.3) for evaluate in callbacks]
+    assert reads == [1.3] and calls == []
+    # the kept read gives what a fresh one gives
+    assert values[0] == drv.f(s, 0, 0.7, z) * (1.0 / a2)
+    assert np.array_equal(values[1], model.rates(s)[:, 1] * (1.0 / a2))
+    assert values[2:] == [1.0 + s, 2.0 + s * s]
+    # a new time reads again, and so does the old one after it
+    for u in (1.7, 1.3):
         reads.clear()
-        calls.clear()
+        for evaluate in callbacks:
+            evaluate(u)
+        assert reads == [u]
+    # a NaN and an out-of-range time reach the read on every call and raise
+    top = float(clock.forward.values[-1])
+    for bad in (math.nan, -1.0, top + 1.0):
+        for evaluate in callbacks:
+            reads.clear()
+            with pytest.raises(DomainError):
+                evaluate(bad)
+            assert len(reads) == 1 and (reads[0] == bad or math.isnan(bad))
+    # an array of times reads through, once per call
+    u = np.array([1.3, 1.3])
+    expected = 1.0 + clock.inverse_at(u)
+    reads.clear()
+    assert np.array_equal(tilde_drv.k1(u), expected)
+    tilde_drv.k1(u)
+    assert len(reads) == 2 and all(r is u for r in reads)
+    # the model and the terminal read once per call, at the same time too
+    for evaluate in (lambda u: tilde_model.rates(u), lambda u: problem.terminal_fn(u, 1)):
+        reads.clear()
         evaluate(1.3)
-        assert reads == [1.3]
-        assert calls == []
+        evaluate(1.3)
+        assert reads == [1.3, 1.3]
+    assert calls == []
+
+
+def test_balance_probes_read_a_clocked_driver_once_each(monkeypatch):
+    # four driver calls per probe at one time make one scalar read; the
+    # rates at every probe's time are one array read
+    reads, _, _ = _counted_clock_reads(monkeypatch)
+    grid = TimeGrid.uniform(2.0, 81)
+    model = two_state_model(1.0, 2.0)
+    clock = chain_clock(SampledPath(grid, 1.0 + grid.nodes, LINEAR), c2=0.0)
+    tilde_model = transform_chain(model, clock)
+    tilde_drv = transform_chain_driver(flat_driver(grid, model, c=0.5), clock)
+    reads.clear()
+    check_gamma_balanced(tilde_drv, tilde_model, 40, t_max=clock.target_grid.t_end, seed=3)
+    scalar = [r for r in reads if not isinstance(r, np.ndarray)]
+    assert len(scalar) == 40 and len(reads) == 41
+    assert isinstance(reads[-1], np.ndarray) and reads[-1].tolist() == scalar
 
 
 def test_rerooted_clocked_model_keeps_its_clock(monkeypatch):

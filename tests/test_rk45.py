@@ -83,6 +83,44 @@ def test_bit_equal_to_solve_ivp_through_rejected_steps(system):
     assert rejected > 0
 
 
+def smooth_three_state():
+    M = np.array([[-1.0, 0.4, 0.2], [0.5, -0.8, 0.1], [0.3, 0.2, -0.6]])
+    return linear(M, np.array([0.2, -0.1, 0.3])), np.array([1.0, -0.5, 0.25])
+
+
+def step_ends(fun, t_end, y0, rtol, atol):
+    """SciPy's accepted step ends on ``[0, t_end]``, 0 first: ``t_eval`` does not move them."""
+    ref = solve_ivp(fun, (0.0, t_end), y0, method="RK45", rtol=rtol, atol=atol)
+    assert ref.success
+    return ref.t
+
+
+def test_bit_equal_with_many_points_in_each_step():
+    fun, y0 = smooth_three_state()
+    t_eval = np.linspace(0.0, 4.0, 2001)
+    ends = step_ends(fun, 4.0, y0, 1e-6, 1e-9)
+    per_step = np.diff(np.searchsorted(t_eval, ends, side="right"))
+    assert np.mean(per_step >= 2) > 0.9
+    assert_matches_scipy(fun, 4.0, y0, t_eval, 1e-6, 1e-9)
+
+
+def test_bit_equal_with_one_point_in_each_step():
+    fun, y0 = smooth_three_state()
+    ends = step_ends(fun, 4.0, y0, 1e-8, 1e-10)
+    t_eval = 0.5 * (ends[:-1] + ends[1:])
+    assert np.all(np.diff(np.searchsorted(t_eval, ends, side="right")) == 1)
+    assert_matches_scipy(fun, 4.0, y0, t_eval, 1e-8, 1e-10)
+
+
+def test_bit_equal_at_the_steps_own_ends():
+    # a point on a step's end falls in that step, at x = 1 of its interpolant
+    fun, y0 = smooth_three_state()
+    ends = step_ends(fun, 4.0, y0, 1e-8, 1e-10)
+    assert ends.size > 10
+    assert_matches_scipy(fun, 4.0, y0, ends, 1e-8, 1e-10)
+    assert_matches_scipy(fun, 4.0, y0, ends[::3], 1e-8, 1e-10)
+
+
 def test_bit_equal_through_rejected_steps():
     # a stiff pull toward cos(t) makes the explicit stepper reject steps
     fun = lambda t, y: -800.0 * (y - np.array([math.cos(t), math.sin(t)]))  # noqa: E731

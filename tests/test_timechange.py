@@ -1,9 +1,10 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tcbsde.errors import DomainError, InvariantError, PreconditionError, StructuralError
@@ -642,6 +643,61 @@ def test_clock_builds_where_its_running_sum_rounds_a_step_below_the_floor():
     forward = build_clock_from_density(SampledPath(g, np.array([1.0, 1e-6, 1e-6]), LINEAR), 1e-6).forward
     assert np.all(np.diff(forward.values) >= 1e-6 * g.steps - np.spacing(forward.values[1:]))
     assert np.diff(forward.values)[-1] < 1e-6 * g.steps[-1] * (1.0 - 1e-9)
+
+
+@st.composite
+def widely_floored_densities(draw):
+    """A floor ``eps`` and a density from ``eps`` to ``1e6 eps`` on steps from 1e-6 to 1: 2 to 31 nodes.
+
+    A steep fall over a short last step makes rounding push the closed
+    form's discriminant below 0 at the clock's top, and a step's increment
+    can read short of ``eps * dt`` by the running sum's spacing.
+    """
+    eps = draw(st.floats(1e-6, 10.0))
+    steps = draw(st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=30))
+    grid = TimeGrid(np.concatenate([[0.0], np.cumsum(steps)]))
+    factors = draw(st.lists(st.floats(1.0, 1e6), min_size=grid.n_nodes, max_size=grid.n_nodes))
+    return SampledPath(grid, eps * np.array(factors), LINEAR), eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(density_and_floor=widely_floored_densities(), target=st.sampled_from([None, "image"]))
+@example(
+    density_and_floor=(
+        SampledPath(TimeGrid(np.array([0.0, 1.0, 1.000001])), np.array([0.5, 1.0, 1e-6]), LINEAR),
+        1e-6,
+    ),
+    target=None,
+)
+def test_clock_builds_over_a_wide_range_without_a_warning(density_and_floor, target):
+    # a RuntimeWarning is an error here: the clock's array read must not
+    # warn at the levels past its top that its edge rule overwrites
+    alpha_sq, eps = density_and_floor
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        clock = build_clock_from_density(alpha_sq, eps, target=target)
+    phi = clock.forward.values
+    assert phi[0] == 0.0 and np.all(np.isfinite(phi))
+    assert np.all(np.diff(phi) >= eps * alpha_sq.grid.steps * (1.0 - 1e-9) - np.spacing(phi[1:]))
+    reached = np.isfinite(clock.inverse.values)
+    assert reached.any() and np.all(np.isfinite(clock.inverse.values[reached]))
+    assert np.all(np.diff(clock.inverse.values[reached]) >= 0.0)
+
+
+@pytest.mark.parametrize("target", [None, "image"])
+def test_clock_builds_where_its_top_rounds_the_discriminant_below_zero(target):
+    # the density falls from 1 to 1e-6 over a step of 1e-6: at the clock's
+    # top, a^2 + 2 b r rounds below 0, where the edge rule reads the last node
+    g = TimeGrid(np.array([0.0, 1.0, 1.000001]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        clock = build_clock_from_density(SampledPath(g, np.array([0.5, 1.0, 1e-6]), LINEAR), 1e-6, target=target)
+        top = clock.forward.values[-1]
+        s, d = clock.inverse_density_at(np.array([top, 0.5 * top]))
+    assert clock.inverse.values[-1] == 1.000001
+    assert s[0] == 1.000001 and d[0] == 1e-6
+    assert (s[1], d[1]) == clock.inverse_density_at(0.5 * top)
+    assert (s[0], d[0]) == clock.inverse_density_at(top)
 
 
 def test_roundtrip_invariant():
