@@ -28,7 +28,6 @@ from .timechange import (
     build_clock_from_density,
     build_phi,
     integrate_stieltjes,
-    normalize_terminal_time,
     substitution_check,
     time_change_path,
 )

@@ -41,10 +41,10 @@ from .timechange import (
     TimeChangeMap,
     TimeGrid,
     build_phi,
-    normalize_terminal_time,
     substitution_check,
     terminal_clock,
     terminal_clock_derivative,
+    terminal_clock_inverse,
     time_change_path,
 )
 from .wiener import (
@@ -198,9 +198,8 @@ def substitution_refinement(cfg: ExperimentConfig, b: ReportBundle) -> None:
     budget_s=5.0,
 )
 def terminal_time_normalization(cfg: ExperimentConfig, b: ReportBundle) -> None:
-    m1 = normalize_terminal_time(1.0)
-    b.verdicts.append(Verdict.check("horizon_tau_1", abs(float(m1.forward.values[-1]) - 0.5), 1e-12))
-    b.verdicts.append(Verdict.check("inverse_at_half", abs(float(m1.inverse_at(0.5)) - 1.0), 1e-9))
+    b.verdicts.append(Verdict.check("horizon_tau_1", abs(terminal_clock(1.0, 1.0) - 0.5), 1e-12))
+    b.verdicts.append(Verdict.check("inverse_at_half", abs(terminal_clock_inverse(0.5) - 1.0), 1e-9))
     b.verdicts.append(
         Verdict.check("derivative_is_squared_horizon_factor",
                       abs(terminal_clock_derivative(0.75) - 16.0), 1e-12)

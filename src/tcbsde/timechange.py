@@ -1,8 +1,8 @@
 """Discrete clocks, their exact inverses and time-changed paths.
 
-Paths live on finite time grids, interpolated linearly between nodes.  A
-clock density ``alpha_sq``, positive and linear between its nodes, defines a
-clock
+Paths live on finite time grids, one scalar per node, interpolated
+linearly between nodes.  A clock density ``alpha_sq``, positive and linear
+between its nodes, defines a clock
 
     phi(t) = integral_0^t alpha_sq ds
 
@@ -16,6 +16,11 @@ refinement-limit properties: ``substitution_check`` measures the
 discretization residual rather than pretending it is zero.  Its sums are
 left-point Stieltjes sums, matching the predictable integrand convention
 of the stochastic integrals elsewhere in the package.
+
+Every map is such a density clock (the identity is the clock of density
+1).  The horizon squash ``t / (1 + t)`` is no map: its three closed forms
+``terminal_clock``, ``terminal_clock_inverse`` and
+``terminal_clock_derivative`` are all of it.
 
 All types are immutable after construction and all operations are pure, so
 instances can be shared freely across threads and path ensembles.
@@ -86,10 +91,9 @@ def interp_columns(nodes: np.ndarray, values, times: np.ndarray, axis: int = 0) 
     """``np.interp(t, nodes, column)`` for every column of ``values`` along ``axis``, bit for bit.
 
     The kernel of every read of a field across a grid: the mappers across
-    the clock, vector-valued paths, and the oracle's converged fields read
-    at each path's state.  ``values`` holds one entry per node along
-    ``axis``, with any shape around it; the result holds one entry per time
-    there instead, C-ordered.  ``times`` is either 1-D, shared by every
+    the clock and the oracle's converged fields read at each path's state.
+    ``values`` holds one entry per node along ``axis``, with any shape
+    around it; the result holds one entry per time there instead, C-ordered.  ``times`` is either 1-D, shared by every
     column, or has ``values.ndim`` axes and broadcasts against ``values``
     off ``axis`` (per-column times; the result then has the broadcast
     shape).  One search of the times serves every column, and one gather,
@@ -182,11 +186,12 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class SampledPath:
-    """One value per grid node, linear between nodes.
+    """One scalar value per grid node, linear between nodes.
 
-    ``values`` may be scalar per node (shape ``(n,)``) or vector/matrix per
-    node (leading axis indexes nodes).  ``interpolation`` admits ``LINEAR``
-    only; it stays a field for the callers that pass it positionally.
+    ``values`` is 1-D with the grid's length.  ``interpolation`` admits
+    ``LINEAR`` only; it stays a field for the callers that pass it
+    positionally.  A field with more values per node is an array read by
+    :func:`interp_columns`, not a path.
     """
 
     grid: TimeGrid
@@ -197,27 +202,20 @@ class SampledPath:
         object.__setattr__(self, "values", _readonly(self.values))
         if self.interpolation != LINEAR:
             raise InvariantError(f"unknown interpolation rule {self.interpolation!r}")
-        if self.values.shape[0] != self.grid.n_nodes:
+        if self.values.shape != (self.grid.n_nodes,):
             raise InvariantError("need exactly one value per grid node")
 
-    @property
-    def is_scalar(self) -> bool:
-        return self.values.ndim == 1
-
     @cached_property
-    def _scalar_table(self) -> tuple[list, list] | None:
-        """Nodes and values as Python floats, for scalar lookups.
+    def _scalar_table(self) -> tuple[list, list]:
+        """Nodes and values as Python floats, for the scalar lookup.
 
-        ``None`` for a vector-valued path, which has no scalar lookup.
         ``values`` is read-only, and a new path (``with_values``,
         ``dataclasses.replace``) starts with no table, so it never goes stale.
         """
-        if self.is_scalar:
-            return self.grid.nodes.tolist(), self.values.tolist()
-        return None
+        return self.grid.nodes.tolist(), self.values.tolist()
 
     def _lookup(self, t: float) -> float:
-        """Value of a scalar path at the Python float ``t``, as a Python float.
+        """Value of the path at the Python float ``t``, as a Python float.
 
         The array path of ``at`` without NumPy: ``bisect_right`` finds the
         interval in the cached ``_scalar_table``, and the value comes from
@@ -247,21 +245,17 @@ class SampledPath:
     def at(self, t) -> np.ndarray:
         """Evaluate the path at time(s) ``t``, up to ``1e-12`` past either grid end.
 
-        ``np.interp`` on a scalar path, :func:`interp_columns` on a vector-valued
-        one.  A scalar time (Python or NumPy float or int) on a scalar path is
-        ``_lookup`` wrapped in a NumPy scalar, with the same bits and the
-        same errors as the array path; transformed coefficients call it once
-        per solver step.
+        ``np.interp`` on an array of times.  A scalar time (Python or NumPy
+        float or int) is ``_lookup`` wrapped in a NumPy scalar, with the
+        same bits and the same errors as the array path; transformed
+        coefficients call it once per solver step.
         """
-        if isinstance(t, _SCALAR_TIMES) and self._scalar_table is not None:
+        if isinstance(t, _SCALAR_TIMES):
             return np.float64(self._lookup(float(t)))
         nodes = self.grid.nodes
         t = np.asarray(t, dtype=float)
         _check_times(t, nodes[0], nodes[-1])
-        if self.is_scalar:
-            return np.interp(t, nodes, self.values)
-        out = interp_columns(nodes, self.values, t.ravel())
-        return out.reshape(t.shape + self.values.shape[1:])
+        return np.interp(t, nodes, self.values)
 
     def with_values(self, values) -> "SampledPath":
         return SampledPath(self.grid, values)
@@ -269,7 +263,7 @@ class SampledPath:
 
 @dataclass(frozen=True)
 class IncreasingProcess:
-    """Finite, non-decreasing scalar path starting at 0, with a declared strictness floor.
+    """Finite, non-decreasing path starting at 0, with a declared strictness floor.
 
     When ``eps > 0`` the increments must satisfy ``dA >= eps * dt`` on every
     grid step.  Only :func:`build_phi` takes one, as its integrator, and
@@ -280,8 +274,6 @@ class IncreasingProcess:
     eps: float = 0.0
 
     def __post_init__(self):
-        if not self.path.is_scalar:
-            raise InvariantError("IncreasingProcess requires a scalar path")
         v = self.path.values
         if not np.all(np.isfinite(v)):
             raise InvariantError("increasing process values must be finite")
@@ -481,30 +473,6 @@ class TimeChangeMap:
 
 
 @dataclass(frozen=True)
-class _SampledMap(TimeChangeMap):
-    """A map known by its samples alone: every read interpolates them linearly.
-
-    ``normalize_terminal_time`` returns one.  Its forward values are samples
-    of ``t / (1 + t)``, not the integral of its density, so the closed form
-    of :class:`TimeChangeMap` does not describe it.  Its inverse is read off
-    the samples of ``t / (1 - t)`` on the target grid instead.
-    """
-
-    def forward_at(self, t):
-        return self.forward.at(t)
-
-    def inverse_at(self, u):
-        return self.inverse.at(u)
-
-    def derivative_at(self, u):
-        return 1.0 / self.density.at(self.inverse.at(u))
-
-    def inverse_density_at(self, u):
-        s = self.inverse.at(u)
-        return s, self.density.at(s)
-
-
-@dataclass(frozen=True)
 class CoefficientProcesses:
     """Lipschitz/monotonicity coefficient processes and the clock density built from them.
 
@@ -572,12 +540,11 @@ class CoefficientProcesses:
 def integrate_stieltjes(h: SampledPath) -> SampledPath:
     """Running integral of ``h`` against ``dt`` at its grid nodes, by trapezoid sums.
 
-    ``h`` is linear between nodes, so on each step the integral is ``dt``
-    times the mean of ``h`` at its ends, and the node values are exact up to
-    rounding.  The output is non-decreasing whenever ``h >= 0``.
+    ``h``, like every path, holds one scalar per node and is linear between
+    nodes, so on each step the integral is ``dt`` times the mean of ``h`` at
+    its ends, and the node values are exact up to rounding.  The output is
+    non-decreasing whenever ``h >= 0``.
     """
-    if not h.is_scalar:
-        raise StructuralError("integrand must be scalar per node")
     out = np.concatenate([[0.0], np.cumsum(0.5 * (h.values[:-1] + h.values[1:]) * h.grid.steps)])
     return SampledPath(h.grid, out, LINEAR)
 
@@ -688,55 +655,34 @@ def substitution_check(h: SampledPath, X: SampledPath, C: TimeChangeMap) -> floa
 
 
 def terminal_clock(t: float, tau: float) -> float:
-    """The horizon-squashing clock in stopped form, always in [0, 1).
+    """The horizon-squashing clock ``s / (1 + s)`` at ``s = min(t, tau)``, in [0, 1).
 
-    Equals ``t / (1 + t)`` up to the horizon ``tau`` and freezes there; time
-    stopped at the terminal instant accrues nothing.
+    One of the squash's three closed forms, with ``terminal_clock_inverse``
+    and ``terminal_clock_derivative``.  It equals ``t / (1 + t)`` up to the
+    horizon ``tau`` and freezes there; time stopped at the terminal instant
+    accrues nothing.  ``t`` and ``tau`` must be non-negative, and at least
+    one of them finite, or this raises :class:`DomainError`.  The result
+    stays below 1 while ``s < 2**53``; past that it rounds to 1.
     """
     s = min(t, tau)
+    if not (t >= 0.0 and tau >= 0.0 and math.isfinite(s)):  # NaN fails every comparison
+        raise DomainError(f"the squash needs t, tau >= 0, one of them finite; got t={t}, tau={tau}")
     return s / (1.0 + s)
 
 
-def terminal_clock_inverse(t: float) -> float:
-    if t >= 1.0:
-        raise DomainError("the squashed horizon lives in [0, 1); inverse undefined at t >= 1")
-    return t / (1.0 - t)
+def terminal_clock_inverse(u: float) -> float:
+    """``u / (1 - u)``, the time ``t`` with ``terminal_clock(t, tau) = u`` below the horizon; ``u`` in [0, 1)."""
+    if not 0.0 <= u < 1.0:  # NaN fails too
+        raise DomainError(f"the squashed horizon lives in [0, 1); got u={u}")
+    return u / (1.0 - u)
 
 
-def terminal_clock_derivative(t: float) -> float:
-    if t >= 1.0:
-        raise DomainError("derivative undefined at t >= 1")
-    return (1.0 - t) ** -2
+def terminal_clock_derivative(u: float) -> float:
+    """``(1 - u)**-2``, the derivative of ``terminal_clock_inverse`` at ``u`` in [0, 1).
 
-
-# nodes of both grids of normalize_terminal_time
-_TERMINAL_CLOCK_NODES = 101
-
-
-def normalize_terminal_time(tau: float) -> TimeChangeMap:
-    """Map a finite (possibly random, per-path) horizon onto a sub-unit one, on 101-node grids.
-
-    The forward clock ``t / (1 + min(tau, t))`` squashes ``[0, tau]`` into
-    ``[0, tau/(1+tau)]`` which stays strictly below 1; the inverse
-    ``t / (1 - t)`` is sampled on the squashed range, and the density
-    ``(1 + t)**-2`` of ``t / (1 + t)`` on the source grid gives its derivative
-    ``(1 - t)**-2``, exact at both ends of the range (the density is linear
-    between source nodes).  Its forward values are not the integral of that
-    density, so every read of the map interpolates its samples
-    (``_SampledMap``).  A degenerate ``tau = 0`` yields a zero transformed horizon; the
-    map is still returned on a token positive range.
+    At ``u = terminal_clock(t, tau)`` below the horizon it is ``(1 + t)**2``,
+    the reciprocal of the clock's density ``(1 + t)**-2``.
     """
-    if not np.isfinite(tau) or tau < 0:
-        raise PreconditionError("tau must be finite and non-negative")
-    span = tau if tau > 0 else 1.0
-    src = TimeGrid.uniform(span, _TERMINAL_CLOCK_NODES)
-    forward = SampledPath(src, [terminal_clock(t, tau) for t in src.nodes], LINEAR)
-    horizon = terminal_clock(tau, tau)  # = tau / (1 + tau) < 1
-    tgt_end = horizon if horizon > 0 else 0.5
-    tgt = TimeGrid.uniform(tgt_end, _TERMINAL_CLOCK_NODES)
-    inv_vals = np.array([terminal_clock_inverse(s) for s in tgt.nodes])
-    return _SampledMap(
-        forward=forward,
-        inverse=SampledPath(tgt, inv_vals, LINEAR),
-        density=SampledPath(src, (1.0 + src.nodes) ** -2, LINEAR),
-    )
+    if not 0.0 <= u < 1.0:  # NaN fails too
+        raise DomainError(f"the squashed horizon lives in [0, 1); got u={u}")
+    return (1.0 - u) ** -2

@@ -143,8 +143,8 @@ def test_validate_accepts_no_times():
 
 def doob_meyer_martingale(
     path: ChainPath, model: MarkovChainModel, grid: TimeGrid
-) -> SampledPath:
-    """Compensated indicator process ``M_t = X_t - X_0 - int A X ds`` on a grid.
+) -> np.ndarray:
+    """Compensated indicator process ``M_t = X_t - X_0 - int A X ds`` at the grid nodes, shape ``(n, N)``.
 
     The compensator integral splits each grid step at the jump times, holding
     the pre-jump state on every segment; time variation of the rates is
@@ -168,15 +168,14 @@ def doob_meyer_martingale(
     comp = comp_at_cut[np.searchsorted(cut, nodes)]
     eye = np.eye(N)
     X = eye[path.state_at(nodes)]
-    M = X - eye[path.states[0]][None, :] - comp
-    return SampledPath(grid, M, LINEAR)
+    return X - eye[path.states[0]][None, :] - comp
 
 
 def test_martingale_mean_vanishes():
     model = two_state_model(1.0, 1.0)
     grid = TimeGrid.uniform(1.0, 21)
     paths = simulate_chain(model, 1.0, 10_000, seed=3)
-    M1 = np.array([doob_meyer_martingale(p, model, grid).values[-1] for p in paths])
+    M1 = np.array([doob_meyer_martingale(p, model, grid)[-1] for p in paths])
     mean = M1.mean(axis=0)
     se = M1.std(axis=0) / math.sqrt(len(paths))
     assert np.all(np.abs(mean) <= 3.0 * se)
@@ -189,7 +188,7 @@ def test_martingale_forced_jump_formula():
     path = ChainPath(np.array([0.5]), np.array([0, 1]))
     grid = TimeGrid.uniform(1.0, 5)
     A = model.rates(0.0)
-    M = doob_meyer_martingale(path, model, grid).values
+    M = doob_meyer_martingale(path, model, grid)
     e0, e1 = np.eye(2)
     want_before = -A @ e0 * 0.25
     assert np.allclose(M[1], want_before)
@@ -202,7 +201,7 @@ def test_martingale_absorbing_constant():
     model = MarkovChainModel(2, lambda t: A, 0, rate_bound=1.0)
     path = ChainPath(np.array([]), np.array([0]))
     grid = TimeGrid.uniform(1.0, 11)
-    M = doob_meyer_martingale(path, model, grid).values
+    M = doob_meyer_martingale(path, model, grid)
     assert np.allclose(M, 0.0)
 
 

@@ -275,6 +275,15 @@ def test_runtime_verdict_is_last_and_reads_the_budget():
     assert bundle.metadata["runtime_seconds"] == f"{last.measured:.3f}"
 
 
+def test_terminal_time_normalization_reads_the_squash_exactly():
+    # 1 / (1 + 1) and 0.5 / (1 - 0.5) round to nothing
+    bundle = run_scenario(ExperimentConfig(scenario="terminal-time-normalization"), write=False)
+    assert bundle.all_passed
+    measured = {v.name: v.measured for v in bundle.verdicts}
+    assert measured["horizon_tau_1"] == 0.0
+    assert measured["inverse_at_half"] == 0.0
+
+
 def test_zero_budget_fails_the_runtime_verdict(monkeypatch):
     _two_entry_registry(monkeypatch, budget_s=0.0)
     bundle = run_scenario(ExperimentConfig(scenario="quadratic-clock-inverse"), write=False)

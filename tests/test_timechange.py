@@ -19,7 +19,6 @@ from tcbsde.timechange import (
     build_phi,
     integrate_stieltjes,
     interp_columns,
-    normalize_terminal_time,
     substitution_check,
     terminal_clock,
     terminal_clock_derivative,
@@ -85,17 +84,15 @@ def test_path_evaluation_rules():
 @settings(max_examples=300, deadline=None)
 @given(
     steps=st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=20),
-    width=st.sampled_from([None, 1, 3]),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
-def test_scalar_time_matches_array_path(steps, width, seed, data):
+def test_scalar_time_matches_array_path(steps, seed, data):
     # the scalar branch of SampledPath.at against the array path as reference:
     # same bits, same return type, for interior times, node hits, both
     # 1e-12 edges, and float / int / np.float64 inputs
     grid = TimeGrid(np.concatenate([[0.0], np.cumsum(steps)]))
-    shape = (grid.n_nodes,) if width is None else (grid.n_nodes, width)
-    path = SampledPath(grid, np.random.default_rng(seed).normal(size=shape), LINEAR)
+    path = SampledPath(grid, np.random.default_rng(seed).normal(size=grid.n_nodes), LINEAR)
     t_end = grid.t_end
     t = data.draw(
         st.one_of(
@@ -189,9 +186,14 @@ def test_scalar_lookup_never_reads_a_stale_table():
     assert replace(path, values=np.array([1.0, 1.0, 3.0])).at(1.5) == 2.0
     assert replace(path, grid=TimeGrid(np.array([0.0, 1.5, 2.0]))).at(1.5) == 2.0
     assert path.at(1.5) == 4.0
-    # a vector-valued linear path has no table and takes the array path
-    wide = SampledPath(grid, np.array([[0.0, 1.0], [2.0, 1.0], [6.0, 1.0]]), LINEAR)
-    assert np.array_equal(wide.at(1.5), [4.0, 1.0])
+
+
+@pytest.mark.parametrize("values", [1.0, np.zeros((3, 2)), np.zeros(4), np.zeros(2), np.zeros((1, 3))])
+def test_path_needs_one_value_per_node(values):
+    # a scalar has no first axis to measure, and an (n, 2) array has the
+    # grid's length along it
+    with pytest.raises(InvariantError, match="need exactly one value per grid node"):
+        SampledPath(TimeGrid(np.array([0.0, 1.0, 2.0])), values, LINEAR)
 
 
 def _read_or_error(read, u):
@@ -539,11 +541,10 @@ def test_build_phi_quadratic_inverse():
 def test_build_phi_derivative_reciprocal_invariant():
     g = TimeGrid.uniform(1.5, 501)
     coeffs = make_coeffs(g, 1.0 + g.nodes**2, 0.5, eps=0.5)
-    # the squashing map carries the density of t / (1 + t) on its source grid
-    for clock in (build_phi(coeffs, identity_process(g)), normalize_terminal_time(3.0)):
-        s = clock.target_grid.nodes[np.isfinite(clock.inverse.values)]
-        prod = clock.derivative_at(s) * clock.density_at(clock.inverse_at(s))
-        assert np.allclose(prod, 1.0, atol=1e-12)
+    clock = build_phi(coeffs, identity_process(g))
+    s = clock.target_grid.nodes[np.isfinite(clock.inverse.values)]
+    prod = clock.derivative_at(s) * clock.density_at(clock.inverse_at(s))
+    assert np.allclose(prod, 1.0, atol=1e-12)
 
 
 COEFFICIENT_BUILDS = {
@@ -787,36 +788,66 @@ def test_substitution_refines(n_coarse, n_fine):
 
 
 # ---------------------------------------------------------------------------
-# normalize_terminal_time
+# the horizon squash: terminal_clock and its inverse and derivative
 # ---------------------------------------------------------------------------
 
 
 def test_terminal_time_unit_tau():
-    m = normalize_terminal_time(1.0)
     assert terminal_clock(1.0, 1.0) == pytest.approx(0.5)
-    assert m.forward.values[-1] == pytest.approx(0.5)
-    assert m.inverse_at(0.5) == pytest.approx(1.0)
+    assert terminal_clock_inverse(0.5) == pytest.approx(1.0)
 
 
 def test_terminal_time_degenerate_tau():
-    m = normalize_terminal_time(0.0)
     assert terminal_clock(0.0, 0.0) == 0.0
-    assert m.forward.values[0] == 0.0
 
 
 def test_terminal_time_tau_three():
-    m = normalize_terminal_time(3.0)
-    assert m.forward.values[-1] == pytest.approx(0.75)
+    assert terminal_clock(3.0, 3.0) == pytest.approx(0.75)
     # derivative at the squashed horizon equals (1 + tau)^2
-    assert m.derivative_at(0.75) == pytest.approx(16.0, rel=1e-9)
     assert terminal_clock_derivative(0.75) == pytest.approx((1 + 3.0) ** 2)
 
 
 def test_terminal_time_domain_error():
     with pytest.raises(DomainError):
         terminal_clock_inverse(1.0)
-    with pytest.raises(PreconditionError):
-        normalize_terminal_time(math.inf)
+
+
+@pytest.mark.parametrize(
+    "t,tau",
+    [(-2.0, 5.0), (-1.0, 5.0), (1.0, -0.5), (-1e-300, 1.0), (math.nan, 1.0), (1.0, math.nan),
+     (math.nan, math.nan), (math.inf, math.inf), (-math.inf, 1.0), (1.0, -math.inf)],
+)
+def test_terminal_clock_rejects_times_outside_its_domain(t, tau):
+    # s / (1 + s) is in [0, 1) only for s = min(t, tau) finite and >= 0; a
+    # negative tau would stop a clock that has not started
+    with pytest.raises(DomainError):
+        terminal_clock(t, tau)
+
+
+@pytest.mark.parametrize("u", [-1.0, -1e-300, 1.0, 2.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("form", [terminal_clock_inverse, terminal_clock_derivative])
+def test_squashed_forms_reject_times_outside_zero_one(form, u):
+    # u / (1 - u) and (1 - u)**-2 are the squash's inverse and its
+    # derivative only on its range [0, 1)
+    with pytest.raises(DomainError):
+        form(u)
+
+
+@pytest.mark.parametrize("t,tau,want", [(0.0, math.inf, 0.0), (math.inf, 1.0, 0.5), (3.0, math.inf, 0.75)])
+def test_terminal_clock_with_one_infinite_argument(t, tau, want):
+    # no horizon, or a time past a finite one
+    assert terminal_clock(t, tau) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(tau=st.floats(0.0, 50.0), data=st.data())
+def test_terminal_clock_forms_are_one_map(tau, data):
+    # the inverse undoes the clock below the horizon, and the derivative is
+    # the reciprocal of the clock's density (1 + t)**-2
+    t = data.draw(st.floats(0.0, tau))
+    u = terminal_clock(t, tau)
+    assert abs(terminal_clock_inverse(u) - t) <= 1e-12 * (1.0 + t)
+    assert abs(terminal_clock_derivative(u) * (1.0 + t) ** -2 - 1.0) <= 1e-12 * (1.0 + t)
 
 
 @settings(max_examples=100, deadline=None)
