@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -389,8 +389,19 @@ def simulate_chain(model: MarkovChainModel, horizon: float, paths: int, seed: in
 
 
 def occupancy(paths: ChainPaths, t: float, n_states: int) -> np.ndarray:
-    """Empirical state distribution at time t."""
+    """Empirical state distribution at time t, one share for each of the states ``0..n_states - 1``.
+
+    ``n_states`` must be a positive integer (:class:`PreconditionError`
+    otherwise).  A path in a state outside that range at ``t`` raises
+    :class:`StructuralError`, which names the state of the first such path.
+    """
+    n_states = check_count("occupancy state count", n_states)
     states = paths.states_at([float(t)])[:, 0]
+    outside = (states < 0) | (states >= n_states)
+    if outside.any():
+        raise StructuralError(
+            f"a path is in state {int(states[outside][0])} at t={t}, outside the states 0..{n_states - 1}"
+        )
     return np.bincount(states, minlength=n_states) / len(paths)
 
 
@@ -681,9 +692,11 @@ class ChainSolution:
     """State-value representation of a chain solution, optional path ensemble.
 
     ``state_values[j, i]`` is Y at node j in state i.  A ``picard`` solve,
-    which runs on simulated paths, also carries the per-path view in
-    ``path_states``/``path_Y``/``stop_idx``; a ``markov-ode`` solve and a
-    mapped solution leave them ``None``.
+    which runs on simulated paths, also carries each path's states at the
+    nodes in ``path_states`` ``(paths, n_nodes)`` and its stop node in
+    ``stop_idx``; the two come together, with one row and one index per
+    path.  ``path_Y`` is derived from them on first read and kept.  A
+    ``markov-ode`` solve and a mapped solution leave all three ``None``.
     """
 
     grid: TimeGrid
@@ -691,8 +704,29 @@ class ChainSolution:
     scheme: str
     metadata: dict = field(default_factory=dict)
     path_states: np.ndarray | None = None
-    path_Y: np.ndarray | None = None
     stop_idx: np.ndarray | None = None
+
+    def __post_init__(self):
+        S, stop = self.path_states, self.stop_idx
+        if (S is None) != (stop is None) or (S is not None and len(S) != len(stop)):
+            raise InvariantError("path_states and stop_idx come together, one row and one index per path")
+
+    @cached_property
+    def path_Y(self) -> np.ndarray | None:
+        """Y along each path at each node, ``(paths, n_nodes)``; ``None`` without path states.
+
+        A path running at node j holds ``state_values[j, its state]``; once
+        stopped it keeps the value at its stop node.  Built on first read,
+        node by node, and kept.
+        """
+        if self.path_states is None:
+            return None
+        ST, stop = self.path_states.T, self.stop_idx
+        YT = np.empty(ST.shape)
+        for j, v in enumerate(self.state_values):
+            np.take(v, ST[j], out=YT[j])
+            np.copyto(YT[j], YT[j - 1], where=stop < j)
+        return YT.T
 
     def value_at(self, t: float, state: int) -> float:
         """Linear interpolation in time; ``t`` in the grid range up to 1e-12, ``state`` a state index."""
@@ -905,6 +939,9 @@ def _picard_solve(problem, grid, paths, seed):
 
     A path running at node j has ``Y_{j+1} = values[j+1, k]`` at its next state k (a path
     stopping at j + 1 holds its hitting state's terminal), so ``_step_fits`` serves every step.
+    Each fixed point keeps its first residual and sets its iteration cap from it only once
+    it has run ``_FIXED_POINT_MIN_ITERATIONS``.  The solve returns the paths' states and stop
+    nodes; ``ChainSolution.path_Y`` derives the per-path values from them when read.
     """
     model, n, dt = problem.model, grid.n_nodes, grid.steps
     N = model.n_states
@@ -941,7 +978,7 @@ def _picard_solve(problem, grid, paths, seed):
             cond = float(counts[j, i] @ v) / running[j][i]
             # bracket-null directions remain free, reporting uses the semi-norm
             z = Q[j, i] @ (v - cond) / scale[j][i]
-            y, cap = cond, _FIXED_POINT_MIN_ITERATIONS
+            y = cond
             for k in range(1, _FIXED_POINT_MAX_ITERATIONS + 1):
                 y_new = cond + f(t, i, y, z) * dtj
                 residual = abs(y_new - y)
@@ -949,13 +986,15 @@ def _picard_solve(problem, grid, paths, seed):
                 if residual <= _FIXED_POINT_TOL:
                     break
                 if k == 1:
-                    cap = _fixed_point_cap(dtj * c_max, residual, _FIXED_POINT_TOL)
-                if k >= _FIXED_POINT_MIN_ITERATIONS:
+                    first = residual
+                elif k >= _FIXED_POINT_MIN_ITERATIONS:
                     # past |y| = 2**13 one rounding step exceeds the default
                     # absolute tolerance, so from here on judge the residual
                     # relative to |y|; a NaN residual fails the comparison
                     if residual <= _FIXED_POINT_TOL * max(1.0, abs(y)):
                         break
+                    if k == _FIXED_POINT_MIN_ITERATIONS:
+                        cap = _fixed_point_cap(dtj * c_max, first, _FIXED_POINT_TOL)
                     if k >= cap:
                         raise SchemeError(
                             f"fixed point at step {j} (t={t}), state {i} did not converge "
@@ -965,17 +1004,12 @@ def _picard_solve(problem, grid, paths, seed):
         for i in hit:
             values[j, i] = g(t, i)
 
-    YT = np.empty((n, paths))
-    for j in range(n):  # once stopped, a path keeps values[stop, its state there]
-        np.take(values[j], ST[j], out=YT[j])
-        np.copyto(YT[j], YT[j - 1], where=stop < j)
     return ChainSolution(
         grid=grid,
         state_values=values,
         scheme="picard",
         metadata={"truncated_fraction": truncated},
         path_states=S,
-        path_Y=YT.T,
         stop_idx=stop,
     )
 

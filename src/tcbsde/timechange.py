@@ -660,13 +660,16 @@ def terminal_clock(t: float, tau: float) -> float:
     One of the squash's three closed forms, with ``terminal_clock_inverse``
     and ``terminal_clock_derivative``.  It equals ``t / (1 + t)`` up to the
     horizon ``tau`` and freezes there; time stopped at the terminal instant
-    accrues nothing.  ``t`` and ``tau`` must be non-negative, and at least
-    one of them finite, or this raises :class:`DomainError`.  The result
-    stays below 1 while ``s < 2**53``; past that it rounds to 1.
+    accrues nothing.  ``t`` and ``tau`` must be non-negative, either may be
+    infinite, and ``s`` must be below ``2**53``, or this raises
+    :class:`DomainError`: from ``2**53`` on ``1 + s`` rounds to ``s`` and
+    the quotient to 1, which ``terminal_clock_inverse`` rejects.  Below it
+    every result is in [0, 1), and at ``2**53 - 1`` the inverse returns
+    ``s`` exactly.
     """
     s = min(t, tau)
-    if not (t >= 0.0 and tau >= 0.0 and math.isfinite(s)):  # NaN fails every comparison
-        raise DomainError(f"the squash needs t, tau >= 0, one of them finite; got t={t}, tau={tau}")
+    if not (t >= 0.0 and tau >= 0.0 and s < 2.0**53):  # NaN fails every comparison
+        raise DomainError(f"the squash needs t, tau >= 0 and min(t, tau) < 2**53; got t={t}, tau={tau}")
     return s / (1.0 + s)
 
 

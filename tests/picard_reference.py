@@ -9,7 +9,12 @@ jumps and finds the stop indices with ``np.isin``.  The grid states come
 from ``reference_states_at``, the path-major cumulative sum the batch used
 before.  The solver, which works from transition counts, must agree with it
 to 1e-12 (relative above 1) on values, and exactly on states, stop indices,
-metadata and the non-convergence message.
+metadata and the non-convergence message.  The reference returns its per-path
+``Y`` next to the solution, which derives its own ``path_Y``.
+
+``reference_path_Y`` is the solver's per-path ``Y`` as it was filled at the
+end of every solve, node by node; the solution's ``path_Y``, derived on first
+read, must equal it bit for bit.
 """
 
 import numpy as np
@@ -42,6 +47,17 @@ def reference_stop_indices(path_states, hitting_set, grid):
     idx = np.argmax(inset, axis=1)
     idx[~inset.any(axis=1)] = n - 1
     return idx
+
+
+def reference_path_Y(values, path_states, stop_idx):
+    """``(paths, n_nodes)``: each running path reads ``values`` at its state, a stopped one keeps its last value."""
+    ST = path_states.T
+    n, paths = ST.shape
+    YT = np.empty((n, paths))
+    for j in range(n):  # once stopped, a path keeps values[stop, its state there]
+        np.take(values[j], ST[j], out=YT[j])
+        np.copyto(YT[j], YT[j - 1], where=stop_idx < j)
+    return YT.T
 
 
 def reference_picard_solve(problem, grid, paths, seed, fp_tol=1e-12):
@@ -113,6 +129,5 @@ def reference_picard_solve(problem, grid, paths, seed, fp_tol=1e-12):
         scheme="picard",
         metadata={"truncated_fraction": truncated},
         path_states=S,
-        path_Y=Y,
         stop_idx=stop,
-    )
+    ), Y

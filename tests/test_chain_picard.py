@@ -5,7 +5,8 @@ inner loop over every state, a tall ``np.linalg.lstsq`` per (step, state)
 and ``np.isin`` stop indices.  The solver works from one count table and
 N-row solves, so its values agree with the reference to 1e-12 (relative to
 values above 1), its states, stop indices and metadata exactly, and its
-failure message word for word.
+failure message word for word.  The solution's ``path_Y``, derived on first
+read, equals the reference's eager node-by-node build bit for bit.
 """
 
 import numpy as np
@@ -15,16 +16,23 @@ from hypothesis import strategies as st
 
 from tcbsde.chain import (
     ChainBSDEProblem,
+    ChainSolution,
     GammaBalancedDriver,
     MarkovChainModel,
     _step_fits,
     _thin,
+    map_chain_solution,
     solve_chain_bsde,
 )
-from tcbsde.errors import SchemeError
-from tcbsde.timechange import LINEAR, SampledPath, TimeGrid
+from tcbsde.errors import InvariantError, SchemeError
+from tcbsde.timechange import LINEAR, SampledPath, TimeChangeMap, TimeGrid
 
-from picard_reference import reference_picard_solve, reference_states_at, reference_stop_indices
+from picard_reference import (
+    reference_path_Y,
+    reference_picard_solve,
+    reference_states_at,
+    reference_stop_indices,
+)
 from util import per_time
 
 
@@ -136,14 +144,50 @@ def test_picard_matches_path_major_reference_bit_for_bit(build, seed):
     # the states and stop indices still bit for bit
     problem, grid = build()
     got = solve_chain_bsde(problem, "picard", grid, paths=300, seed=seed)
-    ref = reference_picard_solve(problem, grid, 300, seed)
-    for name in ("state_values", "path_Y"):
-        g, r = getattr(got, name), getattr(ref, name)
+    ref, ref_Y = reference_picard_solve(problem, grid, 300, seed)
+    for g, r, name in ((got.state_values, ref.state_values, "state_values"), (got.path_Y, ref_Y, "path_Y")):
         assert np.all(np.abs(g - r) <= 1e-12 * np.maximum(1.0, np.abs(r))), name
     for name in ("path_states", "stop_idx"):
         assert np.array_equal(getattr(got, name), getattr(ref, name)), name
     assert got.metadata == ref.metadata
     assert got.path_states.shape == got.path_Y.shape == (300, grid.n_nodes)
+
+
+@pytest.mark.parametrize("build", PROBLEMS.values(), ids=PROBLEMS.keys())
+@pytest.mark.parametrize("seed", [1, 2])
+def test_derived_path_Y_is_the_eager_build_bit_for_bit(build, seed):
+    problem, grid = build()
+    sol = solve_chain_bsde(problem, "picard", grid, paths=300, seed=seed)
+    assert "path_Y" not in vars(sol)  # the solve fills no per-path array
+    want = reference_path_Y(sol.state_values, sol.path_states, sol.stop_idx)
+    got = sol.path_Y
+    assert got.dtype == want.dtype and got.shape == want.shape == (300, grid.n_nodes)
+    assert got.strides == want.strides
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # kept: a second read is the same array
+    assert sol.path_Y is got
+
+
+def test_path_Y_is_none_without_path_states():
+    problem, grid = three_state()
+    assert solve_chain_bsde(problem, "markov-ode", grid).path_Y is None
+    # a mapped Picard solution carries no paths
+    picard = solve_chain_bsde(problem, "picard", grid, paths=50, seed=1)
+    mapped = map_chain_solution(picard, TimeChangeMap.identity(grid))
+    assert mapped.path_states is None and mapped.stop_idx is None and mapped.path_Y is None
+    assert ChainSolution(grid, np.zeros((grid.n_nodes, 3)), "picard").path_Y is None
+
+
+def test_path_states_and_stop_indices_come_together():
+    grid = TimeGrid.uniform(1.0, 5)
+    values, S = np.zeros((5, 2)), np.zeros((4, 5), dtype=int)
+    with pytest.raises(InvariantError, match="come together"):
+        ChainSolution(grid, values, "picard", path_states=S)
+    with pytest.raises(InvariantError, match="come together"):
+        ChainSolution(grid, values, "picard", stop_idx=np.full(4, 4))
+    with pytest.raises(InvariantError, match="one row and one index per path"):
+        ChainSolution(grid, values, "picard", path_states=S, stop_idx=np.full(3, 4))
+    assert ChainSolution(grid, values, "picard", path_states=S, stop_idx=np.full(4, 4)).path_Y.shape == (4, 5)
 
 
 def test_reference_problems_cover_their_cases():
@@ -174,6 +218,21 @@ def test_non_convergence_raises_the_reference_message():
         reference_picard_solve(problem, grid, 100, 0)
     assert str(got.value) == str(ref.value)
     assert "did not converge" in str(got.value)
+
+
+@pytest.mark.parametrize("L, c, k", [(24.0, 18.0, 260), (21.0, 19.8, 2697)])
+def test_non_convergence_past_the_floor_raises_the_reference_message(L, c, k):
+    # a declared per-step slope c * dt of 0.9 or 0.99 puts the cap past the
+    # floor of 100 iterations, and a true slope above 1 reaches it
+    problem, grid = all_truncated()
+    problem.driver.f = lambda t, i, y, z: -L * y
+    problem.driver.c_path = SampledPath(grid, np.full(grid.n_nodes, c), LINEAR)
+    with pytest.raises(SchemeError) as got:
+        solve_chain_bsde(problem, "picard", grid, paths=100, seed=0)
+    with pytest.raises(SchemeError) as ref:
+        reference_picard_solve(problem, grid, 100, 0)
+    assert str(got.value) == str(ref.value)
+    assert f"did not converge in {k} iterations" in str(got.value)
 
 
 @pytest.mark.parametrize("build", PROBLEMS.values(), ids=PROBLEMS.keys())

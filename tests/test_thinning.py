@@ -463,6 +463,29 @@ def test_chain_paths_batch_contract():
         paths.states_at([0.5, 0.2])
 
 
+def test_occupancy_rejects_a_state_outside_its_count():
+    # at n_states = 2 a path in state 2 would add a third share
+    paths = ChainPaths(initial=[0, 2, 2], path=[], time=[], state=[])
+    with pytest.raises(StructuralError, match=r"a path is in state 2 at t=0.5, outside the states 0\.\.1"):
+        occupancy(paths, 0.5, 2)
+    assert np.array_equal(occupancy(paths, 0.5, 3), [1 / 3, 0.0, 2 / 3])
+    # the first path outside the range is named, here by the state it jumped to
+    jumped = ChainPaths(initial=[1, 0, 3], path=[1], time=[0.25], state=[4])
+    with pytest.raises(StructuralError, match="in state 4 "):
+        occupancy(jumped, 0.5, 2)
+    assert np.array_equal(occupancy(jumped, 0.1, 4), [1 / 3, 1 / 3, 0.0, 1 / 3])
+    with pytest.raises(StructuralError, match="in state -1 "):
+        occupancy(ChainPaths(initial=[0, -1], path=[], time=[], state=[]), 0.0, 2)
+
+
+@pytest.mark.parametrize("n_states", [-1, 0, 2.0, True, None])
+def test_occupancy_state_count_must_be_a_positive_integer(n_states):
+    # a negative count reached np.bincount, which raised a bare ValueError
+    paths = ChainPaths(initial=[0, 1], path=[], time=[], state=[])
+    with pytest.raises(PreconditionError, match="occupancy state count must be a positive integer"):
+        occupancy(paths, 0.0, n_states)
+
+
 @pytest.mark.parametrize("paths", [0, -1, 2.5, True])
 def test_path_count_must_be_a_positive_integer(paths):
     model = two_state()

@@ -850,6 +850,29 @@ def test_terminal_clock_forms_are_one_map(tau, data):
     assert abs(terminal_clock_derivative(u) * (1.0 + t) ** -2 - 1.0) <= 1e-12 * (1.0 + t)
 
 
+def test_terminal_clock_round_trips_up_to_two_to_the_53():
+    # at 2**53 - 1 the squash is 1 - 2**-53 and its inverse exact; from 2**53
+    # on 1 + s rounds to s, so the squash would read 1, outside its range
+    s = 2.0**53 - 1.0
+    u = terminal_clock(s, s)
+    assert u == 1.0 - 2.0**-53
+    assert terminal_clock_inverse(u) == 9007199254740991.0
+    assert terminal_clock(s, math.inf) == terminal_clock(math.inf, s) == u
+    for t, tau in ((2.0**53, 2.0**53), (2.0**53, math.inf), (math.inf, 2.0**60), (1e300, 1e300)):
+        with pytest.raises(DomainError, match=r"min\(t, tau\) < 2\*\*53"):
+            terminal_clock(t, tau)
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=st.floats(0.0, 2.0**53, exclude_max=True), other=st.floats(0.0, math.inf))
+def test_terminal_clock_values_are_in_its_inverses_domain(s, other):
+    # over its whole domain the squash stays below 1, so the inverse and the
+    # derivative accept what it returns
+    u = terminal_clock(s, max(s, other))
+    assert 0.0 <= u < 1.0
+    assert terminal_clock_inverse(u) >= 0.0 and terminal_clock_derivative(u) >= 1.0
+
+
 @settings(max_examples=100, deadline=None)
 @given(tau=st.floats(0.0, 50.0), t=st.floats(0.0, 200.0))
 def test_terminal_clock_below_one(tau, t):
